@@ -230,7 +230,15 @@ def biquandle_from_spec(spec: str) -> Optional[Biquandle]:
         args = [int(a) for a in s[len("alexander("):-1].split(",")]
         if len(args) != 3:
             raise ValueError("alexander(n,t,s) takes three arguments")
+        _check_size(args[0], spec)
         return alexander_biquandle(*args)
     if s.startswith("trivial(") and s.endswith(")"):
-        return trivial_biquandle(int(s[len("trivial("):-1]))
+        n = int(s[len("trivial("):-1])
+        _check_size(n, spec)
+        return trivial_biquandle(n)
     return None
+
+
+def _check_size(n: int, spec: str) -> None:
+    if n < 1:
+        raise ValueError(f"{spec}: the size n must be at least 1, got {n}")

@@ -432,21 +432,24 @@ def _smoothed_coloring(d: OrientedDiagram, index: int, coloring: Sequence[int]) 
 # bracket file format
 # ---------------------------------------------------------------------------
 
-def parse_bracket(text: str, bq: Biquandle) -> BiquandleBracket:
-    """Parse ``ring mod <n>`` or ``ring laurent`` followed by the [A|B] rows."""
+def parse_bracket_tables(text: str, bq: Biquandle):
+    """Parse ``ring mod <n>`` or ``ring laurent`` followed by the [A|B] rows
+    into (ring, A, B), without checking the bracket conditions."""
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines:
         raise ValueError("empty bracket file")
     head = lines[0].split()
-    if head[0] != "ring":
-        raise ValueError("bracket file must start with a 'ring ...' line")
-    if head[1] == "mod":
-        ring = ModRing(int(head[2]))
-    elif head[1] == "laurent":
+    if head == ["ring", "laurent"]:
         ring = LaurentRing()
+    elif len(head) == 3 and head[:2] == ["ring", "mod"]:
+        try:
+            ring = ModRing(int(head[2]))
+        except ValueError as e:
+            raise ValueError(f"line 1: bad modulus {head[2]!r}: {e}") from None
     else:
-        raise ValueError(f"unknown ring kind {head[1]!r}")
+        raise ValueError("bracket file must start with 'ring mod <n>' or 'ring laurent', "
+                         f"got {lines[0]!r}")
     n = bq.n
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} coefficient rows, found {len(lines) - 1}")
@@ -457,7 +460,12 @@ def parse_bracket(text: str, bq: Biquandle) -> BiquandleBracket:
             raise ValueError(f"line {i}: expected {2 * n} entries, found {len(entries)}")
         A.append([ring.parse(e) for e in entries[:n]])
         B.append([ring.parse(e) for e in entries[n:]])
-    return make_bracket(bq, ring, A, B)
+    return ring, A, B
+
+
+def parse_bracket(text: str, bq: Biquandle) -> BiquandleBracket:
+    """Parse a bracket file (see :func:`parse_bracket_tables`) and verify it."""
+    return make_bracket(bq, *parse_bracket_tables(text, bq))
 
 
 def serialize_bracket(beta: BiquandleBracket) -> str:

@@ -69,8 +69,7 @@ def _emit(args, payload: dict, text_lines: List[str]) -> None:
 
 
 def cmd_verify_biquandle(args) -> int:
-    text = _read(args.biquandle)
-    bq = bqmod.parse_biquandle(text)
+    bq = _load_biquandle(args.biquandle)
     report = bqmod.verify_biquandle(bq)
     findings = [v.describe() for v in report.violations]
     _emit(args, {"command": "verify-biquandle", "inputs": {"biquandle": args.biquandle},
@@ -82,7 +81,7 @@ def cmd_verify_biquandle(args) -> int:
 def cmd_verify_bracket(args) -> int:
     bq = _load_biquandle(args.biquandle)
     try:
-        ring, A, B = _parse_bracket_tables(_read(args.bracket), bq)
+        ring, A, B = brmod.parse_bracket_tables(_read(args.bracket), bq)
     except ValueError as e:
         raise InputError(f"{args.bracket}: {e}") from e
     check = brmod.verify_bracket(bq, ring, A, B)
@@ -99,28 +98,6 @@ def cmd_verify_bracket(args) -> int:
                  "inputs": {"biquandle": args.biquandle, "bracket": args.bracket},
                  "result": "fail", "witnesses": findings}, findings)
     return 1
-
-
-def _parse_bracket_tables(text: str, bq: bqmod.Biquandle):
-    """Raw tables without running verification (verify-bracket does that)."""
-    from .rings import LaurentRing, ModRing
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    head = lines[0].split()
-    if head[0] != "ring":
-        raise ValueError("bracket file must start with a 'ring ...' line")
-    ring = ModRing(int(head[2])) if head[1] == "mod" else LaurentRing()
-    n = bq.n
-    if len(lines) != n + 1:
-        raise ValueError(f"expected {n} coefficient rows, found {len(lines) - 1}")
-    A, B = [], []
-    for ln in lines[1:]:
-        entries = ln.split()
-        if len(entries) != 2 * n:
-            raise ValueError(f"expected {2 * n} entries per row")
-        A.append([ring.parse(e) for e in entries[:n]])
-        B.append([ring.parse(e) for e in entries[n:]])
-    return ring, A, B
 
 
 def cmd_colorings(args) -> int:
@@ -224,10 +201,13 @@ def cmd_skein_check(args) -> int:
     d = _load_diagram(args.diagram)
     bq = _load_biquandle(args.biquandle)
     beta = _load_bracket(args.bracket, bq)
+    if not 0 <= args.crossing < len(d.crossings):
+        raise InputError(f"--crossing {args.crossing} is out of range: {args.diagram} "
+                         f"has {len(d.crossings)} crossings, numbered from 0")
+    c = d.crossings[args.crossing]
     failures = []
     checked = 0
     for col in colmod.enumerate_colorings(d, bq):
-        c = d.crossings[args.crossing]
         x, y = col[c.u_in - 1], col[c.o_in - 1]
         if x != y or bq.under(x, x) != x:
             continue
@@ -306,28 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _thread_cap() -> int:
-    """TRACEBRACKET_THREADS caps worker parallelism; 0 means auto.
-
-    Evaluation is currently sequential, which respects any cap; the variable
-    is still validated so misconfiguration fails loudly.
-    """
-    import os
-    raw = os.environ.get("TRACEBRACKET_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InputError(f"TRACEBRACKET_THREADS must be an integer, got {raw!r}") from None
-    if cap < 0:
-        raise InputError("TRACEBRACKET_THREADS must be nonnegative")
-    return cap
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _thread_cap()
         return args.func(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -13,6 +13,15 @@ from its outputs by the same two equations.  Both directions are computable
 from the operation tables via the column-inverse maps, so colorings can be
 propagated forwards and backwards through crossings of either sign.
 
+Enumeration takes one of two paths.  When both operations are affine over
+a prime field, under(x, y) = a x + b y + c and over(x, y) = d x + e y + f
+mod a prime n with a and d nonzero (every alexander(p, t, s) with p prime,
+and the two-element fixture bq2), each crossing's two equations are linear
+and the colorings are the solutions of a sparse linear system over GF(n),
+found by elimination.  Every other table (n = 1, composite n, non-affine
+tables, and affine tables with a or d zero) goes through a depth-first
+search with constraint propagation.  Both paths return the same list.
+
 These rules are pinned by the worked invariants they must reproduce: nine
 colorings of the trefoil under the linear biquandle on Z_3 with t=1, s=2,
 four colorings of the Hopf link under the two-element biquandle, and
@@ -20,6 +29,7 @@ stability of the counting invariant across kink and poke fixture pairs.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -127,13 +137,30 @@ def _propagate(d: OrientedDiagram, bq: Biquandle, colors: List[Optional[int]]) -
 def enumerate_colorings(d: OrientedDiagram, bq: Biquandle) -> List[Coloring]:
     """All valid colorings, in lexicographic order of the color tuple.
 
-    Depth-first search with constraint propagation: repeatedly propagate
-    forced colors through crossings, then branch on the lowest-numbered
-    uncolored semiarc.
+    Over a biquandle that is affine over a prime field (see
+    :func:`_affine_form`) the colorings are the solutions of a linear
+    system, found by sparse elimination over GF(n).  Every other biquandle,
+    including n = 1 and composite n, goes through the depth-first search of
+    :func:`_dfs_colorings`.  Both give the same list.
     """
+    form = _affine_form(bq)
+    if form is None:
+        return _dfs_colorings(d, bq)
+    _require_valid(d)
+    return _extend_free_loops(d, bq, _linear_colorings(d, bq, form))
+
+
+def _require_valid(d: OrientedDiagram) -> None:
     report = validate_diagram(d)
     if not report.ok:
         raise ValueError("invalid diagram: " + "; ".join(report.problems))
+
+
+def _dfs_colorings(d: OrientedDiagram, bq: Biquandle) -> List[Coloring]:
+    """Depth-first search with constraint propagation: repeatedly propagate
+    forced colors through crossings, then branch on the lowest-numbered
+    uncolored semiarc.  Works over any biquandle."""
+    _require_valid(d)
 
     m = d.n_semiarcs
     results: List[Coloring] = []
@@ -154,12 +181,17 @@ def enumerate_colorings(d: OrientedDiagram, bq: Biquandle) -> List[Coloring]:
             search(branch)
 
     search([None] * m)
-    results.sort()
+    return _extend_free_loops(d, bq, results)
 
+
+def _extend_free_loops(d: OrientedDiagram, bq: Biquandle,
+                       results: List[Coloring]) -> List[Coloring]:
+    """Sort the crossing-semiarc colorings and extend each over the
+    free loops, whose colors are unconstrained."""
+    results.sort()
     if not d.free_loops:
         return results
 
-    # free-loop semiarcs are unconstrained; extend each base coloring
     extended: List[Coloring] = []
     for base in results:
         stack: List[Tuple[int, ...]] = [base]
@@ -168,6 +200,110 @@ def enumerate_colorings(d: OrientedDiagram, bq: Biquandle) -> List[Coloring]:
         extended.extend(stack)
     extended.sort()
     return extended
+
+
+Affine = Tuple[int, int, int]
+
+
+def _affine_coefficients(table: Sequence[Sequence[int]], n: int) -> Optional[Affine]:
+    """(a, b, c) with table[x][y] == a*x + b*y + c (mod n) for every x, y,
+    or None if the table is not of that form."""
+    c = table[0][0]
+    a = (table[1][0] - c) % n
+    b = (table[0][1] - c) % n
+    if all(table[x][y] == (a * x + b * y + c) % n for x in range(n) for y in range(n)):
+        return a, b, c
+    return None
+
+
+def _affine_form(bq: Biquandle) -> Optional[Tuple[Affine, Affine]]:
+    """The coefficients of under and over when bq is affine over the prime
+    field Z_n with bijective column maps (a nonzero x coefficient in both),
+    else None."""
+    n = bq.n
+    if n < 2 or any(n % k == 0 for k in range(2, int(n ** 0.5) + 1)):
+        return None
+    under = _affine_coefficients(bq.under_table, n)
+    over = _affine_coefficients(bq.over_table, n)
+    if under is None or over is None or under[0] == 0 or over[0] == 0:
+        return None
+    return under, over
+
+
+_CONST = -1  # the key of a row's constant term
+
+
+def _linear_colorings(d: OrientedDiagram, bq: Biquandle,
+                      form: Tuple[Affine, Affine]) -> List[Coloring]:
+    """Colorings of the crossing semiarcs as the solutions of the crossing
+    equations over GF(p), unsorted.
+
+    A positive crossing gives o_out = over(o_in, u_in) and
+    u_out = under(u_in, o_out); a negative one the same two equations with
+    inputs and outputs exchanged.  With under and over affine and their
+    column maps bijective these are exactly the conditions
+    :func:`crossing_ok` checks.  Each row {semiarc index: coefficient, plus
+    _CONST} states sum(coef * color) + const == 0.  Gauss-Jordan elimination
+    keeps every pivot row free of the other pivots, so after it the free
+    semiarcs range over all of GF(p) and each pivot is read off its row.
+    """
+    p = bq.n
+    (ua, ub, uc), (oa, ob, oc) = form   # under and over: a x + b y + c
+    pivots: Dict[int, Dict[int, int]] = {}
+
+    for cr in d.crossings:
+        if cr.sign > 0:
+            u_in, o_in, o_out, u_out = cr.u_in, cr.o_in, cr.o_out, cr.u_out
+        else:
+            u_in, o_in, o_out, u_out = cr.u_out, cr.o_out, cr.o_in, cr.u_in
+        # -out + coef1 * in1 + coef2 * in2 + const == 0; the solved-for
+        # semiarc goes first, so it is the preferred pivot
+        for out, terms, const in ((o_out, ((o_in, oa), (u_in, ob)), oc),
+                                  (u_out, ((u_in, ua), (o_out, ub)), uc)):
+            row: Dict[int, int] = {out - 1: p - 1}
+            for s, coef in terms:
+                row[s - 1] = (row.get(s - 1, 0) + coef) % p
+            row[_CONST] = const
+            for v in [v for v in row if v in pivots]:
+                factor = row.pop(v)
+                for w, coef in pivots[v].items():
+                    if w != v:
+                        row[w] = (row.get(w, 0) - factor * coef) % p
+            row = {w: coef for w, coef in row.items() if coef}
+            v = next((w for w in row if w != _CONST), None)
+            if v is None:
+                if row:
+                    return []      # 0 == nonzero constant: no colorings
+                continue
+            inv = pow(row[v], -1, p)
+            row = {w: coef * inv % p for w, coef in row.items()}
+            for other in pivots.values():
+                factor = other.pop(v, 0)
+                if factor:
+                    for w, coef in row.items():
+                        if w != v:
+                            other[w] = (other.get(w, 0) - factor * coef) % p
+                            if not other[w]:
+                                del other[w]
+            pivots[v] = row
+
+    m = d.n_semiarcs
+    free = [s for s in range(m) if s not in pivots]
+    solved = [(v, row.get(_CONST, 0), [(w, coef) for w, coef in row.items()
+                                       if w != v and w != _CONST])
+              for v, row in pivots.items()]
+    results: List[Coloring] = []
+    colors = [0] * m
+    loops = (0,) * d.free_loops
+    for values in itertools.product(range(p), repeat=len(free)):
+        for s, value in zip(free, values):
+            colors[s] = value
+        for v, const, terms in solved:
+            colors[v] = -(const + sum(coef * colors[w] for w, coef in terms)) % p
+        final = tuple(colors)
+        if validate_coloring(d, bq, final + loops):
+            results.append(final)
+    return results
 
 
 def counting_invariant(d: OrientedDiagram, bq: Biquandle) -> int:

@@ -110,3 +110,42 @@ def test_determinism(capsys):
                      fixture_path("bq3.txt"), fixture_path("br_z5_1.txt"))
         outs.add(out)
     assert len(outs) == 1
+
+
+def assert_input_error(capsys, argv, expected):
+    """Exit 2 with a one-line message naming the problem, no traceback."""
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert expected in err
+
+
+def test_bracket_header_without_ring_kind_exit_2(capsys, tmp_path):
+    for name, head in (("ring.txt", "ring"), ("ring_mod.txt", "ring mod")):
+        bad = tmp_path / name
+        bad.write_text(f"{head}\n1 6 2 5\n4 1 1 2\n")
+        assert_input_error(capsys, ["invariant", fixture_path("hopf_pos.dgm"),
+                                    fixture_path("bq2.txt"), str(bad)], "ring mod <n>")
+        assert_input_error(capsys, ["verify-bracket", fixture_path("bq2.txt"), str(bad)],
+                           "ring mod <n>")
+
+
+def test_inline_biquandle_size_below_one_exit_2(capsys):
+    for spec in ("trivial(0)", "trivial(-2)", "alexander(0,1,1)"):
+        assert_input_error(capsys, ["colorings", fixture_path("hopf_pos.dgm"), spec],
+                           "at least 1")
+
+
+def test_verify_biquandle_inline_spec(capsys):
+    rc, out = run(capsys, "verify-biquandle", "alexander(3,1,2)")
+    assert rc == 0 and out.strip() == "pass"
+
+
+def test_skein_check_crossing_out_of_range_exit_2(capsys):
+    # unknot_kink_pos has one crossing, trefoil_pos three
+    for dgm, index in (("unknot_kink_pos.dgm", "5"), ("trefoil_pos.dgm", "-1"),
+                       ("trefoil_pos.dgm", "3")):
+        assert_input_error(capsys, ["skein-check", fixture_path(dgm), "trivial(1)",
+                                    fixture_path("br_laurent.txt"), "--crossing", index],
+                           f"--crossing {index} is out of range")
