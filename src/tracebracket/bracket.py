@@ -19,11 +19,12 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .biquandle import Biquandle
 from .coloring import enumerate_colorings, validate_coloring
-from .diagram import Crossing, OrientedDiagram, count_state_loops, oriented_smoothing, switch_crossing, writhe_counts
+from .diagram import (SMOOTHINGS, Crossing, OrientedDiagram, _smoothing_chains, contract,
+                      oriented_smoothing, state_pairings, switch_crossing, writhe_counts)
 from .rings import LaurentRing, ModRing, NotAUnitError
 
 
@@ -195,31 +196,28 @@ def crossing_coefficient_pair(c: Crossing, coloring: Sequence[int]) -> Tuple[int
                             coloring[c.o_out - 1], coloring[c.u_out - 1])
 
 
+def smoothing_coefficient(beta: BiquandleBracket, sign: int, pair: Tuple[int, int],
+                          choice: str):
+    """A[x][y] or B[x][y] at the pair (x, y), inverted at a negative crossing."""
+    x, y = pair
+    coeff = beta.a(x, y) if choice == "A" else beta.b(x, y)
+    return coeff if sign > 0 else coeff.inverse()
+
+
 def crossing_coefficient(beta: BiquandleBracket, c: Crossing,
                          coloring: Sequence[int], choice: str):
-    x, y = crossing_coefficient_pair(c, coloring)
-    coeff = beta.a(x, y) if choice == "A" else beta.b(x, y)
-    return coeff if c.sign > 0 else coeff.inverse()
+    return smoothing_coefficient(beta, c.sign, crossing_coefficient_pair(c, coloring), choice)
 
 
 def state_sum(d: OrientedDiagram, coloring: Sequence[int], beta: BiquandleBracket):
-    """Full 2^(crossing count) state enumeration of one colored diagram."""
+    """The state sum of one colored diagram, contracted crossing by crossing."""
     if not validate_coloring(d, beta.bq, coloring):
         raise ValueError("coloring is not valid for this diagram and biquandle")
-    ring = beta.ring
-    total = ring.zero()
-    crossings = d.crossings
-    coeffs = [{choice: crossing_coefficient(beta, c, coloring, choice) for choice in "AB"}
-              for c in crossings]
-    for bits in range(1 << len(crossings)):
-        state = ["B" if bits & (1 << i) else "A" for i in range(len(crossings))]
-        term = ring.one()
-        for coeff, choice in zip(coeffs, state):
-            term = term * coeff[choice]
-        term = term * beta.delta ** count_state_loops(d, state)
-        total = total + term
+    nodes = [[(crossing_coefficient(beta, c, coloring, choice), state_pairings(c, choice))
+              for choice in SMOOTHINGS] for c in d.crossings]
+    total = contract(nodes, beta.ring.one(), beta.delta)[frozenset()]
     p, neg = writhe_counts(d)
-    return beta.w ** (neg - p) * total
+    return beta.w ** (neg - p) * beta.delta ** d.free_loops * total
 
 
 @dataclass
@@ -305,11 +303,10 @@ def classify_adequacy(beta: BiquandleBracket) -> AdequacyClass:
         xy, zy = U(x, y), O(z, y)
         yx, zx = O(y, x), O(z, x)
         xz, yz = U(x, z), U(y, z)
-        yx_, zx_ = O(y, x), O(z, x)
 
         if over_witness is None:
-            chain = (A[y][z] * B[xy][zy], B[x][z] * A[yx_][zx_],
-                     A[x][z] * B[yx_][zx_], B[y][z] * A[xy][zy])
+            chain = (A[y][z] * B[xy][zy], B[x][z] * A[yx][zx],
+                     A[x][z] * B[yx][zx], B[y][z] * A[xy][zy])
             if A[y][z] != A[U(y, x)][U(z, x)] or any(t != chain[0] for t in chain[1:]):
                 over_witness = (x, y, z)
 
@@ -391,40 +388,10 @@ def _smoothed_coloring(d: OrientedDiagram, index: int, coloring: Sequence[int]) 
     Valid when the smoothed crossing is monochromatic at a fixed point, so
     merged semiarcs all carry one color.
     """
-    target = d.crossings[index]
-    succ = {target.u_in: target.o_out, target.o_in: target.u_out}
-
-    def resolve(s: int) -> int:
-        seen = set()
-        while s in succ:
-            if s in seen:
-                return -1
-            seen.add(s)
-            s = succ[s]
-        return s
-
-    new_loop_colors: List[int] = []
-    rename: Dict[int, int] = {}
-    for s in range(1, d.n_semiarcs + 1):
-        r = resolve(s)
-        if r != -1:
-            rename[s] = r
-    for start in sorted(succ):
-        s, seen = start, set()
-        while s in succ:
-            if s in seen:
-                break
-            seen.add(s)
-            s = succ[s]
-        else:
-            continue
-        if start == min(seen):
-            new_loop_colors.append(coloring[start - 1])
-
-    survivors = sorted({rename[s] for s in rename})
-    out = [coloring[s - 1] for s in survivors]
+    rename, closed = _smoothing_chains(d, index)
+    out = [coloring[s - 1] for s in sorted(set(rename.values()))]
     out.extend(coloring[d.n_semiarcs:])      # original free-loop colors
-    out.extend(new_loop_colors)
+    out.extend(coloring[s - 1] for s in closed)
     return tuple(out)
 
 

@@ -150,6 +150,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise InputError(f"--limit {args.limit} is negative")
     bq = _load_biquandle(args.biquandle)
     lines = []
     results = []

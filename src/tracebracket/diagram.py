@@ -7,11 +7,15 @@ exactly one output slot and dies at exactly one input slot.  Crossing-free
 circle components are tracked by an explicit ``free_loops`` counter.
 
 Planarity is never checked: all operations here are purely combinatorial.
+
+The state-sum engine (``join_ends``, ``contract``) also lives here: the
+bracket state sum, the trace-diagram evaluators and the loop counts all run
+on it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -85,48 +89,73 @@ def writhe_counts(d: OrientedDiagram) -> Tuple[int, int]:
     return p, len(d.crossings) - p
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable):
-        self.parent = {i: i for i in items}
-
-    def find(self, a):
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def class_count(self) -> int:
-        return sum(1 for i in self.parent if self.find(i) == i)
+# The pairings of the two smoothings, by crossing role: A joins u_in with
+# o_out and o_in with u_out (orientation-coherent), B joins u_in with o_in
+# and u_out with o_out.  The same pairings apply at both crossing signs.
+SMOOTHINGS = {"A": (("u_in", "o_out"), ("o_in", "u_out")),
+              "B": (("u_in", "o_in"), ("u_out", "o_out"))}
 
 
-# A-smoothing joins u_in with o_out and o_in with u_out (orientation-coherent);
-# B-smoothing joins u_in with o_in and u_out with o_out.  The same pairings
-# apply at both crossing signs.
-def state_pairings(c: Crossing, choice: str) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-    if choice == "A":
-        return (c.u_in, c.o_out), (c.o_in, c.u_out)
-    if choice == "B":
-        return (c.u_in, c.o_in), (c.u_out, c.o_out)
-    raise ValueError(f"smoothing choice must be 'A' or 'B', got {choice!r}")
+def state_pairings(c: Crossing, choice: str) -> Tuple[Tuple[int, int], ...]:
+    if choice not in SMOOTHINGS:
+        raise ValueError(f"smoothing choice must be 'A' or 'B', got {choice!r}")
+    return tuple((getattr(c, a), getattr(c, b)) for a, b in SMOOTHINGS[choice])
+
+
+# ---------------------------------------------------------------------------
+# the state-sum engine
+#
+# A partial state is a set of paths.  ``mate`` maps each open end of a path
+# to the path's other end.  Every label is joined twice in a closed diagram:
+# its first join opens it as a path end and its second closes it off, so
+# when every node is placed all paths have closed into circles and ``mate``
+# is empty.  Labels joined once (the boundary of an open tangle) stay open.
+# ---------------------------------------------------------------------------
+
+def join_ends(mate: Dict[Hashable, Hashable], x: Hashable, y: Hashable) -> int:
+    """Join the path ends ``x`` and ``y``; return 1 if that closes a circle."""
+    if x == y or mate.get(x) == y:
+        mate.pop(x, None)
+        mate.pop(y, None)
+        return 1
+    ex, ey = mate.pop(x, x), mate.pop(y, y)
+    mate[ex], mate[ey] = ey, ex
+    return 0
+
+
+def contract(nodes: Iterable[Sequence[Tuple[object, Sequence[Tuple[Hashable, Hashable]]]]],
+             one, delta) -> Dict[FrozenSet[Tuple[Hashable, Hashable]], object]:
+    """Sum over every choice at every node, one node at a time.
+
+    Each node lists its choices as (coefficient, joins).  The running sum
+    maps each pairing of open ends, ``frozenset(mate.items())``, to the
+    summed value of the partial states that leave it, and a closed circle
+    multiplies by ``delta`` as soon as it closes.  States that leave the same
+    pairing merge, so the cost follows the number of distinct pairings, not
+    the number of states.
+    """
+    states = {frozenset(): one}
+    for choices in nodes:
+        merged = {}
+        for pairing, value in states.items():
+            for coeff, joins in choices:
+                mate = dict(pairing)
+                loops = sum(join_ends(mate, x, y) for x, y in joins)
+                term = value * coeff * delta ** loops if loops else value * coeff
+                after = frozenset(mate.items())
+                merged[after] = merged[after] + term if after in merged else term
+        states = merged
+    return states
 
 
 def count_state_loops(d: OrientedDiagram, state: Sequence[str]) -> int:
     """Number of circles after smoothing every crossing per ``state``."""
     if len(state) != len(d.crossings):
         raise ValueError("state length must equal the crossing count")
-    if not d.crossings:
-        return d.free_loops
-    uf = _UnionFind(d.semiarcs())
-    for c, choice in zip(d.crossings, state):
-        for a, b in state_pairings(c, choice):
-            uf.union(a, b)
-    return uf.class_count() + d.free_loops
+    mate: Dict[Hashable, Hashable] = {}
+    return d.free_loops + sum(join_ends(mate, a, b)
+                              for c, choice in zip(d.crossings, state)
+                              for a, b in state_pairings(c, choice))
 
 
 def switch_crossing(d: OrientedDiagram, index: int) -> OrientedDiagram:
@@ -139,6 +168,30 @@ def switch_crossing(d: OrientedDiagram, index: int) -> OrientedDiagram:
     return OrientedDiagram(tuple(rows), d.free_loops)
 
 
+def _smoothing_chains(d: OrientedDiagram, index: int) -> Tuple[Dict[int, int], List[int]]:
+    """Chase the chains that the oriented smoothing of one crossing leaves.
+
+    After the smoothing, the semiarc entering u_in continues into the one
+    leaving o_out, and the one entering o_in into u_out's.  Returns the map
+    from each semiarc on an open chain to the chain's last semiarc, and the
+    smallest semiarc of each chain that closes into a crossing-free circle.
+    """
+    target = d.crossings[index]
+    succ = {target.u_in: target.o_out, target.o_in: target.u_out}
+    rename: Dict[int, int] = {}
+    closed: List[int] = []
+    for s in d.semiarcs():
+        r, seen = s, set()
+        while r in succ and r not in seen:
+            seen.add(r)
+            r = succ[r]
+        if r not in succ:
+            rename[s] = r
+        elif s == min(seen):
+            closed.append(s)
+    return rename, closed
+
+
 def oriented_smoothing(d: OrientedDiagram, index: int) -> OrientedDiagram:
     """Remove a crossing with the orientation-coherent (A) smoothing.
 
@@ -147,55 +200,17 @@ def oriented_smoothing(d: OrientedDiagram, index: int) -> OrientedDiagram:
     renumbered canonically, preserving the relative order of survivors; a
     merge that closes a crossing-free circle increments ``free_loops``.
     """
-    target = d.crossings[index]
-    others = [c for i, c in enumerate(d.crossings) if i != index]
-
-    # successor map: after the smoothing, semiarc a flows into semiarc b
-    succ = {target.u_in: target.o_out, target.o_in: target.u_out}
-    removed = {target.u_in, target.o_in}
-
-    # chase chains so each surviving semiarc maps to its final identity
-    def resolve(s: int) -> int:
-        seen = set()
-        while s in succ:
-            if s in seen:          # closed chain: a free circle
-                return -1
-            seen.add(s)
-            s = succ[s]
-        return s
-
-    new_loops = d.free_loops
-    rename: Dict[int, int] = {}
-    for s in d.semiarcs():
-        r = resolve(s)
-        if r == -1:
-            continue
-        rename[s] = r
-
-    # detect circles: a chain that closes on itself
-    for start in removed:
-        s, seen = start, set()
-        closed = False
-        while s in succ:
-            if s in seen:
-                closed = True
-                break
-            seen.add(s)
-            s = succ[s]
-        if closed and start == min(seen):
-            new_loops += 1
-
-    survivors = sorted({rename[s] for s in rename})
-    compact = {old: i + 1 for i, old in enumerate(survivors)}
-
+    rename, closed = _smoothing_chains(d, index)
+    compact = {old: i + 1 for i, old in enumerate(sorted(set(rename.values())))}
     rows = []
-    for c in others:
-        rows.append(Crossing(c.sign,
-                             u_in=compact[rename[c.u_in]],
-                             o_in=compact[rename[c.o_in]],
-                             o_out=compact[rename[c.o_out]],
-                             u_out=compact[rename[c.u_out]]))
-    return OrientedDiagram(tuple(rows), new_loops)
+    for i, c in enumerate(d.crossings):
+        if i != index:
+            rows.append(Crossing(c.sign,
+                                 u_in=compact[rename[c.u_in]],
+                                 o_in=compact[rename[c.o_in]],
+                                 o_out=compact[rename[c.o_out]],
+                                 u_out=compact[rename[c.u_out]]))
+    return OrientedDiagram(tuple(rows), d.free_loops + len(closed))
 
 
 def parse_diagram(text: str) -> OrientedDiagram:

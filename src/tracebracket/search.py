@@ -47,6 +47,8 @@ def search_brackets(bq: Biquandle, modulus: int,
     B table).  ``classification`` filters on the adequacy label
     (adequate/over/under/neither); ``limit`` caps the number of results.
     """
+    if limit is not None and limit <= 0:
+        return
     ring = ModRing(modulus)
     n = bq.n
     slots = _slot_order(n)

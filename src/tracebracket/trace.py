@@ -1,6 +1,6 @@
-"""Colored trace diagrams: recursive skein expansion, crossingless
-evaluation, magnetic parity, the parity fast evaluator, and diagrammatic
-verification of the trace moves on fixed three-strand tangles.
+"""Colored trace diagrams: the full state sum, crossingless evaluation,
+magnetic parity, the parity fast evaluator, and diagrammatic verification
+of the trace moves on fixed three-strand tangles.
 
 A trace diagram is stored as a port graph.  Nodes are crossings (kind
 ``x``), pass-through traces (kind ``a``) and sink/source traces (kind
@@ -20,17 +20,24 @@ u_out) for an ``a`` trace, while a ``b`` trace absorbs both inputs into a
 sink and emits both outputs from a source.  Deleting a ``b`` trace leaves
 a cap and a cup, so its endpoints reverse orientation along the curve;
 these are the vertices magnetic parity counts.
+
+The full state sum runs on ``diagram.contract``.  Each edge is named by the
+out-port it leaves.  A crossing offers both smoothings, each weighted by its
+coefficient and by w^(-sign), the weight of the trace it leaves; a trace
+offers only its pass-through pairing, weighted w^(-sign).
 """
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .biquandle import Biquandle
-from .bracket import BiquandleBracket, coefficient_pair, crossing_coefficient_pair
+from .bracket import (BiquandleBracket, coefficient_pair, crossing_coefficient_pair,
+                      smoothing_coefficient)
 from .coloring import crossing_outputs
-from .diagram import OrientedDiagram, validate_diagram
+from .diagram import SMOOTHINGS, OrientedDiagram, contract, join_ends, validate_diagram
 
 Port = Tuple[int, str]
 
@@ -58,14 +65,12 @@ _ROLE_PORTS = {
     "a": {"u_in": "p_in", "o_out": "p_out", "o_in": "q_in", "u_out": "q_out"},
     "b": {"u_in": "s1", "o_in": "s2", "u_out": "r1", "o_out": "r2"},
 }
-_IN_PORTS = {"x": ("u_in", "o_in"), "a": ("p_in", "q_in"), "b": ("s1", "s2")}
-_OUT_PORTS = {"x": ("u_out", "o_out"), "a": ("p_out", "q_out"), "b": ("r1", "r2")}
-# pass-through pairing of the node, after traces are deleted
-_PASS = {
-    "x": (("u_in", "u_out"), ("o_in", "o_out")),
-    "a": (("p_in", "p_out"), ("q_in", "q_out")),
-    "b": (("s1", "s2"), ("r1", "r2")),
-}
+# pass-through pairing of the node, after traces are deleted: a crossing is
+# walked through, and a trace keeps the pairing of the smoothing it stands for
+_PASS = {"x": (("u_in", "u_out"), ("o_in", "o_out")),
+         **{kind.lower(): tuple((_ROLE_PORTS[kind.lower()][r], _ROLE_PORTS[kind.lower()][s])
+                                for r, s in pairs)
+            for kind, pairs in SMOOTHINGS.items()}}
 
 
 @dataclass(frozen=True)
@@ -126,31 +131,41 @@ def replace_with_trace(td: TraceDiagram, cid: int, kind: str) -> TraceDiagram:
 def smooth_crossing(td: TraceDiagram, cid: int, kind: str, beta: BiquandleBracket):
     """Return (coefficient, smoothed diagram) for one crossing."""
     node = td.nodes[cid]
-    x, y = node.pair
-    coeff = beta.a(x, y) if kind == "A" else beta.b(x, y)
-    if node.sign < 0:
-        coeff = coeff.inverse()
+    coeff = smoothing_coefficient(beta, node.sign, node.pair, kind)
     return coeff, replace_with_trace(td, cid, kind)
 
 
-class _UF:
-    def __init__(self, items: Iterable):
-        self.parent = {i: i for i in items}
+def _edge(pred: Dict[Port, Port], nid: int, port: str) -> Port:
+    """The edge at a port, named by the out-port it leaves."""
+    return pred.get((nid, port), (nid, port))
 
-    def find(self, a):
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+def _joins(pred: Dict[Port, Port], nid: int, pairs) -> Tuple[Tuple[Port, Port], ...]:
+    return tuple((_edge(pred, nid, a), _edge(pred, nid, b)) for a, b in pairs)
 
-    def class_count(self) -> int:
-        return sum(1 for i in self.parent if self.find(i) == i)
+
+def _trace_state_sum(td: TraceDiagram, beta: BiquandleBracket) -> Dict[frozenset, object]:
+    """``diagram.contract`` over every node of the trace diagram.
+
+    An endpoint node of an open tangle joins its edge to its own node id, so
+    the pairings left at the end are pairings of endpoint nodes.
+    """
+    pred = td.pred()
+    one = beta.ring.one()
+    nodes = []
+    for nid, node in td.nodes.items():
+        if node.kind == "x":
+            w_trace = beta.w ** -node.sign
+            nodes.append([(smoothing_coefficient(beta, node.sign, node.pair, k) * w_trace,
+                           _joins(pred, nid, SMOOTHINGS[k])) for k in SMOOTHINGS])
+        elif node.kind in _PASS:
+            nodes.append([(beta.w ** -node.sign, _joins(pred, nid, _PASS[node.kind]))])
+        else:
+            port = "out" if node.kind == "in" else "in"
+            nodes.append([(one, ((_edge(pred, nid, port), nid),))])
+    circles = beta.delta ** td.free_circles
+    return {pairing: circles * value
+            for pairing, value in contract(nodes, one, beta.delta).items()}
 
 
 def circles_trace_deleted(td: TraceDiagram) -> int:
@@ -159,40 +174,24 @@ def circles_trace_deleted(td: TraceDiagram) -> int:
     Crossings are walked through; trace nodes contribute their cap/cup or
     pass-through pairings, which is exactly what deletion leaves behind.
     """
-    ports = [(i, p) for i, n in td.nodes.items()
-             for p in _IN_PORTS[n.kind] + _OUT_PORTS[n.kind]]
-    if not ports:
-        return td.free_circles
-    uf = _UF(ports)
-    for a, b in td.succ.items():
-        uf.union(a, b)
-    for i, n in td.nodes.items():
-        for pa, pb in _PASS[n.kind]:
-            uf.union((i, pa), (i, pb))
-    return uf.class_count() + td.free_circles
+    pred = td.pred()
+    mate: Dict[Port, Port] = {}
+    return td.free_circles + sum(join_ends(mate, a, b)
+                                 for nid, n in td.nodes.items()
+                                 for a, b in _joins(pred, nid, _PASS[n.kind]))
 
 
 def evaluate_crossingless(td: TraceDiagram, beta: BiquandleBracket):
     """w^(n-p) * delta^k for a diagram with no crossings left."""
     if td.crossings():
         raise ValueError("diagram still has crossings")
-    p = sum(1 for i in td.traces() if td.nodes[i].sign > 0)
-    n = len(td.traces()) - p
-    k = circles_trace_deleted(td)
-    return beta.w ** (n - p) * beta.delta ** k
+    return _trace_state_sum(td, beta)[frozenset()]
 
 
-def evaluate_recursive(td: TraceDiagram, beta: BiquandleBracket,
-                       pick: Optional[Callable[[TraceDiagram], int]] = None):
-    """Expand crossings depth-first until crossingless, summing both kinds."""
-    xs = td.crossings()
-    if not xs:
-        return evaluate_crossingless(td, beta)
-    cid = pick(td) if pick is not None else xs[0]
-    coeff_a, td_a = smooth_crossing(td, cid, "A", beta)
-    coeff_b, td_b = smooth_crossing(td, cid, "B", beta)
-    return (coeff_a * evaluate_recursive(td_a, beta, pick)
-            + coeff_b * evaluate_recursive(td_b, beta, pick))
+def evaluate_recursive(td: TraceDiagram, beta: BiquandleBracket):
+    """The full state sum of a closed trace diagram: both smoothings of
+    every crossing, each leaving a trace of its kind."""
+    return _trace_state_sum(td, beta)[frozenset()]
 
 
 # ---------------------------------------------------------------------------
@@ -249,46 +248,31 @@ def magnetic_parity(td: TraceDiagram, cid: int) -> str:
     raise RuntimeError("parity walk did not terminate")
 
 
-def _slot_arcs(td: TraceDiagram) -> _UF:
-    """Union-find connecting ports through edges and trace nodes only."""
-    ports = [(i, p) for i, n in td.nodes.items()
-             for p in _IN_PORTS[n.kind] + _OUT_PORTS[n.kind]]
-    uf = _UF(ports)
-    for a, b in td.succ.items():
-        uf.union(a, b)
-    for i, n in td.nodes.items():
-        if n.kind != "x":
-            for pa, pb in _PASS[n.kind]:
-                uf.union((i, pa), (i, pb))
-    return uf
-
-
 def ri_reducible(td: TraceDiagram) -> bool:
     """Can the trace-deleted diagram be unknotted by kink removal alone?
 
     A kink is a crossing two of whose under/over slots are joined by an arc
     meeting no other crossing; removing it joins the two remaining slots.
     """
-    uf = _slot_arcs(td)
+    # the arcs between crossing slots, through edges and trace nodes only
+    mate: Dict[Port, Port] = {}
+    for a, b in td.succ.items():
+        join_ends(mate, a, b)
+    for nid, n in td.nodes.items():
+        if n.kind != "x":
+            for pa, pb in _PASS[n.kind]:
+                join_ends(mate, (nid, pa), (nid, pb))
     remaining = set(td.crossings())
-    u_slots = ("u_in", "u_out")
-    o_slots = ("o_in", "o_out")
     while remaining:
-        kink = None
-        for cid in sorted(remaining):
-            for us, os_ in itertools.product(u_slots, o_slots):
-                if uf.find((cid, us)) == uf.find((cid, os_)):
-                    kink = (cid, us, os_)
-                    break
-            if kink:
-                break
+        kink = next(((cid, us, os_) for cid in sorted(remaining)
+                     for us, os_ in itertools.product(("u_in", "u_out"), ("o_in", "o_out"))
+                     if mate.get((cid, us)) == (cid, os_)), None)
         if kink is None:
             return False
         cid, us, os_ = kink
         other_u = "u_out" if us == "u_in" else "u_in"
         other_o = "o_out" if os_ == "o_in" else "o_in"
-        uf.union((cid, other_u), (cid, other_o))
-        uf.union((cid, us), (cid, os_))   # already equal; keep classes tidy
+        join_ends(mate, (cid, other_u), (cid, other_o))
         remaining.discard(cid)
     return True
 
@@ -519,39 +503,6 @@ def _tangle_trace_diagram(tangle: MoveTangle, bq: Biquandle,
     return replace_with_trace(td, tangle.target, kind)
 
 
-def _boundary_resolution(td: TraceDiagram, beta: BiquandleBracket):
-    """(endpoint pairing, value) of a crossingless open trace diagram."""
-    ports = [(i, p) for i, n in td.nodes.items()
-             for p in _ports_of(n.kind)]
-    uf = _UF(ports)
-    for a, b in td.succ.items():
-        uf.union(a, b)
-    for i, n in td.nodes.items():
-        if n.kind in _PASS:
-            for pa, pb in _PASS[n.kind]:
-                uf.union((i, pa), (i, pb))
-    groups: Dict[object, List[int]] = {}
-    boundary = [i for i, n in td.nodes.items() if n.kind in ("in", "out")]
-    for i in boundary:
-        port = (i, "out") if td.nodes[i].kind == "in" else (i, "in")
-        groups.setdefault(uf.find(port), []).append(i)
-    paired = frozenset(frozenset(g) for g in groups.values())
-    circle_roots = {uf.find(p) for p in ports} - set(groups)
-    k = len(circle_roots) + td.free_circles
-    traces = [td.nodes[i] for i in td.traces()]
-    p = sum(1 for n in traces if n.sign > 0)
-    n_neg = len(traces) - p
-    return paired, beta.w ** (n_neg - p) * beta.delta ** k
-
-
-def _ports_of(kind: str) -> Tuple[str, ...]:
-    if kind == "in":
-        return ("out",)
-    if kind == "out":
-        return ("in",)
-    return _IN_PORTS[kind] + _OUT_PORTS[kind]
-
-
 def evaluate_open(td: TraceDiagram, beta: BiquandleBracket) -> Dict[object, object]:
     """Boundary-resolved value of an open trace diagram.
 
@@ -559,22 +510,9 @@ def evaluate_open(td: TraceDiagram, beta: BiquandleBracket) -> Dict[object, obje
     value of the states producing it.  Pairings whose value is zero are
     dropped, so dicts compare structurally.
     """
-    xs = td.crossings()
-    if not xs:
-        pairing, value = _boundary_resolution(td, beta)
-        return {pairing: value}
-    cid = xs[0]
-    out: Dict[object, object] = {}
-    for kind in ("A", "B"):
-        coeff, child = smooth_crossing(td, cid, kind, beta)
-        for pairing, value in evaluate_open(child, beta).items():
-            contribution = coeff * value
-            if pairing in out:
-                out[pairing] = out[pairing] + contribution
-            else:
-                out[pairing] = contribution
     zero = beta.ring.zero()
-    return {p: v for p, v in out.items() if v != zero}
+    return {frozenset(frozenset(pair) for pair in pairing): value
+            for pairing, value in _trace_state_sum(td, beta).items() if value != zero}
 
 
 def _endpoint_labels(td: TraceDiagram) -> Dict[int, str]:
@@ -627,6 +565,23 @@ def diagrammatic_passthrough(bq: Biquandle, beta: BiquandleBracket) -> bool:
 # trace diagram files
 # ---------------------------------------------------------------------------
 
+# the edge fields of each trace line, the order of their groups as the roles
+# (u_in, o_in, o_out, u_out), and the line's shape for error messages
+_TRACE_LINES = {
+    "traceA": (re.compile(r"(\d+)>(\d+) (\d+)>(\d+)"), (0, 2, 1, 3),
+               "traceA (+|-) <in1>><out1> <in2>><out2> <x> <y>"),
+    "traceB": (re.compile(r"sink\((\d+),(\d+)\) source\((\d+),(\d+)\)"), (0, 1, 3, 2),
+               "traceB (+|-) sink(<e1>,<e2>) source(<e3>,<e4>) <x> <y>"),
+}
+
+
+def _line_ints(lineno: int, fields: Sequence[str]) -> List[int]:
+    try:
+        return [int(f) for f in fields]
+    except ValueError:
+        raise ValueError(f"line {lineno}: expected integers, got {' '.join(fields)!r}") from None
+
+
 def parse_trace_diagram(text: str, bq: Biquandle) -> Tuple[TraceDiagram, Dict[int, int]]:
     """Parse the trace-diagram file format.
 
@@ -644,9 +599,11 @@ def parse_trace_diagram(text: str, bq: Biquandle) -> Tuple[TraceDiagram, Dict[in
     1-indexed: the pair ``bracket.coefficient_pair`` reads at that crossing,
     so (in1, out1) at + and (out2, in2) at - for traceA, and (e1, e4) at +
     and (e3, e2) at - for traceB.  Every edge must be colored by a
-    ``color <edge> <value>`` line, and the colors must satisfy the crossing
-    rules at every crossing and trace.  Returns the diagram and the
-    edge -> color map (0-indexed values).
+    ``color <edge> <value>`` line with a value in 1..n, every color line
+    must name an edge in use, each edge must leave one port and enter one,
+    and the colors must satisfy the crossing rules at every crossing and
+    trace.  Returns the diagram and the edge -> color map (0-indexed
+    values).
     """
     # (kind, sign, u_in, o_in, o_out, u_out, recorded pair or None)
     crossing_rows: List[Tuple] = []
@@ -657,24 +614,27 @@ def parse_trace_diagram(text: str, bq: Biquandle) -> Tuple[TraceDiagram, Dict[in
         if not ln:
             continue
         parts = ln.split()
-        if parts[0] in ("+", "-"):
+        head = parts[0]
+        if head in ("+", "-"):
             if len(parts) != 5:
-                raise ValueError(f"line {lineno}: bad crossing line")
-            sign = 1 if parts[0] == "+" else -1
-            crossing_rows.append(("x", sign, *(int(p) for p in parts[1:]), None))
-        elif parts[0] == "color":
-            colors[int(parts[1])] = int(parts[2]) - 1
-        elif parts[0] in ("traceA", "traceB"):
-            sign = 1 if parts[1] == "+" else -1
-            pair = (int(parts[4]) - 1, int(parts[5]) - 1)
-            if parts[0] == "traceA":
-                (i1, o1), (i2, o2) = (p.split(">") for p in parts[2:4])
-                roles = (i1, i2, o1, o2)
-            else:
-                e1, e2 = parts[2][len("sink("):-1].split(",")
-                e3, e4 = parts[3][len("source("):-1].split(",")
-                roles = (e1, e2, e4, e3)
-            trace_rows.append((parts[0][-1].lower(), sign, *(int(e) for e in roles), pair))
+                raise ValueError(f"line {lineno}: expected '(+|-) u_in o_in o_out u_out'")
+            crossing_rows.append(("x", 1 if head == "+" else -1,
+                                  *_line_ints(lineno, parts[1:]), None))
+        elif head == "color":
+            if len(parts) != 3:
+                raise ValueError(f"line {lineno}: expected 'color <edge> <value>'")
+            edge, value = _line_ints(lineno, parts[1:])
+            if not 1 <= value <= bq.n:
+                raise ValueError(f"line {lineno}: color {value} is out of range 1..{bq.n}")
+            colors[edge] = value - 1
+        elif head in _TRACE_LINES:
+            pattern, order, shape = _TRACE_LINES[head]
+            edges = pattern.fullmatch(" ".join(parts[2:4]))
+            if len(parts) != 6 or parts[1] not in ("+", "-") or edges is None:
+                raise ValueError(f"line {lineno}: expected '{shape}'")
+            pair = tuple(v - 1 for v in _line_ints(lineno, parts[4:]))
+            roles = (int(edges.group(i + 1)) for i in order)
+            trace_rows.append((head[-1].lower(), 1 if parts[1] == "+" else -1, *roles, pair))
         else:
             raise ValueError(f"line {lineno}: unrecognized line {ln!r}")
 
@@ -683,7 +643,10 @@ def parse_trace_diagram(text: str, bq: Biquandle) -> Tuple[TraceDiagram, Dict[in
     dies: Dict[int, Port] = {}
     for nid, (kind, _, *edges, _) in enumerate(rows):
         for role, e in zip(_ROLES, edges):
-            (born if role.endswith("out") else dies)[e] = (nid, _ROLE_PORTS[kind][role])
+            side, ends = ("output", born) if role.endswith("out") else ("input", dies)
+            if e in ends:
+                raise ValueError(f"edge {e} is used as an {side} more than once")
+            ends[e] = (nid, _ROLE_PORTS[kind][role])
 
     edges = set(born) | set(dies)
     loose = [e for e in edges if e not in born or e not in dies]
@@ -692,6 +655,9 @@ def parse_trace_diagram(text: str, bq: Biquandle) -> Tuple[TraceDiagram, Dict[in
     uncolored = [e for e in edges if e not in colors]
     if uncolored:
         raise ValueError(f"edges without a color: {sorted(uncolored)}")
+    unused = sorted(set(colors) - edges)
+    if unused:
+        raise ValueError(f"color lines for edges no crossing or trace uses: {unused}")
 
     nodes: Dict[int, Node] = {}
     for nid, (kind, sign, u_in, o_in, o_out, u_out, recorded) in enumerate(rows):

@@ -1,6 +1,11 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
-from tracebracket import fixture_path
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tracebracket import fixture_path, fixture_text
 from tracebracket.cli import main
 
 
@@ -149,3 +154,61 @@ def test_skein_check_crossing_out_of_range_exit_2(capsys):
         assert_input_error(capsys, ["skein-check", fixture_path(dgm), "trivial(1)",
                                     fixture_path("br_laurent.txt"), "--crossing", index],
                            f"--crossing {index} is out of range")
+
+
+def test_search_limit(capsys):
+    rc, out = run(capsys, "search", fixture_path("bq2.txt"), "--mod", "7", "--limit", "0")
+    assert rc == 0 and out.strip() == "found: 0"
+    assert_input_error(capsys, ["search", fixture_path("bq2.txt"), "--mod", "7",
+                                "--limit", "-1"], "--limit -1 is negative")
+
+
+def test_eval_trace_malformed_file_exit_2(capsys, tmp_path):
+    fixture = fixture_text("trace_phi.tdg")
+    kink = "+ 1 2 1 2\ncolor 1 1\ncolor 2 1\n"
+    cases = [
+        ("color 1\n", "bq2", "expected 'color <edge> <value>'"),
+        ("traceA +\n", "bq2", "expected 'traceA (+|-)"),
+        (fixture.replace("traceB +", "traceB *"), "bq2", "expected 'traceB (+|-)"),
+        (fixture.replace("sink(1,4)", "sunk(1,4)"), "bq2", "expected 'traceB (+|-)"),
+        ("color 1 1\n", "bq2", "no crossing or trace uses: [1]"),
+        (fixture + "color 7 1\n", "bq2", "no crossing or trace uses: [7]"),
+        (fixture.replace("color 6 2", "color 6 3"), "bq2", "color 3 is out of range 1..2"),
+        (kink + kink.splitlines()[0], "bq1", "edge 1 is used as an input more than once"),
+    ]
+    brackets = {"bq1": "br_laurent.txt", "bq2": "br_z7.txt"}
+    for text, bq, expected in cases:
+        path = tmp_path / "bad.tdg"
+        path.write_text(text)
+        assert_input_error(capsys, ["eval-trace", str(path), fixture_path(f"{bq}.txt"),
+                                    fixture_path(brackets[bq])], expected)
+
+
+_FUZZ_TOKENS = ("+", "-", "*", "#", "0", "1", "2", "3", "4", "5", "6", "7", "-1", "99",
+                "x", "1.5", "loops", "color", "traceA", "traceB", "ring", "mod", "laurent",
+                "A", "-A^2*B^-1", "1>2", "3>4", ">", "sink(1,2)", "source(3,4)", "sink(",
+                "source()")
+_FUZZ_COMMANDS = {
+    "colorings": lambda f: ["colorings", f, fixture_path("bq2.txt")],
+    "verify-biquandle": lambda f: ["verify-biquandle", f],
+    "verify-bracket": lambda f: ["verify-bracket", fixture_path("bq2.txt"), f],
+    "eval-trace": lambda f: ["eval-trace", f, fixture_path("bq2.txt"),
+                             fixture_path("br_z7.txt")],
+}
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(command=st.sampled_from(sorted(_FUZZ_COMMANDS)),
+       text=st.lists(st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=7).map(" ".join),
+                     max_size=6).map("\n".join))
+def test_parsers_exit_cleanly_on_random_lines(tmp_path_factory, command, text):
+    """Every input file gives exit 0, 1 or 2, never an exception, and exit 2
+    writes exactly one line to stderr."""
+    path = tmp_path_factory.getbasetemp() / "fuzz_input.txt"
+    path.write_text(text)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        rc = main(_FUZZ_COMMANDS[command](str(path)))
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert err.getvalue().count("\n") == 1

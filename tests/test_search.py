@@ -80,6 +80,8 @@ def test_classification_filter(bq2):
 
 def test_limit(bq2):
     assert len(list(search_brackets(bq2, 7, limit=5))) == 5
+    for limit in (0, -1):
+        assert list(search_brackets(bq2, 7, limit=limit)) == []
 
 
 def test_brute_force_cap():

@@ -1,24 +1,27 @@
+import itertools
 import random
 
 import pytest
 
 from tracebracket import fixture_text
 from tracebracket.bracket import (bracket_invariant, classify_adequacy,
-                                  constant_bracket, state_sum)
+                                  constant_bracket, crossing_coefficient_pair,
+                                  state_sum)
 from tracebracket.coloring import enumerate_colorings
-from tracebracket.diagram import (hopf_pos, trefoil_pos, trefoil_rii, unknot0,
-                                  unknot_kink)
+from tracebracket.diagram import (diagram, hopf_pos, trefoil_pos, trefoil_rii,
+                                  unknot0, unknot_kink, writhe_counts)
 from tracebracket.rings import ModRing
 from tracebracket.trace import (MultiComponentCrossingError,
-                                NotRIReducibleError, all_moves,
+                                NotRIReducibleError, TraceDiagram, all_moves,
                                 circles_trace_deleted, diagrammatic_adequacy,
                                 diagrammatic_passthrough, evaluate_by_parity,
-                                evaluate_crossingless, evaluate_recursive,
-                                evaluate_recursive_parity,
+                                evaluate_crossingless, evaluate_open,
+                                evaluate_recursive, evaluate_recursive_parity,
                                 from_colored_diagram, magnetic_parity,
                                 parse_trace_diagram, parity_applicable,
                                 replace_with_trace, ri_reducible,
-                                smooth_crossing, trace_move_fixture_check)
+                                smooth_crossing, trace_move_fixture_check,
+                                _tangle_trace_diagram)
 
 
 def fixture_diagrams():
@@ -26,24 +29,127 @@ def fixture_diagrams():
             trefoil_pos(), trefoil_rii()]
 
 
+def random_code(rng, n_crossings):
+    """A seeded random crossing code; planarity is not checked."""
+    outs, ins = list(range(1, 2 * n_crossings + 1)), list(range(1, 2 * n_crossings + 1))
+    rng.shuffle(outs)
+    rng.shuffle(ins)
+    return diagram([(rng.choice([1, -1]), ins[2 * i], ins[2 * i + 1], outs[2 * i],
+                     outs[2 * i + 1]) for i in range(n_crossings)])
+
+
+def components(adj):
+    """Connected components of an undirected graph given as adjacency lists."""
+    seen = set()
+    for start in adj:
+        if start not in seen:
+            component, stack = [], [start]
+            while stack:
+                v = stack.pop()
+                if v not in seen:
+                    seen.add(v)
+                    component.append(v)
+                    stack.extend(adj[v])
+            yield component
+
+
+# the smoothings by crossing role and the pass-through pairings of trace
+# ports, written out here so that the oracles share no table with the engine
+ORACLE_SMOOTHINGS = {"A": (("u_in", "o_out"), ("o_in", "u_out")),
+                     "B": (("u_in", "o_in"), ("u_out", "o_out"))}
+ORACLE_PASS = {"a": (("p_in", "p_out"), ("q_in", "q_out")),
+               "b": (("s1", "s2"), ("r1", "r2"))}
+
+
+def brute_force_state_sum(d, coloring, beta):
+    """All 2^c states, each state's circles counted by walking its pairings."""
+    total = beta.ring.zero()
+    for state in itertools.product("AB", repeat=len(d.crossings)):
+        term = beta.ring.one()
+        adj = {s: [] for s in d.semiarcs()}
+        for c, choice in zip(d.crossings, state):
+            x, y = crossing_coefficient_pair(c, coloring)
+            coeff = beta.a(x, y) if choice == "A" else beta.b(x, y)
+            term = term * (coeff if c.sign > 0 else coeff.inverse())
+            for r, s in ORACLE_SMOOTHINGS[choice]:
+                adj[getattr(c, r)].append(getattr(c, s))
+                adj[getattr(c, s)].append(getattr(c, r))
+        circles = len(list(components(adj))) + d.free_loops
+        total = total + term * beta.delta ** circles
+    pos, neg = writhe_counts(d)
+    return beta.w ** (neg - pos) * total
+
+
 def test_recursive_equals_state_sum(bq1, bq2, bq3, br_gen, br_z7, br_z5):
+    # both run the contraction engine; the oracle enumerates every state
+    rng = random.Random(2718)
+    codes = [random_code(rng, rng.randint(1, 8)) for _ in range(30)]
     cases = [(bq1, br_gen), (bq2, br_z7)] + [(bq3, b) for b in br_z5]
     for bq, beta in cases:
-        for d in fixture_diagrams():
-            for col in enumerate_colorings(d, bq):
-                td = from_colored_diagram(d, bq, col)
-                assert evaluate_recursive(td, beta) == state_sum(d, col, beta)
+        colored = [(d, col) for d in fixture_diagrams() for col in enumerate_colorings(d, bq)]
+        random_colored = [(d, col) for d in codes for col in enumerate_colorings(d, bq)[:2]]
+        assert len(random_colored) >= 10
+        for d, col in colored + random_colored:
+            expected = brute_force_state_sum(d, col, beta)
+            assert state_sum(d, col, beta) == expected
+            assert evaluate_recursive(from_colored_diagram(d, bq, col), beta) == expected
+
+
+def expand_open(td, beta):
+    """Boundary resolution of an open trace diagram by smooth_crossing
+    expansion, each crossingless leaf resolved by walking its strands."""
+    xs = td.crossings()
+    if xs:
+        out = {}
+        for kind in "AB":
+            coeff, child = smooth_crossing(td, xs[0], kind, beta)
+            for pairing, value in expand_open(child, beta).items():
+                out[pairing] = out[pairing] + coeff * value if pairing in out else coeff * value
+        return out
+    adj = {}
+    links = list(td.succ.items())
+    links += [((nid, pa), (nid, pb)) for nid, node in td.nodes.items()
+              for pa, pb in ORACLE_PASS.get(node.kind, ())]
+    for a, b in links:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    pairs, circles = [], td.free_circles
+    for component in components(adj):
+        ends = [nid for nid, _ in component if td.nodes[nid].kind in ("in", "out")]
+        if ends:
+            pairs.append(frozenset(ends))
+        else:
+            circles += 1
+    signs = [node.sign for node in td.nodes.values() if node.kind in ORACLE_PASS]
+    return {frozenset(pairs): beta.w ** (signs.count(-1) - signs.count(1))
+            * beta.delta ** circles}
+
+
+def test_evaluate_open_equals_smoothing_expansion(bq2, br_z7):
+    zero = br_z7.ring.zero()
+    for move in all_moves():
+        for seeds in itertools.product(range(bq2.n), repeat=3):
+            seed_map = dict(zip(("Sin", "Uin", "Vin"), seeds))
+            for side in (move.before, move.after):
+                td = _tangle_trace_diagram(side, bq2, seed_map, move.kind)
+                expected = {p: v for p, v in expand_open(td, br_z7).items() if v != zero}
+                assert evaluate_open(td, br_z7) == expected
 
 
 def test_expansion_order_independence(bq2, br_z7, bq1, br_gen):
+    # the state sum places the nodes in the order of td.nodes
     rng = random.Random(4242)
     for bq, beta, d in [(bq2, br_z7, hopf_pos()), (bq1, br_gen, trefoil_rii())]:
         col = enumerate_colorings(d, bq)[0]
-        td = from_colored_diagram(d, bq, col)
-        reference = evaluate_recursive(td, beta)
-        for _ in range(6):
-            pick = lambda t: rng.choice(t.crossings())
-            assert evaluate_recursive(td, beta, pick=pick) == reference
+        plain = from_colored_diagram(d, bq, col)
+        for td in (plain, replace_with_trace(plain, 0, "B")):
+            reference = evaluate_recursive(td, beta)
+            for _ in range(6):
+                order = list(td.nodes)
+                rng.shuffle(order)
+                shuffled = TraceDiagram({i: td.nodes[i] for i in order}, td.succ,
+                                        td.free_circles)
+                assert evaluate_recursive(shuffled, beta) == reference
 
 
 def test_smooth_coefficients(bq2, br_z7):
@@ -137,6 +243,10 @@ def test_kink_diagram_is_reducible(bq1):
     td = from_colored_diagram(unknot_kink(1), bq1, (0, 0))
     assert ri_reducible(td)
     assert parity_applicable(td)
+    # a curl whose loop and outer arc each carry a curl: crossing 0 becomes a
+    # kink only once crossing 1 is removed
+    nested = diagram([(1, 3, 6, 1, 4), (1, 1, 2, 3, 2), (1, 4, 5, 6, 5)])
+    assert ri_reducible(from_colored_diagram(nested, bq1, (0,) * 6))
 
 
 def test_parity_stop_recursion_matches(bq1, bq2, bq3, br_gen, br_z7, br_z5):
