@@ -15,7 +15,7 @@ matrices directly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 

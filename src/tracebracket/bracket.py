@@ -25,7 +25,7 @@ from .biquandle import Biquandle
 from .coloring import enumerate_colorings, validate_coloring
 from .diagram import (SMOOTHINGS, Crossing, OrientedDiagram, _smoothing_chains, contract,
                       oriented_smoothing, state_pairings, switch_crossing, writhe_counts)
-from .rings import LaurentRing, ModRing, NotAUnitError
+from .rings import LaurentRing, ModRing
 
 
 @dataclass(frozen=True)

@@ -293,10 +293,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (InputError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

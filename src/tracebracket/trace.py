@@ -2,44 +2,41 @@
 magnetic parity, the parity fast evaluator, and diagrammatic verification
 of the trace moves on fixed three-strand tangles.
 
-A trace diagram is stored as a port graph.  Nodes are crossings (kind
-``x``), pass-through traces (kind ``a``) and sink/source traces (kind
-``b``); ``succ`` maps each out-port to the in-port its edge feeds.  Each
-node carries the sign and the color pair indexing its coefficients, as
-``bracket.coefficient_pair`` defines it: (u_in, o_out) at a positive
-crossing and (u_out, o_in) at a negative one.  A trace keeps the pair of
-the crossing it replaces.
+A trace diagram is a set of rows over edge labels, one row per node, with
+the roles of ``diagram.Crossing``: (u_in, o_in, o_out, u_out).  Nodes are
+crossings (kind ``x``), pass-through traces (kind ``a``) and sink/source
+traces (kind ``b``).  Each node carries the sign and the color pair
+indexing its coefficients, as ``bracket.coefficient_pair`` defines it:
+(u_in, o_out) at a positive crossing and (u_out, o_in) at a negative one.
+A trace stands where a crossing was smoothed and keeps that crossing's
+sign, pair and edges, so smoothing a crossing only changes its kind.
 
-Smoothing a crossing is pure port renaming:
+``_PASS`` pairs the roles of each node once the traces are deleted: a
+crossing is walked through, an ``a`` trace continues the strand through
+u_in into o_out (and o_in into u_out), and a ``b`` trace joins its two
+inputs into a sink and its two outputs into a source.  Deleting a ``b``
+trace leaves a cap and a cup, so its ends reverse orientation along the
+curve; these are the vertices magnetic parity counts.
 
-  kind a:  u_in -> p_in,  o_out -> p_out,  o_in -> q_in,  u_out -> q_out
-  kind b:  u_in -> s1,    o_in  -> s2,     u_out -> r1,   o_out -> r2
-
-so the strand through u_in continues through o_out (and o_in through
-u_out) for an ``a`` trace, while a ``b`` trace absorbs both inputs into a
-sink and emits both outputs from a source.  Deleting a ``b`` trace leaves
-a cap and a cup, so its endpoints reverse orientation along the curve;
-these are the vertices magnetic parity counts.
-
-The full state sum runs on ``diagram.contract``.  Each edge is named by the
-out-port it leaves.  A crossing offers both smoothings, each weighted by its
-coefficient and by w^(-sign), the weight of the trace it leaves; a trace
-offers only its pass-through pairing, weighted w^(-sign).
+The full state sum runs on ``diagram.contract`` over the edge labels.  A
+crossing offers both smoothings, each weighted by its coefficient and by
+w^(-sign), the weight of the trace it leaves; a trace offers only its
+pass-through pairing, weighted w^(-sign).  In an open tangle a boundary
+edge is a label that only one node joins, so it stays open, and the value
+is keyed by the pairing of the boundary labels.
 """
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 from .biquandle import Biquandle
 from .bracket import (BiquandleBracket, coefficient_pair, crossing_coefficient_pair,
                       smoothing_coefficient)
 from .coloring import crossing_outputs
 from .diagram import SMOOTHINGS, OrientedDiagram, contract, join_ends, validate_diagram
-
-Port = Tuple[int, str]
 
 
 class MultiComponentCrossingError(ValueError):
@@ -50,33 +47,34 @@ class NotRIReducibleError(ValueError):
     """The trace-deleted diagram cannot be unknotted by kink removal alone."""
 
 
+_ROLES = ("u_in", "o_in", "o_out", "u_out")
+# pass-through pairing of each node kind after traces are deleted: a crossing
+# is walked through, and a trace keeps the pairing of the smoothing it stands for
+_PASS = {"x": (("u_in", "u_out"), ("o_in", "o_out")),
+         "a": SMOOTHINGS["A"], "b": SMOOTHINGS["B"]}
+# the role each role is paired with by _PASS
+_PARTNER = {kind: {r: s for pair in pairs for r, s in (pair, pair[::-1])}
+            for kind, pairs in _PASS.items()}
+
+
 @dataclass(frozen=True)
 class Node:
     kind: str                 # "x", "a", "b"
     sign: int                 # +1 / -1
     pair: Tuple[int, int]     # coefficient color pair (0-indexed)
+    u_in: Hashable            # edge labels by crossing role
+    o_in: Hashable
+    o_out: Hashable
+    u_out: Hashable
 
-
-_ROLES = ("u_in", "o_in", "o_out", "u_out")
-# the port that takes each crossing role's edge, per node kind (the smoothing
-# renamings above)
-_ROLE_PORTS = {
-    "x": {r: r for r in _ROLES},
-    "a": {"u_in": "p_in", "o_out": "p_out", "o_in": "q_in", "u_out": "q_out"},
-    "b": {"u_in": "s1", "o_in": "s2", "u_out": "r1", "o_out": "r2"},
-}
-# pass-through pairing of the node, after traces are deleted: a crossing is
-# walked through, and a trace keeps the pairing of the smoothing it stands for
-_PASS = {"x": (("u_in", "u_out"), ("o_in", "o_out")),
-         **{kind.lower(): tuple((_ROLE_PORTS[kind.lower()][r], _ROLE_PORTS[kind.lower()][s])
-                                for r, s in pairs)
-            for kind, pairs in SMOOTHINGS.items()}}
+    def joins(self, pairs) -> Tuple[Tuple[Hashable, Hashable], ...]:
+        """The edge labels that a pairing of roles joins."""
+        return tuple((getattr(self, r), getattr(self, s)) for r, s in pairs)
 
 
 @dataclass(frozen=True)
 class TraceDiagram:
     nodes: Dict[int, Node]
-    succ: Dict[Port, Port]
     free_circles: int = 0
 
     def crossings(self) -> List[int]:
@@ -85,27 +83,17 @@ class TraceDiagram:
     def traces(self) -> List[int]:
         return sorted(i for i, n in self.nodes.items() if n.kind != "x")
 
-    def pred(self) -> Dict[Port, Port]:
-        return {v: k for k, v in self.succ.items()}
-
 
 def from_colored_diagram(d: OrientedDiagram, bq: Biquandle,
                          coloring: Sequence[int]) -> TraceDiagram:
-    """Build the port graph of a colored oriented diagram (no traces yet)."""
+    """Build the trace diagram of a colored oriented diagram (no traces yet)."""
     report = validate_diagram(d)
     if not report.ok:
         raise ValueError("invalid diagram: " + "; ".join(report.problems))
-    nodes: Dict[int, Node] = {}
-    born: Dict[int, Port] = {}
-    dies: Dict[int, Port] = {}
-    for i, c in enumerate(d.crossings):
-        nodes[i] = Node("x", c.sign, crossing_coefficient_pair(c, coloring))
-        born[c.u_out] = (i, "u_out")
-        born[c.o_out] = (i, "o_out")
-        dies[c.u_in] = (i, "u_in")
-        dies[c.o_in] = (i, "o_in")
-    succ = {born[s]: dies[s] for s in born}
-    return TraceDiagram(nodes, succ, d.free_loops)
+    nodes = {i: Node("x", c.sign, crossing_coefficient_pair(c, coloring),
+                     c.u_in, c.o_in, c.o_out, c.u_out)
+             for i, c in enumerate(d.crossings)}
+    return TraceDiagram(nodes, d.free_loops)
 
 
 def replace_with_trace(td: TraceDiagram, cid: int, kind: str) -> TraceDiagram:
@@ -113,19 +101,9 @@ def replace_with_trace(td: TraceDiagram, cid: int, kind: str) -> TraceDiagram:
     node = td.nodes[cid]
     if node.kind != "x":
         raise ValueError(f"node {cid} is not a crossing")
-    if kind not in ("A", "B"):
+    if kind not in SMOOTHINGS:
         raise ValueError("kind must be 'A' or 'B'")
-    tid = max(td.nodes) + 1
-    trace_kind = kind.lower()
-    ports = _ROLE_PORTS[trace_kind]
-
-    def m(p: Port) -> Port:
-        return (tid, ports[p[1]]) if p[0] == cid else p
-
-    nodes = {i: n for i, n in td.nodes.items() if i != cid}
-    nodes[tid] = Node(trace_kind, node.sign, node.pair)
-    succ = {m(a): m(b) for a, b in td.succ.items()}
-    return TraceDiagram(nodes, succ, td.free_circles)
+    return TraceDiagram({**td.nodes, cid: replace(node, kind=kind.lower())}, td.free_circles)
 
 
 def smooth_crossing(td: TraceDiagram, cid: int, kind: str, beta: BiquandleBracket):
@@ -135,37 +113,19 @@ def smooth_crossing(td: TraceDiagram, cid: int, kind: str, beta: BiquandleBracke
     return coeff, replace_with_trace(td, cid, kind)
 
 
-def _edge(pred: Dict[Port, Port], nid: int, port: str) -> Port:
-    """The edge at a port, named by the out-port it leaves."""
-    return pred.get((nid, port), (nid, port))
-
-
-def _joins(pred: Dict[Port, Port], nid: int, pairs) -> Tuple[Tuple[Port, Port], ...]:
-    return tuple((_edge(pred, nid, a), _edge(pred, nid, b)) for a, b in pairs)
-
-
 def _trace_state_sum(td: TraceDiagram, beta: BiquandleBracket) -> Dict[frozenset, object]:
-    """``diagram.contract`` over every node of the trace diagram.
-
-    An endpoint node of an open tangle joins its edge to its own node id, so
-    the pairings left at the end are pairings of endpoint nodes.
-    """
-    pred = td.pred()
-    one = beta.ring.one()
+    """``diagram.contract`` over every node of the trace diagram."""
     nodes = []
-    for nid, node in td.nodes.items():
+    for node in td.nodes.values():
+        w_trace = beta.w ** -node.sign
         if node.kind == "x":
-            w_trace = beta.w ** -node.sign
             nodes.append([(smoothing_coefficient(beta, node.sign, node.pair, k) * w_trace,
-                           _joins(pred, nid, SMOOTHINGS[k])) for k in SMOOTHINGS])
-        elif node.kind in _PASS:
-            nodes.append([(beta.w ** -node.sign, _joins(pred, nid, _PASS[node.kind]))])
+                           node.joins(SMOOTHINGS[k])) for k in SMOOTHINGS])
         else:
-            port = "out" if node.kind == "in" else "in"
-            nodes.append([(one, ((_edge(pred, nid, port), nid),))])
+            nodes.append([(w_trace, node.joins(_PASS[node.kind]))])
     circles = beta.delta ** td.free_circles
     return {pairing: circles * value
-            for pairing, value in contract(nodes, one, beta.delta).items()}
+            for pairing, value in contract(nodes, beta.ring.one(), beta.delta).items()}
 
 
 def circles_trace_deleted(td: TraceDiagram) -> int:
@@ -174,11 +134,10 @@ def circles_trace_deleted(td: TraceDiagram) -> int:
     Crossings are walked through; trace nodes contribute their cap/cup or
     pass-through pairings, which is exactly what deletion leaves behind.
     """
-    pred = td.pred()
-    mate: Dict[Port, Port] = {}
+    mate: Dict[Hashable, Hashable] = {}
     return td.free_circles + sum(join_ends(mate, a, b)
-                                 for nid, n in td.nodes.items()
-                                 for a, b in _joins(pred, nid, _PASS[n.kind]))
+                                 for n in td.nodes.values()
+                                 for a, b in n.joins(_PASS[n.kind]))
 
 
 def evaluate_crossingless(td: TraceDiagram, beta: BiquandleBracket):
@@ -201,50 +160,30 @@ def evaluate_recursive(td: TraceDiagram, beta: BiquandleBracket):
 def magnetic_parity(td: TraceDiagram, cid: int) -> str:
     """'odd', 'even', or 'multi' for one crossing.
 
-    Walks the trace-deleted curve out of the under-pass exit, counting
-    sink/source vertices (each reverses the direction of travel), until the
-    walk returns to the crossing at its over-pass or its under-pass.
+    Walks the trace-deleted curve out of the under-pass exit until it comes
+    back to the crossing at its over-pass or its under-pass.  At each node
+    the walk leaves by the role that ``_PASS`` pairs with the one it arrived
+    at; a partner on the same side (a sink or a source) reverses the
+    direction of travel, and these reversals are counted.
     """
     if td.nodes[cid].kind != "x":
         raise ValueError(f"node {cid} is not a crossing")
-    pred = td.pred()
+    ends: Dict[Hashable, List[Tuple[int, str]]] = {}
+    for nid, n in td.nodes.items():
+        for role in _ROLES:
+            ends.setdefault(getattr(n, role), []).append((nid, role))
     count = 0
-    state = ("fwd", (cid, "u_out"))
-    limit = 4 * len(td.succ) + 4
-    for _ in range(limit):
-        direction, port = state
-        if direction == "fwd":
-            arrive = td.succ[port]
-            nid, pname = arrive
-            if nid == cid:
-                if pname == "o_in":
-                    return "odd" if count % 2 else "even"
-                return "multi"          # back at the under-pass
-            kind = td.nodes[nid].kind
-            if kind == "x":
-                state = ("fwd", (nid, "u_out" if pname == "u_in" else "o_out"))
-            elif kind == "a":
-                state = ("fwd", (nid, "p_out" if pname == "p_in" else "q_out"))
-            else:                       # sink: reverse along the other inflow
-                count += 1
-                other = "s2" if pname == "s1" else "s1"
-                state = ("bwd", (nid, other))
-        else:
-            arrive = pred[port]
-            nid, pname = arrive
-            if nid == cid:
-                if pname == "o_out":
-                    return "odd" if count % 2 else "even"
-                return "multi"
-            kind = td.nodes[nid].kind
-            if kind == "x":
-                state = ("bwd", (nid, "u_in" if pname == "u_out" else "o_in"))
-            elif kind == "a":
-                state = ("bwd", (nid, "p_in" if pname == "p_out" else "q_in"))
-            else:                       # source: reverse along the other outflow
-                count += 1
-                other = "r2" if pname == "r1" else "r1"
-                state = ("fwd", (nid, other))
+    here = (cid, "u_out")
+    for _ in range(4 * len(td.nodes) + 4):
+        first, second = ends[getattr(td.nodes[here[0]], here[1])]
+        nid, role = second if first == here else first
+        if nid == cid:
+            if role.startswith("o"):
+                return "odd" if count % 2 else "even"
+            return "multi"              # back at the under-pass
+        leave = _PARTNER[td.nodes[nid].kind][role]
+        count += role.endswith("in") == leave.endswith("in")
+        here = (nid, leave)
     raise RuntimeError("parity walk did not terminate")
 
 
@@ -255,13 +194,14 @@ def ri_reducible(td: TraceDiagram) -> bool:
     meeting no other crossing; removing it joins the two remaining slots.
     """
     # the arcs between crossing slots, through edges and trace nodes only
-    mate: Dict[Port, Port] = {}
-    for a, b in td.succ.items():
-        join_ends(mate, a, b)
+    mate: Dict[Hashable, Hashable] = {}
     for nid, n in td.nodes.items():
-        if n.kind != "x":
-            for pa, pb in _PASS[n.kind]:
-                join_ends(mate, (nid, pa), (nid, pb))
+        if n.kind == "x":
+            for role in _ROLES:
+                join_ends(mate, (nid, role), getattr(n, role))
+        else:
+            for a, b in n.joins(_PASS[n.kind]):
+                join_ends(mate, a, b)
     remaining = set(td.crossings())
     while remaining:
         kink = next(((cid, us, os_) for cid in sorted(remaining)
@@ -320,8 +260,10 @@ def parity_applicable(td: TraceDiagram) -> bool:
 
 def evaluate_recursive_parity(td: TraceDiagram, beta: BiquandleBracket):
     """Recursive expansion that stops early on parity-evaluable diagrams."""
-    if parity_applicable(td):
+    try:
         return evaluate_by_parity(td, beta)
+    except (MultiComponentCrossingError, NotRIReducibleError):
+        pass
     cid = td.crossings()[0]
     coeff_a, td_a = smooth_crossing(td, cid, "A", beta)
     coeff_b, td_b = smooth_crossing(td, cid, "B", beta)
@@ -338,15 +280,12 @@ def evaluate_recursive_parity(td: TraceDiagram, beta: BiquandleBracket):
 # strand S crossing two of the edges at c0.  Both sides of a move are
 # expanded as OPEN tangles and compared boundary-resolved: for each state,
 # its coefficient, internal-circle delta factor and trace w-factor are
-# accumulated against the induced pairing of the six endpoints.  The two
+# accumulated against the induced pairing of the six boundary wires.  The two
 # sides agree for every seeding of the three strand colors exactly when the
 # bracket admits the move.  (Closing the tangle first would be useless for
 # discrimination: any bracket with delta = 0 evaluates every closed diagram
 # to zero.)
 # ---------------------------------------------------------------------------
-
-_ENDPOINTS = ("Uin", "Uout", "Vin", "Vout", "Sin", "Sout")
-
 
 @dataclass(frozen=True)
 class MoveTangle:
@@ -365,18 +304,18 @@ def _slide_tangles(s_over: bool, c0_sign: int, s_west: bool) -> Tuple[MoveTangle
 
     if not s_west:
         before = ((c0_sign, "Uin", "Vin", "v1", "u1"),
-                  sc("Sin", "s1", "v1", "Vout"),
-                  sc("s1", "Sout", "u1", "Uout"))
+                  sc("Sin", "s_mid", "v1", "Vout"),
+                  sc("s_mid", "Sout", "u1", "Uout"))
         after = ((c0_sign, "u1", "v1", "Vout", "Uout"),
-                 sc("Sin", "s1", "Uin", "u1"),
-                 sc("s1", "Sout", "Vin", "v1"))
+                 sc("Sin", "s_mid", "Uin", "u1"),
+                 sc("s_mid", "Sout", "Vin", "v1"))
     else:
         before = ((c0_sign, "Uin", "Vin", "v1", "u1"),
-                  sc("Sin", "s1", "u1", "Uout"),
-                  sc("s1", "Sout", "v1", "Vout"))
+                  sc("Sin", "s_mid", "u1", "Uout"),
+                  sc("s_mid", "Sout", "v1", "Vout"))
         after = ((c0_sign, "u1", "v1", "Vout", "Uout"),
-                 sc("Sin", "s1", "Vin", "v1"),
-                 sc("s1", "Sout", "Uin", "u1"))
+                 sc("Sin", "s_mid", "Vin", "v1"),
+                 sc("s_mid", "Sout", "Uin", "u1"))
     return MoveTangle(before), MoveTangle(after)
 
 
@@ -396,11 +335,11 @@ def _through_tangles(s_over: bool, c0_sign: int,
         return (sign, s_in, e_in, e_out, s_out)
 
     before = ((c0_sign, "u1", "Vin", "v1", "Uout"),
-              sc(s_sign, "Sin", "s1", "Uin", "u1"),
-              sc(s_sign, "s1", "Sout", "v1", "Vout"))
+              sc(s_sign, "Sin", "s_mid", "Uin", "u1"),
+              sc(s_sign, "s_mid", "Sout", "v1", "Vout"))
     after = ((c0_sign, "Uin", "v2", "Vout", "u2"),
-             sc(-s_sign, "Sin", "s1", "Vin", "v2"),
-             sc(-s_sign, "s1", "Sout", "u2", "Uout"))
+             sc(-s_sign, "Sin", "s_mid", "Vin", "v2"),
+             sc(-s_sign, "s_mid", "Sout", "u2", "Uout"))
     return MoveTangle(before), MoveTangle(after)
 
 
@@ -457,11 +396,11 @@ def _tangle_trace_diagram(tangle: MoveTangle, bq: Biquandle,
                           seeds: Dict[str, int], kind: str) -> TraceDiagram:
     """Color the tangle from its entry seeds and replace c0 by a trace.
 
-    Boundary wires become endpoint nodes (kind ``in``/``out``), so the
+    The boundary wires are the labels that only one row uses, so the
     result is an open trace diagram.
     """
     wire_colors: Dict[str, int] = dict(seeds)
-    info: Dict[int, Tuple[int, Tuple[int, int]]] = {}
+    nodes: Dict[int, Node] = {}
     pending = set(range(len(tangle.rows)))
     while pending:
         progressed = False
@@ -470,81 +409,46 @@ def _tangle_trace_diagram(tangle: MoveTangle, bq: Biquandle,
             if ui in wire_colors and oi in wire_colors:
                 u_out, o_out = crossing_outputs(bq, sign, wire_colors[ui], wire_colors[oi])
                 wire_colors[uo], wire_colors[oo] = u_out, o_out
-                info[i] = (sign, coefficient_pair(sign, wire_colors[ui], wire_colors[oi],
-                                                  o_out, u_out))
+                pair = coefficient_pair(sign, wire_colors[ui], wire_colors[oi], o_out, u_out)
+                nodes[i] = Node("x", sign, pair, ui, oi, oo, uo)
                 pending.discard(i)
                 progressed = True
         if not progressed:
             raise ValueError("tangle wiring is not forward-colorable")
-
-    nodes: Dict[int, Node] = {}
-    born: Dict[str, Port] = {}
-    dies: Dict[str, Port] = {}
-    for i, (sign, ui, oi, oo, uo) in enumerate(tangle.rows):
-        nodes[i] = Node("x", *info[i])
-        born[uo] = (i, "u_out")
-        born[oo] = (i, "o_out")
-        dies[ui] = (i, "u_in")
-        dies[oi] = (i, "o_in")
-    nid = len(tangle.rows)
-    for name in _ENDPOINTS:
-        if name.endswith("in"):
-            if name not in born:
-                nodes[nid] = Node("in", +1, (-1, -1))
-                born[name] = (nid, "out")
-                nid += 1
-        else:
-            if name not in dies:
-                nodes[nid] = Node("out", +1, (-1, -1))
-                dies[name] = (nid, "in")
-                nid += 1
-    succ = {born[w]: dies[w] for w in born}
-    td = TraceDiagram(nodes, succ, 0)
+    td = TraceDiagram(dict(sorted(nodes.items())), 0)
     return replace_with_trace(td, tangle.target, kind)
 
 
 def evaluate_open(td: TraceDiagram, beta: BiquandleBracket) -> Dict[object, object]:
     """Boundary-resolved value of an open trace diagram.
 
-    Maps each induced pairing of the endpoint nodes to the accumulated ring
-    value of the states producing it.  Pairings whose value is zero are
-    dropped, so dicts compare structurally.
+    Maps each induced pairing of the boundary labels (those only one node
+    joins) to the accumulated ring value of the states producing it.
+    Pairings whose value is zero are dropped, so dicts compare structurally.
     """
     zero = beta.ring.zero()
     return {frozenset(frozenset(pair) for pair in pairing): value
             for pairing, value in _trace_state_sum(td, beta).items() if value != zero}
 
 
-def _endpoint_labels(td: TraceDiagram) -> Dict[int, str]:
-    # endpoint nodes were created in _ENDPOINTS order after the crossings
-    labels = {}
-    names = iter(_ENDPOINTS)
-    for i in sorted(n for n, node in td.nodes.items() if node.kind in ("in", "out")):
-        labels[i] = next(names)
-    return labels
-
-
 def trace_move_fixture_check(bq: Biquandle, beta: BiquandleBracket, move_id: str) -> bool:
-    """True iff [before] == [after] boundary-resolved, for all color seeds."""
+    """True iff [before] == [after] boundary-resolved, for all color seeds.
+
+    A pass-through move is checked only on seeds that color its trace
+    monochromatically, read at the trace's own pair.
+    """
     move = move_by_id(move_id)
     for seeds in itertools.product(range(bq.n), repeat=3):
         seed_map = {"Sin": seeds[0], "Uin": seeds[1], "Vin": seeds[2]}
         td_b = _tangle_trace_diagram(move.before, bq, seed_map, move.kind)
-        td_a = _tangle_trace_diagram(move.after, bq, seed_map, move.kind)
         if move.monochromatic_only:
-            trace_node = next(td_b.nodes[i] for i in td_b.traces())
-            if trace_node.pair[0] != trace_node.pair[1]:
+            x, y = td_b.nodes[move.before.target].pair
+            if x != y:
                 continue
-        vb = _relabel(evaluate_open(td_b, beta), _endpoint_labels(td_b))
-        va = _relabel(evaluate_open(td_a, beta), _endpoint_labels(td_a))
-        if vb != va:
+        td_a = _tangle_trace_diagram(move.after, bq, seed_map, move.kind)
+        if evaluate_open(td_b, beta) != evaluate_open(td_a, beta):
             return False
     return True
-
-
-def _relabel(resolution: Dict[object, object], labels: Dict[int, str]):
-    return {frozenset(frozenset(labels[i] for i in pair) for pair in pairing): v
-            for pairing, v in resolution.items()}
 
 
 def diagrammatic_adequacy(bq: Biquandle, beta: BiquandleBracket) -> Tuple[bool, bool]:
@@ -639,20 +543,19 @@ def parse_trace_diagram(text: str, bq: Biquandle) -> Tuple[TraceDiagram, Dict[in
             raise ValueError(f"line {lineno}: unrecognized line {ln!r}")
 
     rows = crossing_rows + trace_rows
-    born: Dict[int, Port] = {}
-    dies: Dict[int, Port] = {}
-    for nid, (kind, _, *edges, _) in enumerate(rows):
+    ins, outs = set(), set()
+    for _, _, *edges, _ in rows:
         for role, e in zip(_ROLES, edges):
-            side, ends = ("output", born) if role.endswith("out") else ("input", dies)
+            side, ends = ("output", outs) if role.endswith("out") else ("input", ins)
             if e in ends:
                 raise ValueError(f"edge {e} is used as an {side} more than once")
-            ends[e] = (nid, _ROLE_PORTS[kind][role])
+            ends.add(e)
 
-    edges = set(born) | set(dies)
-    loose = [e for e in edges if e not in born or e not in dies]
+    edges = ins | outs
+    loose = ins ^ outs
     if loose:
         raise ValueError(f"edges with a loose end: {sorted(loose)}")
-    uncolored = [e for e in edges if e not in colors]
+    uncolored = edges - set(colors)
     if uncolored:
         raise ValueError(f"edges without a color: {sorted(uncolored)}")
     unused = sorted(set(colors) - edges)
@@ -669,7 +572,5 @@ def parse_trace_diagram(text: str, bq: Biquandle) -> Tuple[TraceDiagram, Dict[in
         if recorded is not None and recorded != pair:
             raise ValueError(f"trace pair {tuple(v + 1 for v in recorded)} does not "
                              f"match its colors, which give {tuple(v + 1 for v in pair)}")
-        nodes[nid] = Node(kind, sign, pair)
-
-    succ = {born[e]: dies[e] for e in edges}
-    return TraceDiagram(nodes, succ, 0), colors
+        nodes[nid] = Node(kind, sign, pair, u_in, o_in, o_out, u_out)
+    return TraceDiagram(nodes, 0), colors

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -11,6 +12,7 @@ from tracebracket.coloring import enumerate_colorings
 from tracebracket.diagram import (diagram, hopf_pos, trefoil_pos, trefoil_rii,
                                   unknot0, unknot_kink, writhe_counts)
 from tracebracket.rings import ModRing
+from tracebracket.search import search_brackets
 from tracebracket.trace import (MultiComponentCrossingError,
                                 NotRIReducibleError, TraceDiagram, all_moves,
                                 circles_trace_deleted, diagrammatic_adequacy,
@@ -53,12 +55,14 @@ def components(adj):
             yield component
 
 
-# the smoothings by crossing role and the pass-through pairings of trace
-# ports, written out here so that the oracles share no table with the engine
+# the smoothings by crossing role and the pass-through pairings of each node
+# kind, written out here so that the oracles share no table with the engine
 ORACLE_SMOOTHINGS = {"A": (("u_in", "o_out"), ("o_in", "u_out")),
                      "B": (("u_in", "o_in"), ("u_out", "o_out"))}
-ORACLE_PASS = {"a": (("p_in", "p_out"), ("q_in", "q_out")),
-               "b": (("s1", "s2"), ("r1", "r2"))}
+ORACLE_PASS = {"x": (("u_in", "u_out"), ("o_in", "o_out")),
+               "a": (("u_in", "o_out"), ("o_in", "u_out")),
+               "b": (("u_in", "o_in"), ("u_out", "o_out"))}
+ROLES = ("u_in", "o_in", "o_out", "u_out")
 
 
 def brute_force_state_sum(d, coloring, beta):
@@ -107,20 +111,23 @@ def expand_open(td, beta):
                 out[pairing] = out[pairing] + coeff * value if pairing in out else coeff * value
         return out
     adj = {}
-    links = list(td.succ.items())
-    links += [((nid, pa), (nid, pb)) for nid, node in td.nodes.items()
-              for pa, pb in ORACLE_PASS.get(node.kind, ())]
-    for a, b in links:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
+    uses = {}
+    for node in td.nodes.values():
+        for role in ROLES:
+            label = getattr(node, role)
+            uses[label] = uses.get(label, 0) + 1
+        for r, s in ORACLE_PASS[node.kind]:
+            adj.setdefault(getattr(node, r), []).append(getattr(node, s))
+            adj.setdefault(getattr(node, s), []).append(getattr(node, r))
+    boundary = {label for label, n in uses.items() if n == 1}
     pairs, circles = [], td.free_circles
     for component in components(adj):
-        ends = [nid for nid, _ in component if td.nodes[nid].kind in ("in", "out")]
+        ends = [label for label in component if label in boundary]
         if ends:
             pairs.append(frozenset(ends))
         else:
             circles += 1
-    signs = [node.sign for node in td.nodes.values() if node.kind in ORACLE_PASS]
+    signs = [node.sign for node in td.nodes.values()]
     return {frozenset(pairs): beta.w ** (signs.count(-1) - signs.count(1))
             * beta.delta ** circles}
 
@@ -147,8 +154,7 @@ def test_expansion_order_independence(bq2, br_z7, bq1, br_gen):
             for _ in range(6):
                 order = list(td.nodes)
                 rng.shuffle(order)
-                shuffled = TraceDiagram({i: td.nodes[i] for i in order}, td.succ,
-                                        td.free_circles)
+                shuffled = TraceDiagram({i: td.nodes[i] for i in order}, td.free_circles)
                 assert evaluate_recursive(shuffled, beta) == reference
 
 
@@ -181,10 +187,9 @@ def test_crossingless_values(bq1, br_gen):
     # hand-tune signs: rebuild nodes with opposite trace signs
     nodes = dict(td.nodes)
     ids = sorted(nodes)
-    from tracebracket.trace import Node, TraceDiagram
-    nodes[ids[0]] = Node(nodes[ids[0]].kind, +1, nodes[ids[0]].pair)
-    nodes[ids[1]] = Node(nodes[ids[1]].kind, -1, nodes[ids[1]].pair)
-    td2 = TraceDiagram(nodes, td.succ, td.free_circles)
+    nodes[ids[0]] = dataclasses.replace(nodes[ids[0]], sign=+1)
+    nodes[ids[1]] = dataclasses.replace(nodes[ids[1]], sign=-1)
+    td2 = TraceDiagram(nodes, td.free_circles)
     k = circles_trace_deleted(td2)
     assert evaluate_crossingless(td2, br_gen) == br_gen.delta ** k
 
@@ -259,17 +264,43 @@ def test_parity_stop_recursion_matches(bq1, bq2, bq3, br_gen, br_z7, br_z5):
                         == evaluate_recursive(td, beta))
 
 
+def reversals_per_component(td):
+    """Walk each component of the trace-deleted curve once, counting the
+    sink/source visits, where the walk leaves a node on the side it arrived."""
+    ends = {}
+    for nid, node in td.nodes.items():
+        for role in ROLES:
+            ends.setdefault(getattr(node, role), []).append((nid, role))
+    partner = {kind: {r: s for pair in pairs for r, s in (pair, pair[::-1])}
+               for kind, pairs in ORACLE_PASS.items()}
+    seen, counts = set(), []
+    for start in ends:
+        if start in seen:
+            continue
+        label, here, reversals = start, ends[start][0], 0
+        while label not in seen:
+            seen.add(label)
+            nid, role = next(end for end in ends[label] if end != here)
+            leave = partner[td.nodes[nid].kind][role]
+            reversals += role.endswith("in") == leave.endswith("in")
+            here = (nid, leave)
+            label = getattr(td.nodes[nid], leave)
+        counts.append(reversals)
+    return counts
+
+
 def test_parity_total_reversals_even(bq1, bq2, br_gen):
     # the number of reversal vertices around any closed component is even,
     # so the parity between a crossing's passes is arc-independent; check by
-    # summing the reversals of complementary walks through nested smoothings
-    from tracebracket.trace import TraceDiagram, Node
+    # walking every component of nested smoothings
     col = enumerate_colorings(trefoil_pos(), bq1)[0]
     td = replace_with_trace(from_colored_diagram(trefoil_pos(), bq1, col), 0, "B")
     for extra_kind in ("A", "B"):
         td2 = replace_with_trace(td, 1, extra_kind)
-        n_b = sum(1 for i in td2.traces() if td2.nodes[i].kind == "b")
-        assert (2 * n_b) % 2 == 0    # sinks and sources come in pairs
+        counts = reversals_per_component(td2)
+        assert len(counts) == circles_trace_deleted(td2)
+        assert sum(counts) == 2 * sum(1 for i in td2.traces() if td2.nodes[i].kind == "b")
+        assert all(n % 2 == 0 for n in counts)
         for cid in td2.crossings():
             assert magnetic_parity(td2, cid) in ("odd", "even")
 
@@ -333,6 +364,15 @@ def test_diagrammatic_passthrough_matches_algebraic(bq1, bq3, br_gen, br_z5):
     cases += [(bq3, beta) for beta in br_z5]
     for bq, beta in cases:
         assert diagrammatic_passthrough(bq, beta) == classify_adequacy(beta).passthrough
+
+
+def test_passthrough_agrees_on_searched_brackets(bq3, a312):
+    # the pass-through moves are filtered on their trace's own pair
+    for bq in (bq3, a312):
+        emitted = list(search_brackets(bq, 3))
+        assert emitted
+        for beta, cls in emitted:
+            assert diagrammatic_passthrough(bq, beta) == cls.passthrough
 
 
 def test_parse_trace_fixture(bq2, br_z7):
