@@ -9,7 +9,7 @@ from .bracket import (AdequacyClass, BiquandleBracket, InvariantResult,
                       bracket_invariant, classify_adequacy, constant_bracket,
                       generic_laurent_bracket, homflypt_coefficients,
                       make_bracket, parse_bracket, serialize_bracket,
-                      skein_identity_check, state_sum, verify_bracket)
+                      state_sum, verify_bracket)
 from .coloring import (counting_invariant, enumerate_colorings,
                        monochromatic_riii_check, validate_coloring)
 from .diagram import (Crossing, OrientedDiagram, count_state_loops, hopf_pos,
@@ -25,7 +25,8 @@ from .trace import (MultiComponentCrossingError, NotRIReducibleError,
                     evaluate_crossingless, evaluate_recursive,
                     evaluate_recursive_parity, from_colored_diagram,
                     magnetic_parity, parse_trace_diagram, ri_reducible,
-                    smooth_crossing, trace_move_fixture_check)
+                    skein_identity_check, smooth_crossing,
+                    trace_move_fixture_check)
 
 __version__ = "0.1.0"
 

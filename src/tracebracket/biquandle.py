@@ -191,6 +191,7 @@ def parse_biquandle(text: str) -> Biquandle:
         n = int(lines[0])
     except ValueError:
         raise ValueError(f"line 1: expected the size n, got {lines[0]!r}") from None
+    _check_size(n, "line 1")
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} matrix rows, found {len(lines) - 1}")
     under, over = [], []

@@ -1,5 +1,5 @@
 """Biquandle brackets: verification, state sums, the multiset invariant,
-adequacy classification and the monochromatic skein coefficients.
+adequacy classification and the Homflypt-style skein coefficients.
 
 A bracket over a ring R assigns units A[x][y], B[x][y] to each color pair
 subject to three conditions:
@@ -23,8 +23,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from .biquandle import Biquandle
 from .coloring import enumerate_colorings, validate_coloring
-from .diagram import (SMOOTHINGS, Crossing, OrientedDiagram, _smoothing_chains, contract,
-                      oriented_smoothing, state_pairings, switch_crossing, writhe_counts)
+from .diagram import (SMOOTHINGS, Crossing, OrientedDiagram, contract, state_pairings,
+                      writhe_counts)
 from .rings import LaurentRing, ModRing
 
 
@@ -73,12 +73,16 @@ class BracketVerification:
         return self.bracket is not None
 
 
+def triple_colors(bq: Biquandle, x: int, y: int, z: int) -> Tuple[int, ...]:
+    """The six colors the triple equations read at (x, y, z):
+    (x^y, z_y, y_x, z_x, x^z, y^z)."""
+    U, O = bq.under, bq.over
+    return U(x, y), O(z, y), O(y, x), O(z, x), U(x, z), U(y, z)
+
+
 def _triple_equations(A, B, bq: Biquandle, delta, x: int, y: int, z: int):
     """The five equations at one triple; yields (tag, lhs, rhs)."""
-    U, O = bq.under, bq.over
-    xy, zy = U(x, y), O(z, y)       # x^y, z_y
-    yx, zx = O(y, x), O(z, x)       # y_x, z_x
-    xz, yz = U(x, z), U(y, z)       # x^z, y^z
+    xy, zy, yx, zx, xz, yz = triple_colors(bq, x, y, z)
     yield ("triple1",
            A[x][y] * A[y][z] * A[xy][zy],
            A[x][z] * A[yx][zx] * A[xz][yz])
@@ -295,14 +299,12 @@ class AdequacyClass:
 def classify_adequacy(beta: BiquandleBracket) -> AdequacyClass:
     """Check the over-, under- and pass-through conditions for all triples."""
     bq, A, B = beta.bq, beta.A, beta.B
-    U, O = bq.under, bq.over
+    U = bq.under
     n = bq.n
 
     over_witness = under_witness = pass_witness = None
     for x, y, z in itertools.product(range(n), repeat=3):
-        xy, zy = U(x, y), O(z, y)
-        yx, zx = O(y, x), O(z, x)
-        xz, yz = U(x, z), U(y, z)
+        xy, zy, yx, zx, xz, yz = triple_colors(bq, x, y, z)
 
         if over_witness is None:
             chain = (A[y][z] * B[xy][zy], B[x][z] * A[yx][zx],
@@ -333,66 +335,23 @@ def classify_adequacy(beta: BiquandleBracket) -> AdequacyClass:
 
 
 def homflypt_coefficients(beta: BiquandleBracket, x: int):
-    """Skein coefficients (c_switch, c_smooth) at a crossing colored (x, x).
+    """Skein coefficients (c_switch, c_smooth) at a crossing whose
+    coefficient pair is (x, x).
 
     Derived by eliminating the two smoothing terms between the expansions of
     the positive and negative crossing, using w = -A[x][x]^2 B[x][x]^(-1):
 
         [L+] = c_switch*[L-] + c_smooth*[L0]
         c_switch = A^(-4) B^4,   c_smooth = A^(-3) B^3 - A^(-1) B.
+
+    On trace diagrams L0 is L+ with the crossing replaced by an A trace,
+    which keeps the crossing's weight w^(-1); its term there is
+    c_smooth*w = A - A^(-1) B^2 (see ``trace.skein_identity_check``).
     """
     a, b = beta.a(x, x), beta.b(x, x)
     c_switch = a ** (-4) * b ** 4
     c_smooth = a ** (-3) * b ** 3 - a.inverse() * b
     return c_switch, c_smooth
-
-
-def skein_identity_check(d: OrientedDiagram, bq: Biquandle, beta: BiquandleBracket,
-                         coloring: Sequence[int], index: int) -> bool:
-    """Verify [L+] = c_switch [L-] + c_smooth [L0] at one crossing.
-
-    Requires the crossing to be monochromatic (equal input colors x) with x
-    a fixed point (under(x, x) == x), so the oriented smoothing inherits the
-    coloring without any trace bookkeeping.
-    """
-    c = d.crossings[index]
-    x, y = coloring[c.u_in - 1], coloring[c.o_in - 1]
-    if x != y:
-        raise ValueError(f"crossing {index} is not monochromatic: colors {x + 1}, {y + 1}")
-    if bq.under(x, x) != x:
-        raise ValueError(
-            f"color {x + 1} is not a fixed point (under(x,x) != x); "
-            "the smoothed diagram would not inherit this coloring")
-
-    c_switch, c_smooth = homflypt_coefficients(beta, x)
-    if c.sign < 0:
-        # rearrange for a negative target crossing: [L-] = (..)[L+] + (..)[L0]
-        plus = switch_crossing(d, index)
-        lhs = state_sum(plus, coloring, beta)
-        rhs = (c_switch * state_sum(d, coloring, beta)
-               + c_smooth * state_sum(oriented_smoothing(d, index),
-                                      _smoothed_coloring(d, index, coloring), beta))
-        return lhs == rhs
-
-    minus = switch_crossing(d, index)
-    smooth = oriented_smoothing(d, index)
-    lhs = state_sum(d, coloring, beta)
-    rhs = (c_switch * state_sum(minus, coloring, beta)
-           + c_smooth * state_sum(smooth, _smoothed_coloring(d, index, coloring), beta))
-    return lhs == rhs
-
-
-def _smoothed_coloring(d: OrientedDiagram, index: int, coloring: Sequence[int]) -> Tuple[int, ...]:
-    """Push a coloring through oriented_smoothing's semiarc renumbering.
-
-    Valid when the smoothed crossing is monochromatic at a fixed point, so
-    merged semiarcs all carry one color.
-    """
-    rename, closed = _smoothing_chains(d, index)
-    out = [coloring[s - 1] for s in sorted(set(rename.values()))]
-    out.extend(coloring[d.n_semiarcs:])      # original free-loop colors
-    out.extend(coloring[s - 1] for s in closed)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

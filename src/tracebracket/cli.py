@@ -210,14 +210,14 @@ def cmd_skein_check(args) -> int:
     failures = []
     checked = 0
     for col in colmod.enumerate_colorings(d, bq):
-        x, y = col[c.u_in - 1], col[c.o_in - 1]
-        if x != y or bq.under(x, x) != x:
+        x, y = brmod.crossing_coefficient_pair(c, col)
+        if x != y:
             continue
         checked += 1
-        if not brmod.skein_identity_check(d, bq, beta, col, args.crossing):
+        if not trmod.skein_identity_check(d, bq, beta, col, args.crossing):
             failures.append([v + 1 for v in col])
     if checked == 0:
-        raise InputError("no coloring makes that crossing monochromatic at a fixed point")
+        raise InputError("no coloring gives that crossing a diagonal coefficient pair (x, x)")
     ok = not failures
     _emit(args, {"command": "skein-check",
                  "inputs": {"diagram": args.diagram, "crossing": args.crossing},
@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="recursive")
     p.set_defaults(func=cmd_eval_trace)
 
-    p = sub.add_parser("skein-check", help="verify the monochromatic skein identity")
+    p = sub.add_parser("skein-check", help="verify the skein identity at a diagonal-pair crossing")
     p.add_argument("diagram")
     p.add_argument("biquandle")
     p.add_argument("bracket")

@@ -168,30 +168,6 @@ def switch_crossing(d: OrientedDiagram, index: int) -> OrientedDiagram:
     return OrientedDiagram(tuple(rows), d.free_loops)
 
 
-def _smoothing_chains(d: OrientedDiagram, index: int) -> Tuple[Dict[int, int], List[int]]:
-    """Chase the chains that the oriented smoothing of one crossing leaves.
-
-    After the smoothing, the semiarc entering u_in continues into the one
-    leaving o_out, and the one entering o_in into u_out's.  Returns the map
-    from each semiarc on an open chain to the chain's last semiarc, and the
-    smallest semiarc of each chain that closes into a crossing-free circle.
-    """
-    target = d.crossings[index]
-    succ = {target.u_in: target.o_out, target.o_in: target.u_out}
-    rename: Dict[int, int] = {}
-    closed: List[int] = []
-    for s in d.semiarcs():
-        r, seen = s, set()
-        while r in succ and r not in seen:
-            seen.add(r)
-            r = succ[r]
-        if r not in succ:
-            rename[s] = r
-        elif s == min(seen):
-            closed.append(s)
-    return rename, closed
-
-
 def oriented_smoothing(d: OrientedDiagram, index: int) -> OrientedDiagram:
     """Remove a crossing with the orientation-coherent (A) smoothing.
 
@@ -200,7 +176,19 @@ def oriented_smoothing(d: OrientedDiagram, index: int) -> OrientedDiagram:
     renumbered canonically, preserving the relative order of survivors; a
     merge that closes a crossing-free circle increments ``free_loops``.
     """
-    rename, closed = _smoothing_chains(d, index)
+    target = d.crossings[index]
+    succ = {target.u_in: target.o_out, target.o_in: target.u_out}
+    rename: Dict[int, int] = {}
+    closed = 0
+    for s in d.semiarcs():
+        r, seen = s, set()
+        while r in succ and r not in seen:
+            seen.add(r)
+            r = succ[r]
+        if r not in succ:
+            rename[s] = r
+        elif s == min(seen):
+            closed += 1
     compact = {old: i + 1 for i, old in enumerate(sorted(set(rename.values())))}
     rows = []
     for i, c in enumerate(d.crossings):
@@ -210,7 +198,7 @@ def oriented_smoothing(d: OrientedDiagram, index: int) -> OrientedDiagram:
                                  o_in=compact[rename[c.o_in]],
                                  o_out=compact[rename[c.o_out]],
                                  u_out=compact[rename[c.u_out]]))
-    return OrientedDiagram(tuple(rows), d.free_loops + len(closed))
+    return OrientedDiagram(tuple(rows), d.free_loops + closed)
 
 
 def parse_diagram(text: str) -> OrientedDiagram:

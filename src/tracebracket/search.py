@@ -15,7 +15,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from .biquandle import Biquandle
 from .bracket import (AdequacyClass, BiquandleBracket, classify_adequacy,
-                      verify_bracket, _triple_equations)
+                      triple_colors, verify_bracket, _triple_equations)
 from .rings import ModRing
 
 
@@ -56,13 +56,9 @@ def search_brackets(bq: Biquandle, modulus: int,
     emitted = 0
 
     # triples whose five equations become checkable once slot k is filled
-    U, O = bq.under, bq.over
-
     def triple_slots(x: int, y: int, z: int) -> frozenset:
-        return frozenset([
-            (x, y), (y, z), (U(x, y), O(z, y)),
-            (x, z), (O(y, x), O(z, x)), (U(x, z), U(y, z)),
-        ])
+        xy, zy, yx, zx, xz, yz = triple_colors(bq, x, y, z)
+        return frozenset([(x, y), (y, z), (xy, zy), (x, z), (yx, zx), (xz, yz)])
 
     slot_rank = {s: i for i, s in enumerate(slots)}
     ready_at: dict = {}

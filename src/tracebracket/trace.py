@@ -1,6 +1,7 @@
 """Colored trace diagrams: the full state sum, crossingless evaluation,
-magnetic parity, the parity fast evaluator, and diagrammatic verification
-of the trace moves on fixed three-strand tangles.
+the skein relation at a diagonal-pair crossing, magnetic parity, the
+parity fast evaluator, and diagrammatic verification of the trace moves on
+fixed three-strand tangles.
 
 A trace diagram is a set of rows over edge labels, one row per node, with
 the roles of ``diagram.Crossing``: (u_in, o_in, o_out, u_out).  Nodes are
@@ -30,13 +31,15 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, Hashable, List, Sequence, Tuple
 
 from .biquandle import Biquandle
 from .bracket import (BiquandleBracket, coefficient_pair, crossing_coefficient_pair,
-                      smoothing_coefficient)
-from .coloring import crossing_outputs
-from .diagram import SMOOTHINGS, OrientedDiagram, contract, join_ends, validate_diagram
+                      homflypt_coefficients, smoothing_coefficient)
+from .coloring import crossing_outputs, validate_coloring
+from .diagram import (SMOOTHINGS, OrientedDiagram, contract, join_ends, switch_crossing,
+                      validate_diagram)
 
 
 class MultiComponentCrossingError(ValueError):
@@ -82,6 +85,15 @@ class TraceDiagram:
 
     def traces(self) -> List[int]:
         return sorted(i for i, n in self.nodes.items() if n.kind != "x")
+
+    @cached_property
+    def ends(self) -> Dict[Hashable, List[Tuple[int, str]]]:
+        """Each edge label -> the (node, role) slots it joins."""
+        ends: Dict[Hashable, List[Tuple[int, str]]] = {}
+        for nid, n in self.nodes.items():
+            for role in _ROLES:
+                ends.setdefault(getattr(n, role), []).append((nid, role))
+        return ends
 
 
 def from_colored_diagram(d: OrientedDiagram, bq: Biquandle,
@@ -153,6 +165,37 @@ def evaluate_recursive(td: TraceDiagram, beta: BiquandleBracket):
     return _trace_state_sum(td, beta)[frozenset()]
 
 
+def skein_identity_check(d: OrientedDiagram, bq: Biquandle, beta: BiquandleBracket,
+                         coloring: Sequence[int], index: int) -> bool:
+    """Verify the skein relation at a crossing whose coefficient pair is
+    diagonal, (x, x):
+
+        E(L+) = c_switch E(L-) + c_smooth w E(L+ with the crossing an A trace)
+
+    E is :func:`evaluate_recursive`, L+ and L- are the diagram with that
+    crossing positive and negative under the same coloring, and (c_switch,
+    c_smooth) = ``homflypt_coefficients(beta, x)``.  The A trace keeps the
+    crossing's weight w^(-1), which the factor w cancels.  Switching the
+    crossing keeps its pair (x, x), and a trace keeps every edge color, so
+    nothing is renumbered.
+    """
+    x, y = crossing_coefficient_pair(d.crossings[index], coloring)
+    if x != y:
+        raise ValueError(f"crossing {index} reads the coefficient pair ({x + 1}, {y + 1}), "
+                         "which is not diagonal")
+    plus, minus = d, switch_crossing(d, index)
+    if d.crossings[index].sign < 0:
+        plus, minus = minus, plus
+    if not (validate_coloring(plus, bq, coloring) and validate_coloring(minus, bq, coloring)):
+        raise ValueError("coloring is not valid for this diagram and its switched crossing")
+    td_plus = from_colored_diagram(plus, bq, coloring)
+    smoothed = replace_with_trace(td_plus, index, "A")
+    c_switch, c_smooth = homflypt_coefficients(beta, x)
+    return (evaluate_recursive(td_plus, beta)
+            == c_switch * evaluate_recursive(from_colored_diagram(minus, bq, coloring), beta)
+            + c_smooth * beta.w * evaluate_recursive(smoothed, beta))
+
+
 # ---------------------------------------------------------------------------
 # magnetic parity and the parity evaluator
 # ---------------------------------------------------------------------------
@@ -168,14 +211,10 @@ def magnetic_parity(td: TraceDiagram, cid: int) -> str:
     """
     if td.nodes[cid].kind != "x":
         raise ValueError(f"node {cid} is not a crossing")
-    ends: Dict[Hashable, List[Tuple[int, str]]] = {}
-    for nid, n in td.nodes.items():
-        for role in _ROLES:
-            ends.setdefault(getattr(n, role), []).append((nid, role))
     count = 0
     here = (cid, "u_out")
     for _ in range(4 * len(td.nodes) + 4):
-        first, second = ends[getattr(td.nodes[here[0]], here[1])]
+        first, second = td.ends[getattr(td.nodes[here[0]], here[1])]
         nid, role = second if first == here else first
         if nid == cid:
             if role.startswith("o"):

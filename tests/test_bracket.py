@@ -1,13 +1,14 @@
 import itertools
+import random
 
 import pytest
 
 from tracebracket.biquandle import trivial_biquandle
 from tracebracket.bracket import (bracket_invariant, classify_adequacy,
-                                  constant_bracket, generic_laurent_bracket,
+                                  constant_bracket, crossing_coefficient_pair,
+                                  generic_laurent_bracket,
                                   homflypt_coefficients, make_bracket,
-                                  parse_bracket, serialize_bracket,
-                                  skein_identity_check, state_sum,
+                                  parse_bracket, serialize_bracket, state_sum,
                                   verify_bracket)
 from tracebracket.coloring import enumerate_colorings
 from tracebracket.diagram import (count_state_loops, diagram, hopf_pos,
@@ -15,6 +16,7 @@ from tracebracket.diagram import (count_state_loops, diagram, hopf_pos,
                                   unknot_kink, validate_diagram, writhe_counts)
 from tracebracket.rings import LaurentRing, ModRing
 from tracebracket.search import search_brackets
+from tracebracket.trace import skein_identity_check
 
 
 def test_z7_bracket_delta_w(br_z7):
@@ -313,10 +315,44 @@ def test_skein_identity_all_mod_constants():
 
 
 def test_skein_precondition_rejected(bq2, br_z7):
-    # every bq2 color has under(x, x) != x, so no fixed points exist
+    # cols[1] = (1, 2, 2, 1) reads the pair (1, 2) at crossing 0, which is
+    # not diagonal
     cols = enumerate_colorings(hopf_pos(), bq2)
     with pytest.raises(ValueError):
-        skein_identity_check(hopf_pos(), bq2, br_z7, cols[0], 0)
+        skein_identity_check(hopf_pos(), bq2, br_z7, cols[1], 0)
+
+
+def test_skein_identity_at_every_diagonal_pair_crossing(bq1, bq2, bq3, br_gen, br_z7,
+                                                        br_z5):
+    # The check needs only a diagonal coefficient pair (x, x) at the crossing.
+    # Every crossing the fixed-point rule accepted (equal inputs x with
+    # under(x, x) == x) reads a diagonal pair, so it is checked too.
+    rng = random.Random(2017)
+    drawings = [unknot_kink(1), unknot_kink(-1), hopf_pos(), trefoil_pos(), trefoil_rii()]
+    drawings += [_braid_closure([rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(3, 7))],
+                                strands=3)
+                 for _ in range(10)]
+    cases = [(bq1, br_gen), (bq2, br_z7)] + [(bq3, beta) for beta in br_z5]
+    cases += [(bq2, beta) for i, (beta, _) in enumerate(search_brackets(bq2, 5))
+              if i % 16 == 0]
+    checked = fixed_point = 0
+    failures = []
+    for bq, beta in cases:
+        for d in drawings:
+            for col in enumerate_colorings(d, bq):
+                for i, c in enumerate(d.crossings):
+                    x, y = crossing_coefficient_pair(c, col)
+                    u = col[c.u_in - 1]
+                    if u == col[c.o_in - 1] and bq.under(u, u) == u:
+                        fixed_point += 1
+                        assert x == y, (d, col, i)
+                    if x != y:
+                        continue
+                    checked += 1
+                    if not skein_identity_check(d, bq, beta, col, i):
+                        failures.append((beta, d, col, i))
+    assert not failures, failures[:3]
+    assert checked > fixed_point > 0
 
 
 def test_delta_w_recomputation_consistency(br_z7, br_z5):

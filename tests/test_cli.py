@@ -96,6 +96,15 @@ def test_skein_check(capsys):
     assert "all satisfy" in out
 
 
+def test_skein_check_diagonal_pair_without_fixed_point(capsys):
+    # bq2 has no fixed point of under(x, x), but two Hopf colorings read the
+    # diagonal pair (x, x) at crossing 0
+    rc, out = run(capsys, "skein-check", fixture_path("hopf_pos.dgm"),
+                  fixture_path("bq2.txt"), fixture_path("br_z7.txt"))
+    assert rc == 0
+    assert "checked 2 colorings" in out
+
+
 def test_missing_file_exit_2(capsys):
     rc = main(["colorings", "nope.dgm", "trivial(1)"])
     assert rc == 2
@@ -140,6 +149,13 @@ def test_inline_biquandle_size_below_one_exit_2(capsys):
     for spec in ("trivial(0)", "trivial(-2)", "alexander(0,1,1)"):
         assert_input_error(capsys, ["colorings", fixture_path("hopf_pos.dgm"), spec],
                            "at least 1")
+
+
+def test_biquandle_file_size_below_one_exit_2(capsys, tmp_path):
+    for size in ("0", "-1"):
+        path = tmp_path / f"size{size}.txt"
+        path.write_text(f"{size}\n")
+        assert_input_error(capsys, ["verify-biquandle", str(path)], "at least 1")
 
 
 def test_verify_biquandle_inline_spec(capsys):
@@ -194,6 +210,14 @@ _FUZZ_COMMANDS = {
     "verify-bracket": lambda f: ["verify-bracket", fixture_path("bq2.txt"), f],
     "eval-trace": lambda f: ["eval-trace", f, fixture_path("bq2.txt"),
                              fixture_path("br_z7.txt")],
+    "invariant-diagram": lambda f: ["invariant", f, fixture_path("bq2.txt"),
+                                    fixture_path("br_z7.txt")],
+    "invariant-biquandle": lambda f: ["invariant", fixture_path("hopf_pos.dgm"), f,
+                                      fixture_path("br_z7.txt")],
+    "classify": lambda f: ["classify", f, fixture_path("br_z7.txt")],
+    "search": lambda f: ["search", f, "--mod", "3"],
+    "skein-check": lambda f: ["skein-check", f, fixture_path("bq2.txt"),
+                              fixture_path("br_z7.txt")],
 }
 
 
