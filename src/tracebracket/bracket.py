@@ -10,6 +10,11 @@ subject to three conditions:
   (iii) five product equations over all triples (x, y, z), spelled out in
         ``_triple_equations`` below.
 
+Conditions (i)-(iii) and the adequacy chains have one body each
+(``check_tables``, ``classify_tables``), run on flat tables of raw ring
+values: plain ints over Z_n, reduced only when compared, and the elements
+themselves over the Laurent ring.
+
 The state sum of a colored diagram smooths every crossing both ways,
 weights each state by its coefficients and by delta per resulting circle,
 and corrects by w^(negative crossings - positive crossings).
@@ -73,37 +78,93 @@ class BracketVerification:
         return self.bracket is not None
 
 
-def triple_colors(bq: Biquandle, x: int, y: int, z: int) -> Tuple[int, ...]:
-    """The six colors the triple equations read at (x, y, z):
-    (x^y, z_y, y_x, z_x, x^z, y^z)."""
+def triple_slots(bq: Biquandle) -> Tuple[Tuple[Tuple[int, int, int], Tuple[int, ...]], ...]:
+    """Every triple (x, y, z) with the flat indices (u*n + v) of the pairs
+    the bracket conditions read there: (x,y), (y,z), (x^y,z_y) on the left
+    of the triple equations, (x,z), (y_x,z_x), (x^z,y^z) on the right, and
+    (y^x, z^x) for the over-adequacy chain."""
     U, O = bq.under, bq.over
-    return U(x, y), O(z, y), O(y, x), O(z, x), U(x, z), U(y, z)
+    n = bq.n
+    out = []
+    for x, y, z in itertools.product(range(n), repeat=3):
+        out.append(((x, y, z), (x * n + y, y * n + z, U(x, y) * n + O(z, y),
+                                x * n + z, O(y, x) * n + O(z, x), U(x, z) * n + U(y, z),
+                                U(y, x) * n + U(z, x))))
+    return tuple(out)
 
 
-def _triple_equations(A, B, bq: Biquandle, delta, x: int, y: int, z: int):
-    """The five equations at one triple; yields (tag, lhs, rhs)."""
-    xy, zy, yx, zx, xz, yz = triple_colors(bq, x, y, z)
+def _triple_equations(A, B, delta, slots):
+    """The five equations at one triple over flat tables, ``slots`` being
+    its index tuple from :func:`triple_slots`; yields (tag, lhs, rhs)."""
+    l1, l2, l3, r1, r2, r3 = slots[:6]
     yield ("triple1",
-           A[x][y] * A[y][z] * A[xy][zy],
-           A[x][z] * A[yx][zx] * A[xz][yz])
+           A[l1] * A[l2] * A[l3],
+           A[r1] * A[r2] * A[r3])
     yield ("triple2",
-           A[x][y] * B[y][z] * B[xy][zy],
-           B[x][z] * B[yx][zx] * A[xz][yz])
+           A[l1] * B[l2] * B[l3],
+           B[r1] * B[r2] * A[r3])
     yield ("triple3",
-           B[x][y] * A[y][z] * B[xy][zy],
-           B[x][z] * A[yx][zx] * B[xz][yz])
+           B[l1] * A[l2] * B[l3],
+           B[r1] * A[r2] * B[r3])
     yield ("triple4",
-           A[x][y] * A[y][z] * B[xy][zy],
-           A[x][z] * B[yx][zx] * A[xz][yz]
-           + A[x][z] * A[yx][zx] * B[xz][yz]
-           + delta * A[x][z] * B[yx][zx] * B[xz][yz]
-           + B[x][z] * B[yx][zx] * B[xz][yz])
+           A[l1] * A[l2] * B[l3],
+           A[r1] * B[r2] * A[r3]
+           + A[r1] * A[r2] * B[r3]
+           + delta * A[r1] * B[r2] * B[r3]
+           + B[r1] * B[r2] * B[r3])
     yield ("triple5",
-           B[x][y] * A[y][z] * A[xy][zy]
-           + A[x][y] * B[y][z] * A[xy][zy]
-           + delta * B[x][y] * B[y][z] * A[xy][zy]
-           + B[x][y] * B[y][z] * B[xy][zy],
-           B[x][z] * A[yx][zx] * A[xz][yz])
+           B[l1] * A[l2] * A[l3]
+           + A[l1] * B[l2] * A[l3]
+           + delta * B[l1] * B[l2] * A[l3]
+           + B[l1] * B[l2] * B[l3],
+           B[r1] * A[r2] * A[r3])
+
+
+def pair_delta(ring, a, b):
+    """-a^(-1)*b - a*b^(-1): condition (ii)'s value at one pair."""
+    return -(ring.inv(a) * b) - a * ring.inv(b)
+
+
+def pair_w(ring, a, b):
+    """-a^2*b^(-1): condition (i)'s value at one diagonal pair."""
+    return -(a * a * ring.inv(b))
+
+
+def check_tables(bq: Biquandle, ring, A, B, triples):
+    """Conditions (i)-(iii) on flat tables of raw ring values, A[x*n + y]
+    (see ``ModRing.raw``), with ``triples`` from :func:`triple_slots`.
+
+    Returns (violations, delta, w), delta and w raw; the violations hold
+    ring elements.  This is the one body behind :func:`verify_bracket` and
+    the bracket search.
+    """
+    n = bq.n
+    same, wrap = ring.same, ring.wrap
+    bad: List[BracketViolation] = []
+    for i in range(n * n):
+        for name, tab in (("A", A), ("B", B)):
+            if not ring.is_unit(tab[i]):
+                bad.append(BracketViolation("unit", divmod(i, n), f"{name}={wrap(tab[i])}"))
+    if bad:
+        return bad, None, None
+
+    delta = pair_delta(ring, A[0], B[0])
+    for i in range(1, n * n):
+        d = pair_delta(ring, A[i], B[i])
+        if not same(d, delta):
+            bad.append(BracketViolation("delta", divmod(i, n), wrap(d), wrap(delta)))
+
+    w = pair_w(ring, A[0], B[0])
+    for x in range(1, n):
+        wx = pair_w(ring, A[x * (n + 1)], B[x * (n + 1)])
+        if not same(wx, w):
+            bad.append(BracketViolation("w", (x,), wrap(wx), wrap(w)))
+
+    for witness, slots in triples:
+        for tag, lhs, rhs in _triple_equations(A, B, delta, slots):
+            if not same(lhs, rhs):
+                bad.append(BracketViolation(tag, witness, wrap(lhs), wrap(rhs)))
+    return bad, delta, w
 
 
 def verify_bracket(bq: Biquandle, ring, A_table, B_table) -> BracketVerification:
@@ -114,44 +175,11 @@ def verify_bracket(bq: Biquandle, ring, A_table, B_table) -> BracketVerification
     B = [list(row) for row in B_table]
     if len(A) != n or len(B) != n or any(len(r) != n for r in A + B):
         raise ValueError(f"coefficient tables must be {n}x{n}")
-
-    bad: List[BracketViolation] = []
-    for x in range(n):
-        for y in range(n):
-            for name, tab in (("A", A), ("B", B)):
-                if not tab[x][y].is_unit():
-                    bad.append(BracketViolation("unit", (x, y), f"{name}={tab[x][y]}"))
+    bad, delta, w = check_tables(bq, ring, [ring.raw(e) for row in A for e in row],
+                                 [ring.raw(e) for row in B for e in row], triple_slots(bq))
     if bad:
         return BracketVerification(None, tuple(bad))
-
-    delta = None
-    for x in range(n):
-        for y in range(n):
-            d = -(A[x][y].inverse() * B[x][y]) - (A[x][y] * B[x][y].inverse())
-            if delta is None:
-                delta = d
-            elif d != delta:
-                bad.append(BracketViolation("delta", (x, y), d, delta))
-
-    w = None
-    for x in range(n):
-        wx = -(A[x][x] * A[x][x] * B[x][x].inverse())
-        if w is None:
-            w = wx
-        elif wx != w:
-            bad.append(BracketViolation("w", (x,), wx, w))
-
-    if delta is not None and w is not None:
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    for tag, lhs, rhs in _triple_equations(A, B, bq, delta, x, y, z):
-                        if lhs != rhs:
-                            bad.append(BracketViolation(tag, (x, y, z), lhs, rhs))
-
-    if bad:
-        return BracketVerification(None, tuple(bad))
-    return BracketVerification(BiquandleBracket(bq, ring, A, B, delta, w))
+    return BracketVerification(BiquandleBracket(bq, ring, A, B, ring.wrap(delta), ring.wrap(w)))
 
 
 def make_bracket(bq: Biquandle, ring, A_table, B_table) -> BiquandleBracket:
@@ -298,32 +326,39 @@ class AdequacyClass:
 
 def classify_adequacy(beta: BiquandleBracket) -> AdequacyClass:
     """Check the over-, under- and pass-through conditions for all triples."""
-    bq, A, B = beta.bq, beta.A, beta.B
-    U = bq.under
-    n = bq.n
+    raw = beta.ring.raw
+    return classify_tables(beta.bq, beta.ring, [raw(e) for row in beta.A for e in row],
+                           [raw(e) for row in beta.B for e in row], triple_slots(beta.bq))
 
+
+def classify_tables(bq: Biquandle, ring, A, B, triples) -> AdequacyClass:
+    """:func:`classify_adequacy` on flat raw tables, as in :func:`check_tables`."""
+    same = ring.same
     over_witness = under_witness = pass_witness = None
-    for x, y, z in itertools.product(range(n), repeat=3):
-        xy, zy, yx, zx, xz, yz = triple_colors(bq, x, y, z)
-
+    for witness, (l1, l2, l3, r1, r2, r3, u) in triples:
+        # over:  A[y,z] = A[y^x,z^x] and A[y,z]B[x^y,z_y] = B[x,z]A[y_x,z_x]
+        #        = A[x,z]B[y_x,z_x] = B[y,z]A[x^y,z_y]
+        # under: A[y,z] = A[y_x,z_x] and A[x,y]B[x^y,z_y] = B[x,z]A[x^z,y^z]
+        #        = A[x,z]B[x^z,y^z] = B[x,y]A[x^y,z_y]
         if over_witness is None:
-            chain = (A[y][z] * B[xy][zy], B[x][z] * A[yx][zx],
-                     A[x][z] * B[yx][zx], B[y][z] * A[xy][zy])
-            if A[y][z] != A[U(y, x)][U(z, x)] or any(t != chain[0] for t in chain[1:]):
-                over_witness = (x, y, z)
-
+            c = A[l2] * B[l3]
+            if not (same(A[l2], A[u]) and same(B[r1] * A[r2], c)
+                    and same(A[r1] * B[r2], c) and same(B[l2] * A[l3], c)):
+                over_witness = witness
         if under_witness is None:
-            chain = (A[x][y] * B[xy][zy], B[x][z] * A[xz][yz],
-                     A[x][z] * B[xz][yz], B[x][y] * A[xy][zy])
-            if A[y][z] != A[yx][zx] or any(t != chain[0] for t in chain[1:]):
-                under_witness = (x, y, z)
+            c = A[l1] * B[l3]
+            if not (same(A[l2], A[r2]) and same(B[r1] * A[r3], c)
+                    and same(A[r1] * B[r3], c) and same(B[l1] * A[l3], c)):
+                under_witness = witness
+        if over_witness is not None and under_witness is not None:
+            break
 
-    one = beta.ring.one()
+    n = bq.n
+    one = ring.raw(ring.one())
     for x in range(n):
-        y = bq.diag(x)
-        if (A[x][x] ** 2 * B[y][y] ** 2 != one
-                or A[y][y] ** 2 * B[x][x] ** 2 != one):
-            pass_witness = (x, y)
+        xx, yy = x * (n + 1), bq.diag(x) * (n + 1)
+        if not (same(A[xx] ** 2 * B[yy] ** 2, one) and same(A[yy] ** 2 * B[xx] ** 2, one)):
+            pass_witness = (x, bq.diag(x))
             break
 
     return AdequacyClass(over_adequate=over_witness is None,

@@ -31,7 +31,9 @@ def _read(path: str) -> str:
     return p.read_text()
 
 
-def _load_biquandle(spec: str) -> bqmod.Biquandle:
+def _load_biquandle(spec: str, verify: bool = True) -> bqmod.Biquandle:
+    """An inline spec (valid by construction) or a biquandle file, which
+    must pass the axioms unless ``verify`` is off."""
     inline = bqmod.biquandle_from_spec(spec)
     if inline is not None:
         return inline
@@ -39,6 +41,10 @@ def _load_biquandle(spec: str) -> bqmod.Biquandle:
         bq = bqmod.parse_biquandle(_read(spec))
     except ValueError as e:
         raise InputError(f"{spec}: {e}") from e
+    if verify:
+        report = bqmod.verify_biquandle(bq)
+        if not report.ok:
+            raise InputError(f"{spec}: not a biquandle: {report.violations[0].describe()}")
     return bq
 
 
@@ -69,7 +75,7 @@ def _emit(args, payload: dict, text_lines: List[str]) -> None:
 
 
 def cmd_verify_biquandle(args) -> int:
-    bq = _load_biquandle(args.biquandle)
+    bq = _load_biquandle(args.biquandle, verify=False)
     report = bqmod.verify_biquandle(bq)
     findings = [v.describe() for v in report.violations]
     _emit(args, {"command": "verify-biquandle", "inputs": {"biquandle": args.biquandle},

@@ -5,6 +5,11 @@ polynomials in two variables (conventionally ``A`` and ``B``).  Elements are
 immutable and hashable, so they can be shared freely and used as multiset
 keys.  All arithmetic is exact; Laurent polynomials are kept in a canonical
 sparse form with no zero coefficients.
+
+Each ring also gives a raw view of its values for the bracket conditions
+(``raw``, ``wrap``, ``same``, ``inv``, ``is_unit``): plain ints for Z_n,
+which skip building an element per operation, and the elements themselves
+for Laurent polynomials.
 """
 from __future__ import annotations
 
@@ -51,11 +56,26 @@ class ModRing:
         return (self.element(v) for v in range(self.modulus))
 
     def units(self) -> Iterable["ModElement"]:
-        return (self.element(v) for v in range(1, self.modulus)
-                if gcd(v, self.modulus) == 1)
+        return (self.element(v) for v in range(1, self.modulus) if self.is_unit(v))
 
     def parse(self, text: str) -> "ModElement":
         return self.element(int(text))
+
+    # raw values are ints, reduced only when compared or wrapped
+    def raw(self, e: "ModElement") -> int:
+        return e.value
+
+    def wrap(self, v: int) -> "ModElement":
+        return ModElement(self, v)
+
+    def same(self, lhs: int, rhs: int) -> bool:
+        return (lhs - rhs) % self.modulus == 0
+
+    def inv(self, v: int) -> int:
+        return pow(v, -1, self.modulus)
+
+    def is_unit(self, v: int) -> bool:
+        return gcd(v, self.modulus) == 1
 
 
 class ModElement:
@@ -87,7 +107,7 @@ class ModElement:
         return ModElement(self.ring, -self.value)
 
     def is_unit(self) -> bool:
-        return gcd(self.value, self.ring.modulus) == 1
+        return self.ring.is_unit(self.value)
 
     def inverse(self) -> "ModElement":
         try:
@@ -161,6 +181,22 @@ class LaurentRing:
 
     def parse(self, text: str) -> "LaurentElement":
         return parse_laurent(self, text)
+
+    # raw values are the elements themselves
+    def raw(self, e: "LaurentElement") -> "LaurentElement":
+        return e
+
+    def wrap(self, v: "LaurentElement") -> "LaurentElement":
+        return v
+
+    def same(self, lhs: "LaurentElement", rhs: "LaurentElement") -> bool:
+        return lhs == rhs
+
+    def inv(self, v: "LaurentElement") -> "LaurentElement":
+        return v.inverse()
+
+    def is_unit(self, v: "LaurentElement") -> bool:
+        return v.is_unit()
 
 
 class LaurentElement:

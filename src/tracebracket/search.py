@@ -1,12 +1,20 @@
 """Constraint-pruned exhaustive search for brackets over Z_n.
 
-The search enumerates candidate coefficient tables pair by pair.  For a
-fixed delta, the B entry over a chosen unit A is restricted to the unit
-roots of B^2 + delta*A*B + A^2 = 0 (equivalent to the delta condition for
-that pair), diagonal pairs are placed first so the w condition prunes
-early, and the five triple equations are checked as soon as all of a
-triple's slots are filled.  A brute-force enumerator over all unit tables
-doubles as the correctness oracle in tests.
+The search runs on plain int tables, flattened as A[x*n + y].  It
+enumerates candidate coefficient tables pair by pair.  For a fixed delta,
+the B entry over a chosen unit A is restricted to the unit roots of
+B^2 + delta*A*B + A^2 = 0 (equivalent to the delta condition for that
+pair), diagonal pairs are placed first so the w condition prunes early, and
+the five triple equations are checked as soon as all of a triple's slots
+are filled.
+
+Scaling (A, B) -> (l*A, l*B) by a unit l keeps delta and the homogeneous
+triple equations and sends w to l*w, so brackets come in orbits of phi(n)
+members with distinct A[0][0].  The search fixes A[0][0] = 1 and expands
+each table it finds over every unit l.  Every member is verified by the
+same kernel as :func:`verify_bracket` and classified on its own, since the
+pass-through condition is not scale-invariant.  A brute-force enumerator
+over all unit tables doubles as the correctness oracle in tests.
 """
 from __future__ import annotations
 
@@ -14,27 +22,49 @@ import itertools
 from typing import Iterator, List, Optional, Tuple
 
 from .biquandle import Biquandle
-from .bracket import (AdequacyClass, BiquandleBracket, classify_adequacy,
-                      triple_colors, verify_bracket, _triple_equations)
+from .bracket import (AdequacyClass, BiquandleBracket, check_tables, classify_tables,
+                      pair_delta, pair_w, triple_slots, verify_bracket, _triple_equations)
 from .rings import ModRing
 
 
-def _delta_candidates(ring: ModRing):
-    """Every value -A^(-1)B - AB^(-1) attained by a unit pair, with the
-    unit (A, B) pairs realizing it."""
+def _delta_candidates(ring: ModRing, units: List[int]):
+    """Every value -A^(-1)B - AB^(-1) mod n attained by a unit pair, with
+    the unit (A, B) pairs realizing it."""
     by_delta = {}
-    units = list(ring.units())
     for a in units:
         for b in units:
-            d = -(a.inverse() * b) - (a * b.inverse())
-            by_delta.setdefault(d, []).append((a, b))
+            by_delta.setdefault(pair_delta(ring, a, b) % ring.modulus, []).append((a, b))
     return by_delta
 
 
-def _slot_order(n: int) -> List[Tuple[int, int]]:
-    diag = [(x, x) for x in range(n)]
-    off = [(x, y) for x in range(n) for y in range(n) if x != y]
-    return diag + off
+def _slot_order(n: int) -> List[int]:
+    """Flat slots, diagonal pairs first."""
+    diag = [x * (n + 1) for x in range(n)]
+    return diag + [i for i in range(n * n) if i not in diag]
+
+
+def _rows(ring: ModRing, flat, n: int) -> List[list]:
+    """A flat int table as n rows of ring elements."""
+    return [[ring.wrap(v) for v in flat[x * n:(x + 1) * n]] for x in range(n)]
+
+
+def _ready_at(triples, slots: List[int]) -> List[list]:
+    """For each slot position k, the triples whose five equations become
+    checkable once slot k is filled."""
+    rank = {s: k for k, s in enumerate(slots)}
+    ready: List[list] = [[] for _ in slots]
+    for triple in triples:
+        ready[max(rank[i] for i in triple[1][:6])].append(triple)
+    return ready
+
+
+def _equations_hold(ring: ModRing, A, B, delta, triples) -> bool:
+    """Whether all five equations hold at each of these triples."""
+    for _witness, slots in triples:
+        for _tag, lhs, rhs in _triple_equations(A, B, delta, slots):
+            if not ring.same(lhs, rhs):
+                return False
+    return True
 
 
 def search_brackets(bq: Biquandle, modulus: int,
@@ -51,66 +81,56 @@ def search_brackets(bq: Biquandle, modulus: int,
         return
     ring = ModRing(modulus)
     n = bq.n
+    same = ring.same
+    units = [u.value for u in ring.units()]
     slots = _slot_order(n)
-    by_delta = _delta_candidates(ring)
+    triples = triple_slots(bq)
+    ready_at = _ready_at(triples, slots)
+    by_delta = _delta_candidates(ring, units)
     emitted = 0
 
-    # triples whose five equations become checkable once slot k is filled
-    def triple_slots(x: int, y: int, z: int) -> frozenset:
-        xy, zy, yx, zx, xz, yz = triple_colors(bq, x, y, z)
-        return frozenset([(x, y), (y, z), (xy, zy), (x, z), (yx, zx), (xz, yz)])
+    for delta in sorted(by_delta):
+        pair_choices = sorted(by_delta[delta])
+        A = [0] * (n * n)
+        B = [0] * (n * n)
 
-    slot_rank = {s: i for i, s in enumerate(slots)}
-    ready_at: dict = {}
-    for x, y, z in itertools.product(range(n), repeat=3):
-        need = triple_slots(x, y, z)
-        k = max(slot_rank[s] for s in need)
-        ready_at.setdefault(k, []).append((x, y, z))
-
-    for delta in sorted(by_delta, key=lambda d: d.value):
-        pair_choices = sorted(by_delta[delta],
-                              key=lambda ab: (ab[0].value, ab[1].value))
-        A = [[None] * n for _ in range(n)]
-        B = [[None] * n for _ in range(n)]
-
-        def consistent_triples(k: int) -> bool:
-            for x, y, z in ready_at.get(k, ()):
-                for _tag, lhs, rhs in _triple_equations(A, B, bq, delta, x, y, z):
-                    if lhs != rhs:
-                        return False
-            return True
-
-        def place(k: int, w) -> Iterator[Tuple[list, list]]:
+        def place(k: int, w) -> Iterator[None]:
+            """Fill slots k.. on top of A, B; yields at each full table."""
             if k == len(slots):
-                yield ([row[:] for row in A], [row[:] for row in B])
+                yield
                 return
-            x, y = slots[k]
+            i = slots[k]
             for a, b in pair_choices:
-                if x == y:
-                    wx = -(a * a * b.inverse())
-                    if w is not None and wx != w:
+                if k == 0 and a != 1:       # one member of each scaling orbit
+                    continue
+                if i % (n + 1) == 0:        # diagonal pair: condition (i)
+                    wx = pair_w(ring, a, b)
+                    if w is not None and not same(wx, w):
                         continue
-                    new_w = wx
                 else:
-                    new_w = w
-                A[x][y], B[x][y] = a, b
-                if consistent_triples(k):
-                    yield from place(k + 1, new_w)
-                A[x][y] = B[x][y] = None
+                    wx = w
+                A[i], B[i] = a, b
+                if _equations_hold(ring, A, B, delta, ready_at[k]):
+                    yield from place(k + 1, wx)
 
         batch = []
-        for A_t, B_t in place(0, None):
-            check = verify_bracket(bq, ring, A_t, B_t)
-            if not check.ok:          # pruning is sound; this is a safety net
-                continue
-            batch.append(check.bracket)
-        batch.sort(key=lambda beta: (tuple(e.value for row in beta.A for e in row),
-                                     tuple(e.value for row in beta.B for e in row)))
-        for bracket in batch:
-            cls = classify_adequacy(bracket)
+        for _ in place(0, None):
+            for lam in units:
+                A_l = [lam * a % modulus for a in A]
+                B_l = [lam * b % modulus for b in B]
+                bad, _d, w = check_tables(bq, ring, A_l, B_l, triples)
+                if bad:                     # unreachable while the pruning is sound
+                    rows = [[t[x * n:(x + 1) * n] for x in range(n)] for t in (A_l, B_l)]
+                    raise RuntimeError(f"search pruning let through A={rows[0]} B={rows[1]} "
+                                       f"over Z{modulus}: {bad[0].describe()}")
+                batch.append((A_l, B_l, w))
+        batch.sort()
+        for A_l, B_l, w in batch:
+            cls = classify_tables(bq, ring, A_l, B_l, triples)
             if classification and classification != "any" and cls.label() != classification:
                 continue
-            yield bracket, cls
+            yield BiquandleBracket(bq, ring, _rows(ring, A_l, n), _rows(ring, B_l, n),
+                                   ring.wrap(delta), ring.wrap(w)), cls
             emitted += 1
             if limit is not None and emitted >= limit:
                 return

@@ -158,6 +158,25 @@ def test_biquandle_file_size_below_one_exit_2(capsys, tmp_path):
         assert_input_error(capsys, ["verify-biquandle", str(path)], "at least 1")
 
 
+def test_biquandle_file_failing_axioms_exit_2(capsys, tmp_path):
+    # a file that parses but is not a biquandle: under(x, x) != over(x, x)
+    broken = tmp_path / "broken.txt"
+    broken.write_text("2\n1 1 2 2\n2 2 1 1\n")
+    for argv in (["search", str(broken), "--mod", "3"],
+                 ["colorings", fixture_path("trefoil_pos.dgm"), str(broken)],
+                 ["classify", str(broken), fixture_path("br_z7.txt")]):
+        assert_input_error(capsys, argv, "not a biquandle: diagonal fails at (1): 1 != 2")
+
+
+def test_verify_biquandle_reports_failing_file_exit_1(capsys, tmp_path):
+    broken = tmp_path / "broken.txt"
+    broken.write_text("2\n1 1 2 2\n2 2 1 1\n")
+    rc, out = run(capsys, "verify-biquandle", str(broken))
+    assert rc == 1
+    assert out.splitlines() == ["diagonal fails at (1): 1 != 2",
+                                "diagonal fails at (2): 2 != 1"]
+
+
 def test_verify_biquandle_inline_spec(capsys):
     rc, out = run(capsys, "verify-biquandle", "alexander(3,1,2)")
     assert rc == 0 and out.strip() == "pass"

@@ -114,3 +114,23 @@ def test_not_a_unit_exactly_when_gcd():
             else:
                 with pytest.raises(NotAUnitError):
                     e.inverse()
+
+
+@given(st.integers(-50, 50), st.integers(-50, 50))
+def test_mod_raw_values_agree_with_elements(a, b):
+    # the raw-int view of Z_n computes what the elements compute
+    for ring in (m6, m7):
+        x, y = ring.element(a), ring.element(b)
+        assert ring.raw(x) == x.value and ring.wrap(a) == x
+        assert ring.same(a * b - a, ring.raw(x * y - x))
+        assert ring.same(a, b) == (x == y)
+        assert ring.is_unit(ring.raw(x)) == x.is_unit()
+        if x.is_unit():
+            assert ring.wrap(ring.inv(ring.raw(x))) == x.inverse()
+
+
+def test_laurent_raw_values_are_elements():
+    a = L.parse("-A^2*B^-1")
+    assert L.raw(a) is a and L.wrap(a) is a
+    assert L.same(L.inv(a) * a, L.one()) and not L.same(a, -a)
+    assert L.is_unit(a) and not L.is_unit(L.constant(2))

@@ -1,5 +1,9 @@
+import hashlib
+from math import gcd
+
 import pytest
 
+from tracebracket import search as searchmod
 from tracebracket.biquandle import trivial_biquandle
 from tracebracket.bracket import classify_adequacy, verify_bracket
 from tracebracket.rings import ModRing
@@ -13,7 +17,8 @@ def keys(iterable):
 
 def test_search_matches_brute_force_one_element():
     bq = trivial_biquandle(1)
-    for n in (3, 5, 7):
+    # Z8 and Z12 have non-cyclic unit groups, Z9 a cyclic one of order 6
+    for n in (3, 5, 7, 8, 9, 12):
         found = keys(b for b, _ in search_brackets(bq, n))
         assert found == keys(brute_force_brackets(bq, n))
 
@@ -26,8 +31,9 @@ def test_one_element_search_is_all_unit_pairs():
 
 
 def test_search_matches_brute_force_two_element(bq2):
-    found = keys(b for b, _ in search_brackets(bq2, 3))
-    assert found == keys(brute_force_brackets(bq2, 3))
+    for bq, n in ((bq2, 3), (bq2, 4), (trivial_biquandle(2), 4)):
+        found = keys(b for b, _ in search_brackets(bq, n))
+        assert found == keys(brute_force_brackets(bq, n))
 
 
 def test_quadratic_root_pruning_identity():
@@ -87,3 +93,81 @@ def test_limit(bq2):
 def test_brute_force_cap():
     with pytest.raises(ValueError):
         brute_force_brackets(trivial_biquandle(3), 7, cap=1000)
+
+
+# Emitted count and sha256 of the ordered bracket_key list, and of the list
+# of (key, class label, passthrough), as the search gave them when it still
+# walked every member of each scaling orbit.  The bq2/Z8 set (Z8 has a
+# non-cyclic unit group) equals brute_force_brackets(bq2, 8), which takes
+# seconds to enumerate.
+PINNED_SEARCHES = [
+    ("bq2", 8, 512, "f5a123f074a549f57bd313b3f3853f94d1f126b38f60914500d477c0cb81d833",
+     "8683617b57261cb36b117e4dff2305ca14d482b7e624f4b75453fa8eadaf09c1"),
+    ("bq2", 7, 1296, "5aa6182136924909f44d0d579b4f395478d1d9ddef1f1fadb1fce2aefbc2e6b7",
+     "cc4f57a1b672dacc63fba6b0cdbfc4bd57caa45e160dc1a6b3a3c8ec20a74106"),
+    ("bq3", 4, 256, "b5988f5b644ec6b5046a4ab5fe755feb282cb173e6ce39e9c1417c683d76db1b",
+     "8644f444c827ce301fb42f8867830f8a9ce4b187319923fcbb94c39d2fe8b60b"),
+    ("a312", 5, 256, "42a6a10ee812f9c56fcf5fc0cf2f7cc6f321c6bb1bea1b55fc55ef4babe7e811",
+     "9fd4460b0a3f97ab34d5859a56d9e3ef411b4540c9e1895877ea8d049ab214f0"),
+    ("bq3", 5, 3072, "8d34bcab36b653b2f983c16de6e5204a9834eab3d49f1dcb122ed1c3d04c144f",
+     "cd889909ed8247b61d315c83db86518835bba90d442c09d51d0613f1a448c458"),
+]
+
+
+def _sha(rows) -> str:
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("spec, n, count, key_sha, class_sha", PINNED_SEARCHES,
+                         ids=[f"{spec}-Z{n}" for spec, n, *_ in PINNED_SEARCHES])
+def test_search_output_pinned(request, spec, n, count, key_sha, class_sha):
+    bq = request.getfixturevalue(spec)
+    results = list(search_brackets(bq, n))
+    assert len(results) == count
+    assert _sha([bracket_key(b) for b, _ in results]) == key_sha
+    assert _sha([(bracket_key(b), c.label(), c.passthrough) for b, c in results]) == class_sha
+
+
+@pytest.mark.parametrize("spec, n", [("bq2", 7), ("bq2", 8), ("bq3", 4), ("a312", 5)])
+def test_search_output_is_whole_scaling_orbits(request, spec, n):
+    bq = request.getfixturevalue(spec)
+    units = [u for u in range(1, n) if gcd(u, n) == 1]
+    found = keys(b for b, _ in search_brackets(bq, n))
+    orbits = set()
+    for A, B in found:
+        orbit = frozenset((tuple(tuple(lam * v % n for v in row) for row in A),
+                           tuple(tuple(lam * v % n for v in row) for row in B))
+                          for lam in units)
+        assert len(orbit) == len(units)
+        assert orbit <= found
+        orbits.add(orbit)
+    assert len(found) == len(orbits) * len(units)
+
+
+def test_unsound_pruning_raises(bq2, monkeypatch):
+    # Dropping any single triple leaves the pruning sound on the shipped
+    # biquandles, since the triple equations overlap, so drop every triple
+    # checked at the last slot.
+    ready_at = searchmod._ready_at
+    monkeypatch.setattr(searchmod, "_ready_at",
+                        lambda triples, slots: ready_at(triples, slots)[:-1] + [[]])
+    with pytest.raises(RuntimeError, match=r"A=\[\[1, 1\], \[1, 1\]\] "
+                                           r"B=\[\[2, 2\], \[3, 2\]\] over Z5: triple3 fails"):
+        list(search_brackets(bq2, 5))
+
+
+def test_failing_table_violations(bq2):
+    ring = ModRing(7)
+    A = [[ring.element(v) for v in row] for row in ((1, 6), (4, 1))]
+    B = [[ring.element(v) for v in row] for row in ((2, 5), (1, 3))]
+    check = verify_bracket(bq2, ring, A, B)
+    assert [v.describe() for v in check.violations] == [
+        "delta fails at (2,2): 6 != 1", "w fails at (2): 2 != 3",
+        "triple4 fails at (1,1,1): 3 != 5", "triple5 fails at (1,1,1): 6 != 2",
+        "triple3 fails at (1,1,2): 5 != 4", "triple2 fails at (1,2,1): 4 != 5",
+        "triple3 fails at (1,2,1): 4 != 5", "triple4 fails at (1,2,1): 2 != 6",
+        "triple5 fails at (1,2,1): 4 != 6", "triple2 fails at (1,2,2): 4 != 5",
+        "triple2 fails at (2,1,1): 5 != 4", "triple2 fails at (2,1,2): 5 != 4",
+        "triple3 fails at (2,1,2): 5 != 4", "triple4 fails at (2,1,2): 6 != 4",
+        "triple5 fails at (2,1,2): 6 != 2", "triple3 fails at (2,2,1): 4 != 5",
+        "triple4 fails at (2,2,2): 2 != 6", "triple5 fails at (2,2,2): 5 != 3"]
