@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 = success, 1 = domain findings (axiom or identity violations,
-reported as data), 2 = malformed input.  ``--json`` emits a stable schema:
+reported as data), 2 = malformed input.  ``--json`` emits one line of JSON
+with sorted keys, in a stable schema:
 {"command": ..., "inputs": ..., "result": ..., "witnesses": ...}.
 """
 from __future__ import annotations
@@ -68,7 +69,7 @@ def _load_bracket(path: str, bq: bqmod.Biquandle) -> brmod.BiquandleBracket:
 
 def _emit(args, payload: dict, text_lines: List[str]) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True))
     else:
         for line in text_lines:
             print(line)

@@ -4,21 +4,23 @@ The search runs on plain int tables, flattened as A[x*n + y].  It
 enumerates candidate coefficient tables pair by pair.  For a fixed delta,
 the B entry over a chosen unit A is restricted to the unit roots of
 B^2 + delta*A*B + A^2 = 0 (equivalent to the delta condition for that
-pair), diagonal pairs are placed first so the w condition prunes early, and
-the five triple equations are checked as soon as all of a triple's slots
-are filled.
+pair).  Slots are placed greedily, each next the one that completes the
+most triples, and the five triple equations are checked as soon as all of a
+triple's slots are filled.
 
 Scaling (A, B) -> (l*A, l*B) by a unit l keeps delta and the homogeneous
 triple equations and sends w to l*w, so brackets come in orbits of phi(n)
-members with distinct A[0][0].  The search fixes A[0][0] = 1 and expands
-each table it finds over every unit l.  Every member is verified by the
-same kernel as :func:`verify_bracket` and classified on its own, since the
-pass-through condition is not scale-invariant.  A brute-force enumerator
-over all unit tables doubles as the correctness oracle in tests.
+members with distinct A at every slot.  The search fixes A = 1 at the
+first slot it places and expands each table it finds over every unit l.
+Every member is verified by the same kernel as :func:`verify_bracket` and
+classified on its own, since the pass-through condition is not
+scale-invariant.  A brute-force enumerator over all unit tables doubles as
+the correctness oracle in tests.
 """
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Iterator, List, Optional, Tuple
 
 from .biquandle import Biquandle
@@ -37,10 +39,22 @@ def _delta_candidates(ring: ModRing, units: List[int]):
     return by_delta
 
 
-def _slot_order(n: int) -> List[int]:
-    """Flat slots, diagonal pairs first."""
-    diag = [x * (n + 1) for x in range(n)]
-    return diag + [i for i in range(n * n) if i not in diag]
+def _slot_order(n: int, triples) -> List[int]:
+    """Flat slots in greedy order: next the slot that completes the most
+    triples, ties to a diagonal slot (condition (i) prunes there), then to
+    the lowest index."""
+    needs = [set(slots[:6]) for _witness, slots in triples]
+    order: List[int] = []
+    left = set(range(n * n))
+    while left:
+        completes = Counter(next(iter(need)) for need in needs if len(need) == 1)
+        best = max(left, key=lambda i: (completes[i], i % (n + 1) == 0, -i))
+        order.append(best)
+        left.discard(best)
+        for need in needs:
+            need.discard(best)
+        needs = [need for need in needs if need]
+    return order
 
 
 def _rows(ring: ModRing, flat, n: int) -> List[list]:
@@ -83,8 +97,8 @@ def search_brackets(bq: Biquandle, modulus: int,
     n = bq.n
     same = ring.same
     units = [u.value for u in ring.units()]
-    slots = _slot_order(n)
     triples = triple_slots(bq)
+    slots = _slot_order(n, triples)
     ready_at = _ready_at(triples, slots)
     by_delta = _delta_candidates(ring, units)
     emitted = 0

@@ -1,7 +1,8 @@
 """Colored trace diagrams: the full state sum, crossingless evaluation,
 the skein relation at a diagonal-pair crossing, magnetic parity, the
 parity fast evaluator, and diagrammatic verification of the trace moves on
-fixed three-strand tangles.
+fixed three-strand tangles, each move compiled once per biquandle into
+identities in the bracket's coefficient entries.
 
 A trace diagram is a set of rows over edge labels, one row per node, with
 the roles of ``diagram.Crossing``: (u_in, o_in, o_out, u_out).  Nodes are
@@ -31,7 +32,8 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
+from math import prod
 from typing import Dict, Hashable, List, Sequence, Tuple
 
 from .biquandle import Biquandle
@@ -125,16 +127,24 @@ def smooth_crossing(td: TraceDiagram, cid: int, kind: str, beta: BiquandleBracke
     return coeff, replace_with_trace(td, cid, kind)
 
 
-def _trace_state_sum(td: TraceDiagram, beta: BiquandleBracket) -> Dict[frozenset, object]:
-    """``diagram.contract`` over every node of the trace diagram."""
+def _node_choices(td: TraceDiagram, coefficient, w_trace) -> List[list]:
+    """Each node's choices for ``diagram.contract``: a crossing offers both
+    smoothings, weighted ``coefficient(sign, pair, kind) * w_trace(sign)``, and
+    a trace only its pass-through pairing, weighted ``w_trace(sign)``."""
     nodes = []
     for node in td.nodes.values():
-        w_trace = beta.w ** -node.sign
+        w = w_trace(node.sign)
         if node.kind == "x":
-            nodes.append([(smoothing_coefficient(beta, node.sign, node.pair, k) * w_trace,
-                           node.joins(SMOOTHINGS[k])) for k in SMOOTHINGS])
+            nodes.append([(coefficient(node.sign, node.pair, k) * w, node.joins(SMOOTHINGS[k]))
+                          for k in SMOOTHINGS])
         else:
-            nodes.append([(w_trace, node.joins(_PASS[node.kind]))])
+            nodes.append([(w, node.joins(_PASS[node.kind]))])
+    return nodes
+
+
+def _trace_state_sum(td: TraceDiagram, beta: BiquandleBracket) -> Dict[frozenset, object]:
+    """``diagram.contract`` over every node of the trace diagram."""
+    nodes = _node_choices(td, partial(smoothing_coefficient, beta), lambda sign: beta.w ** -sign)
     circles = beta.delta ** td.free_circles
     return {pairing: circles * value
             for pairing, value in contract(nodes, beta.ring.one(), beta.delta).items()}
@@ -317,13 +327,14 @@ def evaluate_recursive_parity(td: TraceDiagram, beta: BiquandleBracket):
 # pass-through moves are verified on a fixed three-strand tangle: a crossing
 # c0 between strands U and V (smoothed into the trace under test) and a
 # strand S crossing two of the edges at c0.  Both sides of a move are
-# expanded as OPEN tangles and compared boundary-resolved: for each state,
-# its coefficient, internal-circle delta factor and trace w-factor are
-# accumulated against the induced pairing of the six boundary wires.  The two
-# sides agree for every seeding of the three strand colors exactly when the
-# bracket admits the move.  (Closing the tangle first would be useless for
-# discrimination: any bracket with delta = 0 evaluates every closed diagram
-# to zero.)
+# contracted as OPEN tangles and compared boundary-resolved: each pairing of
+# the six boundary wires carries the summed value of the states that induce
+# it.  The two sides agree for every seeding of the three strand colors
+# exactly when the bracket admits the move.  (Closing the tangle first would
+# be useless for discrimination: any bracket with delta = 0 evaluates every
+# closed diagram to zero.)  The sides are not expanded per bracket: each move
+# is compiled once per biquandle into identities in the coefficient entries
+# (see the compiled move checks below).
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -470,22 +481,157 @@ def evaluate_open(td: TraceDiagram, beta: BiquandleBracket) -> Dict[object, obje
             for pairing, value in _trace_state_sum(td, beta).items() if value != zero}
 
 
+# ---------------------------------------------------------------------------
+# compiled move checks
+#
+# Only the coefficient values depend on the bracket: the colored tangles,
+# their states, boundary pairings and loop counts, and the pair each
+# coefficient reads depend only on the biquandle's tables.  So each move is
+# compiled once per biquandle.  Both sides of every seed are contracted by
+# ``diagram.contract`` over sums of monomials in the factor keys A[x][y] and
+# B[x][y] (exponent -1 at a negative crossing), delta and w.  Per boundary
+# pairing, before - after must vanish; the monomials the two sides share
+# cancel, and the non-zero differences left over all seeds, without repeats,
+# are the move's identities, each scaled so its first monomial counts up.
+# An identity is stored as a tuple of monomials, each a flat int tuple
+# (count, *indices), the indices into the bracket's raw vector
+# [A, A^-1, B, B^-1, delta, w, w^-1], the four tables flat (x*n + y).  A
+# bracket passes the move when every identity sums to zero.
+# ---------------------------------------------------------------------------
+
+class _Monomials:
+    """A sum of monomials over factor keys: ``terms`` maps each monomial, a
+    sorted tuple of (key, exponent) pairs, to its integer count."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Dict[Tuple[Tuple[int, int], ...], int]):
+        self.terms = terms
+
+    def __add__(self, other: "_Monomials") -> "_Monomials":
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, 0) + c
+        return _Monomials({m: c for m, c in out.items() if c})
+
+    def __mul__(self, other: "_Monomials") -> "_Monomials":
+        out: Dict[Tuple[Tuple[int, int], ...], int] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                exps = dict(m1)
+                for key, e in m2:
+                    exps[key] = exps.get(key, 0) + e
+                m = tuple(sorted((key, e) for key, e in exps.items() if e))
+                out[m] = out.get(m, 0) + c1 * c2
+        return _Monomials({m: c for m, c in out.items() if c})
+
+    def __pow__(self, k: int) -> "_Monomials":
+        out = _Monomials({(): 1})
+        for _ in range(k):
+            out = out * self
+        return out
+
+
+# one identity: its monomials as flat int tuples (count, *indices into the
+# raw vector)
+Identity = Tuple[Tuple[int, ...], ...]
+
+
+def _factor(key: int, exponent: int) -> _Monomials:
+    return _Monomials({((key, exponent),): 1})
+
+
+def _seed_identities(bq: Biquandle, move: TraceMove,
+                     seeds: Tuple[int, int, int]) -> List[Identity]:
+    """The identities that one seeding of the strands (S, U, V) imposes,
+    sorted; [] when the two sides agree for every bracket."""
+    n, n2 = bq.n, bq.n * bq.n
+    delta_key, w_key = 4 * n2, 4 * n2 + 1
+    seed_map = {"Sin": seeds[0], "Uin": seeds[1], "Vin": seeds[2]}
+    before = _tangle_trace_diagram(move.before, bq, seed_map, move.kind)
+    if move.monochromatic_only:
+        x, y = before.nodes[move.before.target].pair
+        if x != y:
+            return []
+    after = _tangle_trace_diagram(move.after, bq, seed_map, move.kind)
+
+    def coefficient(sign, pair, kind):
+        return _factor((0 if kind == "A" else 2 * n2) + pair[0] * n + pair[1], sign)
+
+    def side(td):
+        nodes = _node_choices(td, coefficient, lambda sign: _factor(w_key, -sign))
+        return contract(nodes, _Monomials({(): 1}), _factor(delta_key, 1))
+
+    def position(key, e):
+        """Where key^(sign of e) sits in the raw vector."""
+        if e > 0:
+            return key
+        return key + 1 if key == w_key else key + n2
+
+    b_sums, a_sums = side(before), side(after)
+    out = []
+    for pairing in b_sums.keys() | a_sums.keys():
+        diff = dict(b_sums[pairing].terms) if pairing in b_sums else {}
+        for m, c in (a_sums[pairing].terms.items() if pairing in a_sums else ()):
+            diff[m] = diff.get(m, 0) - c
+        identity = sorted((sorted(position(key, e) for key, e in m for _ in range(abs(e))), c)
+                          for m, c in diff.items() if c)
+        if identity:
+            sign = 1 if identity[0][1] > 0 else -1
+            out.append(tuple((sign * c, *idx) for idx, c in identity))
+    return sorted(out)
+
+
+@lru_cache(maxsize=128)     # every move on five biquandles
+def _compiled_move(under_table, over_table, move_id: str) -> Tuple[Identity, ...]:
+    """The identities of the move on this biquandle over all seeds, without
+    repeats."""
+    bq = Biquandle(under_table, over_table)
+    move = move_by_id(move_id)
+    identities = dict.fromkeys(identity for seeds in itertools.product(range(bq.n), repeat=3)
+                               for identity in _seed_identities(bq, move, seeds))
+    shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+    return tuple(tuple(shared.setdefault(m, m) for m in identity) for identity in identities)
+
+
+def _raw_factors(beta: BiquandleBracket) -> list:
+    """The raw vector [A, A^-1, B, B^-1, delta, w, w^-1] of a bracket."""
+    ring = beta.ring
+    a = [ring.raw(e) for row in beta.A for e in row]
+    b = [ring.raw(e) for row in beta.B for e in row]
+    w = ring.raw(beta.w)
+    return (a + [ring.inv(v) for v in a] + b + [ring.inv(v) for v in b]
+            + [ring.raw(beta.delta), w, ring.inv(w)])
+
+
+def _multiple(one, count: int):
+    """``count`` times ``one`` by addition; raw Laurent values take no int factor."""
+    total = one - one
+    for _ in range(abs(count)):
+        total = total + one
+    return total if count > 0 else -total
+
+
 def trace_move_fixture_check(bq: Biquandle, beta: BiquandleBracket, move_id: str) -> bool:
     """True iff [before] == [after] boundary-resolved, for all color seeds.
 
     A pass-through move is checked only on seeds that color its trace
-    monochromatically, read at the trace's own pair.
+    monochromatically, read at the trace's own pair.  Each of the move's
+    compiled identities is summed over the bracket's raw values.
     """
-    move = move_by_id(move_id)
-    for seeds in itertools.product(range(bq.n), repeat=3):
-        seed_map = {"Sin": seeds[0], "Uin": seeds[1], "Vin": seeds[2]}
-        td_b = _tangle_trace_diagram(move.before, bq, seed_map, move.kind)
-        if move.monochromatic_only:
-            x, y = td_b.nodes[move.before.target].pair
-            if x != y:
-                continue
-        td_a = _tangle_trace_diagram(move.after, bq, seed_map, move.kind)
-        if evaluate_open(td_b, beta) != evaluate_open(td_a, beta):
+    ring = beta.ring
+    factor = _raw_factors(beta).__getitem__
+    one = ring.raw(ring.one())
+    zero = one - one
+    multiples: Dict[int, object] = {}
+    for identity in _compiled_move(bq.under_table, bq.over_table, move_id):
+        total = zero
+        for monomial in identity:
+            scale = multiples.get(monomial[0])
+            if scale is None:
+                scale = multiples[monomial[0]] = _multiple(one, monomial[0])
+            total = total + prod(map(factor, monomial[1:]), start=scale)
+        if not ring.same(total, zero):
             return False
     return True
 

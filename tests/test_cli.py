@@ -198,6 +198,26 @@ def test_search_limit(capsys):
                                 "--limit", "-1"], "--limit -1 is negative")
 
 
+# trace_phi.tdg with the second crossing's under-output renamed from 4 to 7:
+# edge 4 is entered and never left, edge 7 left and never entered
+LOOSE_EDGE_TRACE = (fixture_text("trace_phi.tdg").replace("+ 3 6 1 4", "+ 3 6 1 7")
+                    + "color 7 2\n")
+
+
+def test_json_output_is_one_line(capsys):
+    bq, br = fixture_path("bq2.txt"), fixture_path("br_z7.txt")
+    commands = [["search", bq, "--mod", "5"],
+                ["invariant", fixture_path("hopf_pos.dgm"), bq, br],
+                ["classify", bq, br],
+                ["eval-trace", fixture_path("trace_phi.tdg"), bq, br]]
+    for argv in commands:
+        rc, out = run(capsys, "--json", *argv)
+        assert rc == 0
+        lines = out.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["command"] == argv[0]
+
+
 def test_eval_trace_malformed_file_exit_2(capsys, tmp_path):
     fixture = fixture_text("trace_phi.tdg")
     kink = "+ 1 2 1 2\ncolor 1 1\ncolor 2 1\n"
@@ -210,6 +230,7 @@ def test_eval_trace_malformed_file_exit_2(capsys, tmp_path):
         (fixture + "color 7 1\n", "bq2", "no crossing or trace uses: [7]"),
         (fixture.replace("color 6 2", "color 6 3"), "bq2", "color 3 is out of range 1..2"),
         (kink + kink.splitlines()[0], "bq1", "edge 1 is used as an input more than once"),
+        (LOOSE_EDGE_TRACE, "bq2", "edges with a loose end: [4, 7]"),
     ]
     brackets = {"bq1": "br_laurent.txt", "bq2": "br_z7.txt"}
     for text, bq, expected in cases:

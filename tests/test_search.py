@@ -5,7 +5,7 @@ import pytest
 
 from tracebracket import search as searchmod
 from tracebracket.biquandle import trivial_biquandle
-from tracebracket.bracket import classify_adequacy, verify_bracket
+from tracebracket.bracket import classify_adequacy, triple_slots, verify_bracket
 from tracebracket.rings import ModRing
 from tracebracket.search import (bracket_key, brute_force_brackets,
                                  search_brackets)
@@ -97,10 +97,13 @@ def test_brute_force_cap():
 
 # Emitted count and sha256 of the ordered bracket_key list, and of the list
 # of (key, class label, passthrough), as the search gave them when it still
-# walked every member of each scaling orbit.  The bq2/Z8 set (Z8 has a
-# non-cyclic unit group) equals brute_force_brackets(bq2, 8), which takes
-# seconds to enumerate.
+# walked every member of each scaling orbit (bq3/Z3: when it still placed the
+# diagonal slots first).  Hashing the ordered lists pins the emission order,
+# not just the set.  The bq2/Z8 set (Z8 has a non-cyclic unit group) equals
+# brute_force_brackets(bq2, 8), which takes seconds to enumerate.
 PINNED_SEARCHES = [
+    ("bq3", 3, 32, "d57851cbc82394c2bf1e37a39c9bbcd0c369c8afa81aec4af32d6f28e3fce50c",
+     "e7159117e266c4d94041cbd123638577f86af594be89f71376ded5450d10e8a3"),
     ("bq2", 8, 512, "f5a123f074a549f57bd313b3f3853f94d1f126b38f60914500d477c0cb81d833",
      "8683617b57261cb36b117e4dff2305ca14d482b7e624f4b75453fa8eadaf09c1"),
     ("bq2", 7, 1296, "5aa6182136924909f44d0d579b4f395478d1d9ddef1f1fadb1fce2aefbc2e6b7",
@@ -171,3 +174,21 @@ def test_failing_table_violations(bq2):
         "triple3 fails at (2,1,2): 5 != 4", "triple4 fails at (2,1,2): 6 != 4",
         "triple5 fails at (2,1,2): 6 != 2", "triple3 fails at (2,2,1): 4 != 5",
         "triple4 fails at (2,2,2): 2 != 6", "triple5 fails at (2,2,2): 5 != 3"]
+
+
+@pytest.mark.parametrize("spec", ["bq2", "bq3", "a312"])
+def test_slot_order_is_greedy(request, spec):
+    # each slot placed completes at least as many triples as any slot left
+    bq = request.getfixturevalue(spec)
+    triples = triple_slots(bq)
+    order = searchmod._slot_order(bq.n, triples)
+    assert sorted(order) == list(range(bq.n * bq.n))
+
+    def completes(placed, i):
+        return sum(1 for _w, slots in triples
+                   if i in slots[:6] and set(slots[:6]) <= placed | {i})
+
+    for k, slot in enumerate(order):
+        placed = set(order[:k])
+        assert all(completes(placed, slot) >= completes(placed, other)
+                   for other in order[k + 1:])

@@ -7,7 +7,7 @@ import pytest
 from tracebracket import fixture_text
 from tracebracket.bracket import (bracket_invariant, classify_adequacy,
                                   constant_bracket, crossing_coefficient_pair,
-                                  state_sum)
+                                  make_bracket, state_sum)
 from tracebracket.coloring import enumerate_colorings
 from tracebracket.diagram import (diagram, hopf_pos, trefoil_pos, trefoil_rii,
                                   unknot0, unknot_kink, writhe_counts)
@@ -20,10 +20,10 @@ from tracebracket.trace import (MultiComponentCrossingError,
                                 evaluate_crossingless, evaluate_open,
                                 evaluate_recursive, evaluate_recursive_parity,
                                 from_colored_diagram, magnetic_parity,
-                                parse_trace_diagram, parity_applicable,
+                                move_by_id, parse_trace_diagram, parity_applicable,
                                 replace_with_trace, ri_reducible,
                                 smooth_crossing, trace_move_fixture_check,
-                                _tangle_trace_diagram)
+                                _seed_identities, _tangle_trace_diagram)
 
 
 def fixture_diagrams():
@@ -324,6 +324,64 @@ def test_hopf_multicomponent_with_b_trace(bq2, br_z7):
     assert magnetic_parity(replace_with_trace(td, 0, "B"), 1) == "odd"
 
 
+def reference_move_check(bq, beta, move_id):
+    """The move check without compilation: both sides colored from every
+    seed and compared boundary-resolved by evaluate_open."""
+    move = move_by_id(move_id)
+    for seeds in itertools.product(range(bq.n), repeat=3):
+        seed_map = {"Sin": seeds[0], "Uin": seeds[1], "Vin": seeds[2]}
+        td_b = _tangle_trace_diagram(move.before, bq, seed_map, move.kind)
+        if move.monochromatic_only:
+            x, y = td_b.nodes[move.before.target].pair
+            if x != y:
+                continue
+        td_a = _tangle_trace_diagram(move.after, bq, seed_map, move.kind)
+        if evaluate_open(td_b, beta) != evaluate_open(td_a, beta):
+            return False
+    return True
+
+
+def assert_compiled_matches_reference(cases):
+    """Every move on every (biquandle, bracket) case; returns the verdicts seen."""
+    verdicts = set()
+    for bq, beta in cases:
+        for move in all_moves():
+            verdict = trace_move_fixture_check(bq, beta, move.move_id)
+            assert verdict == reference_move_check(bq, beta, move.move_id), move.move_id
+            verdicts.add(verdict)
+    return verdicts
+
+
+def test_compiled_moves_match_reference_on_shipped(bq1, bq2, bq3, br_gen, br_z7, br_z5):
+    cases = [(bq1, br_gen), (bq2, br_z7)] + [(bq3, beta) for beta in br_z5]
+    assert assert_compiled_matches_reference(cases) == {True, False}
+
+
+@pytest.mark.parametrize("spec, n", [("bq2", 5), ("bq3", 3), ("a312", 3)])
+def test_compiled_moves_match_reference_on_searched(request, spec, n):
+    bq = request.getfixturevalue(spec)
+    cases = [(bq, beta) for beta, _cls in search_brackets(bq, n)]
+    assert assert_compiled_matches_reference(cases) == {True, False}
+
+
+def test_passthrough_witness_reads_off_diagonal_entries(bq2):
+    # a bq2/Z5 bracket that the algebraic pass-through test accepts and the
+    # tangles reject: at the monochromatic seeds of its failing move, the
+    # compiled identities read only the off-diagonal entries (0, 1), (1, 0)
+    ring = ModRing(5)
+    beta = make_bracket(bq2, ring, [[ring.element(v) for v in row] for row in ((1, 1), (2, 1))],
+                        [[ring.element(v) for v in row] for row in ((4, 4), (3, 4))])
+    move = move_by_id("through_B_pos_over_F")
+    assert classify_adequacy(beta).passthrough
+    assert not trace_move_fixture_check(bq2, beta, move.move_id)
+    for seeds in ((0, 0, 0), (1, 1, 1)):
+        identities = _seed_identities(bq2, move, seeds)
+        assert len(identities) == 4
+        # raw-vector indices below 16 are the A, A^-1, B, B^-1 tables
+        assert {i % 4 for identity in identities for _count, *idx in identity
+                for i in idx if i < 16} == {1, 2}
+
+
 def test_move_catalog_counts():
     moves = all_moves()
     assert len(moves) == 24
@@ -390,6 +448,14 @@ def test_parse_trace_rejects_bad_colors(bq2):
     # the positive traceB's colors give the pair (e1, e4) = (1, 1)
     text = fixture_text("trace_phi.tdg").replace("source(2,5) 1 1", "source(2,5) 1 2")
     with pytest.raises(ValueError, match="trace pair"):
+        parse_trace_diagram(text, bq2)
+
+
+def test_parse_trace_rejects_loose_edge(bq2):
+    # the second crossing's under-output renamed from 4 to 7
+    text = (fixture_text("trace_phi.tdg").replace("+ 3 6 1 4", "+ 3 6 1 7")
+            + "color 7 2\n")
+    with pytest.raises(ValueError, match=r"edges with a loose end: \[4, 7\]"):
         parse_trace_diagram(text, bq2)
 
 
