@@ -180,11 +180,11 @@ def parse_biquandle(text: str) -> Biquandle:
     """Parse the block-matrix file format.
 
     Line 1 holds n; the next n lines each hold 2n whitespace-separated
-    1-indexed entries forming the block matrix [under | over].  Lines
-    starting with ``#`` are comments.
+    1-indexed entries forming the block matrix [under | over].  ``#``
+    starts a comment, anywhere on a line.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln]
     if not lines:
         raise ValueError("empty biquandle file")
     try:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .biquandle import Biquandle
-from .coloring import enumerate_colorings, validate_coloring
+from .coloring import enumerate_colorings, positive_frame, validate_coloring
 from .diagram import (SMOOTHINGS, Crossing, OrientedDiagram, contract, state_pairings,
                       writhe_counts)
 from .rings import LaurentRing, ModRing
@@ -207,18 +207,15 @@ def generic_laurent_bracket() -> BiquandleBracket:
 def coefficient_pair(sign: int, u_in: int, o_in: int, o_out: int,
                      u_out: int) -> Tuple[int, int]:
     """The color pair indexing the coefficients of a crossing colored
-    (u_in, o_in, o_out, u_out): (u_in, o_out) if it is positive and
-    (u_out, o_in) if it is negative.
+    (u_in, o_in, o_out, u_out): the (a, c) of its
+    :func:`~tracebracket.coloring.positive_frame`.
 
-    This is the (under, over) pair that the coloring rules feed to the under
-    operation at that sign: u_out = under(u_in, o_out) at a positive
-    crossing and u_in = under(u_out, o_in) at a negative one.  At a kink the
-    loop joins o_out to u_in or u_out to o_in, and either way the coloring
-    rules make this pair diagonal, (x, x).  Condition (i) fixes
-    -A[x][x]^2 B[x][x]^(-1) = w on diagonal pairs only, so this is the pair
-    at which the w correction cancels a kink.
+    At a kink the coloring rules make this pair diagonal, (x, x), and
+    condition (i) fixes -A[x][x]^2 B[x][x]^(-1) = w on diagonal pairs only,
+    so this is the pair at which the w correction cancels a kink.
     """
-    return (u_in, o_out) if sign > 0 else (u_out, o_in)
+    a, _, c, _ = positive_frame(sign, u_in, o_in, o_out, u_out)
+    return a, c
 
 
 def crossing_coefficient_pair(c: Crossing, coloring: Sequence[int]) -> Tuple[int, int]:

@@ -2,16 +2,9 @@
 
 Crossing conventions
 --------------------
-At a positive crossing with under-input colored x and over-input colored y:
-
-    o_out = over(y, x)                 (the over strand acted on by x)
-    u_out = under(x, o_out)            (the under strand acted on by the
-                                        over strand's outgoing color)
-
-A negative crossing imposes the inverse relation: its inputs are determined
-from its outputs by the same two equations.  Both directions are computable
-from the operation tables via the column-inverse maps, so colorings can be
-propagated forwards and backwards through crossings of either sign.
+The convention is stated once, in :func:`positive_frame`.  The coloring
+rules, propagation, the linear system and the bracket's coefficient pair
+all read a crossing of either sign through its frame.
 
 Enumeration takes one of two paths.  When both operations are affine over
 a prime field, under(x, y) = a x + b y + c and over(x, y) = d x + e y + f
@@ -31,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .biquandle import Biquandle
 from .diagram import Crossing, OrientedDiagram, validate_diagram
@@ -44,43 +37,55 @@ def total_semiarcs(d: OrientedDiagram) -> int:
     return d.n_semiarcs + d.free_loops
 
 
-def positive_outputs(bq: Biquandle, u_in: int, o_in: int) -> Tuple[int, int]:
-    """(u_out, o_out) colors at a positive crossing."""
-    o_out = bq.over(o_in, u_in)
-    u_out = bq.under(u_in, o_out)
-    return u_out, o_out
+Frame = Tuple[Hashable, Hashable, Hashable, Hashable]
 
 
-def positive_inputs(bq: Biquandle, u_out: int, o_out: int) -> Tuple[int, int]:
-    """(u_in, o_in) colors at a positive crossing, from its outputs."""
-    u_in = bq.beta_inv(o_out, u_out)
-    o_in = bq.alpha_inv(u_in, o_out)
-    return u_in, o_in
+def positive_frame(sign: int, u_in: Hashable, o_in: Hashable, o_out: Hashable,
+                   u_out: Hashable) -> Frame:
+    """The crossing's roles as a positive crossing (a, b, c, d).
+
+    This is the one statement of the crossing convention.  A positive
+    crossing is its own frame, (u_in, o_in, o_out, u_out); a negative
+    crossing is a positive one with inputs and outputs exchanged,
+    (u_out, o_out, o_in, u_in).  At both signs a coloring satisfies
+
+        c = over(b, a)        d = under(a, c)
+
+    and the bracket coefficients are read at the pair (a, c).  The
+    arguments may be colors or semiarc labels: the frame only permutes them.
+    """
+    if sign > 0:
+        return u_in, o_in, o_out, u_out
+    return u_out, o_out, o_in, u_in
+
+
+def _forward(bq: Biquandle, a: int, b: int) -> Tuple[int, int]:
+    """(c, d) of a frame from (a, b)."""
+    c = bq.over(b, a)
+    return c, bq.under(a, c)
+
+
+def _backward(bq: Biquandle, c: int, d: int) -> Tuple[int, int]:
+    """(a, b) of a frame from (c, d)."""
+    a = bq.beta_inv(c, d)
+    return a, bq.alpha_inv(a, c)
 
 
 def crossing_outputs(bq: Biquandle, sign: int, u_in: int, o_in: int) -> Tuple[int, int]:
-    """(u_out, o_out) colors for a crossing of either sign, from its inputs."""
+    """(u_out, o_out) colors for a crossing of either sign, from its inputs:
+    the inputs are the frame's (a, b) at a positive crossing and its (d, c)
+    at a negative one."""
     if sign > 0:
-        return positive_outputs(bq, u_in, o_in)
-    # negative: inputs = positive rule applied to outputs; invert it
-    u_out = bq.beta_inv(o_in, u_in)       # u_in == under(u_out, o_in)
-    o_out = bq.alpha_inv(u_out, o_in)     # o_in == over(o_out, u_out)
-    return u_out, o_out
-
-
-def crossing_inputs(bq: Biquandle, sign: int, u_out: int, o_out: int) -> Tuple[int, int]:
-    """(u_in, o_in) colors for a crossing of either sign, from its outputs."""
-    if sign > 0:
-        return positive_inputs(bq, u_out, o_out)
-    o_in = bq.over(o_out, u_out)
-    u_in = bq.under(u_out, o_in)
-    return u_in, o_in
+        o_out, u_out = _forward(bq, u_in, o_in)
+        return u_out, o_out
+    return _backward(bq, o_in, u_in)
 
 
 def crossing_ok(bq: Biquandle, c: Crossing, colors: Sequence[int]) -> bool:
-    u_in, o_in = colors[c.u_in - 1], colors[c.o_in - 1]
-    u_out, o_out = colors[c.u_out - 1], colors[c.o_out - 1]
-    return crossing_outputs(bq, c.sign, u_in, o_in) == (u_out, o_out)
+    a, b, fc, fd = positive_frame(c.sign, colors[c.u_in - 1], colors[c.o_in - 1],
+                                  colors[c.o_out - 1], colors[c.u_out - 1])
+    # (c, d) == _forward(bq, a, b), inlined: validate_coloring runs per solution
+    return fc == bq.over(b, a) and fd == bq.under(a, fc)
 
 
 def validate_coloring(d: OrientedDiagram, bq: Biquandle, coloring: Sequence[int]) -> bool:
@@ -98,36 +103,35 @@ def validate_coloring(d: OrientedDiagram, bq: Biquandle, coloring: Sequence[int]
     return all(crossing_ok(bq, c, coloring) for c in d.crossings)
 
 
-def _propagate(d: OrientedDiagram, bq: Biquandle, colors: List[Optional[int]]) -> bool:
-    """Fill in forced colors; False on contradiction."""
+def _frames(d: OrientedDiagram) -> List[Frame]:
+    """Each crossing's positive frame over 0-based semiarc indices."""
+    return [positive_frame(c.sign, c.u_in - 1, c.o_in - 1, c.o_out - 1, c.u_out - 1)
+            for c in d.crossings]
+
+
+def _propagate(frames: Sequence[Frame], bq: Biquandle, colors) -> bool:
+    """Fill in forced colors; False on contradiction.
+
+    ``colors`` maps every label the frames use (a list index or a dict key)
+    to its color, or None while it is unknown.
+    """
     changed = True
     while changed:
         changed = False
-        for c in d.crossings:
-            known = {}
-            for role, s in (("u_in", c.u_in), ("o_in", c.o_in),
-                            ("o_out", c.o_out), ("u_out", c.u_out)):
-                known[role] = colors[s - 1]
-
-            derived: Dict[str, int] = {}
-            if known["u_in"] is not None and known["o_in"] is not None:
-                uo, oo = crossing_outputs(bq, c.sign, known["u_in"], known["o_in"])
-                derived = {"u_out": uo, "o_out": oo}
-            elif known["u_out"] is not None and known["o_out"] is not None:
-                ui, oi = crossing_inputs(bq, c.sign, known["u_out"], known["o_out"])
-                derived = {"u_in": ui, "o_in": oi}
-            elif c.sign > 0 and known["u_in"] is not None and known["o_out"] is not None:
-                derived = {"o_in": bq.alpha_inv(known["u_in"], known["o_out"]),
-                           "u_out": bq.under(known["u_in"], known["o_out"])}
-            elif c.sign < 0 and known["o_in"] is not None and known["u_out"] is not None:
-                derived = {"u_in": bq.under(known["u_out"], known["o_in"]),
-                           "o_out": bq.alpha_inv(known["u_out"], known["o_in"])}
-
-            for role, value in derived.items():
-                s = getattr(c, role)
-                cur = colors[s - 1]
+        for fa, fb, fc, fd in frames:
+            a, b, c, d = colors[fa], colors[fb], colors[fc], colors[fd]
+            if a is not None and b is not None:
+                derived = zip((fc, fd), _forward(bq, a, b))
+            elif c is not None and d is not None:
+                derived = zip((fa, fb), _backward(bq, c, d))
+            elif a is not None and c is not None:
+                derived = ((fb, bq.alpha_inv(a, c)), (fd, bq.under(a, c)))
+            else:
+                continue
+            for label, value in derived:
+                cur = colors[label]
                 if cur is None:
-                    colors[s - 1] = value
+                    colors[label] = value
                     changed = True
                 elif cur != value:
                     return False
@@ -163,10 +167,11 @@ def _dfs_colorings(d: OrientedDiagram, bq: Biquandle) -> List[Coloring]:
     _require_valid(d)
 
     m = d.n_semiarcs
+    frames = _frames(d)
     results: List[Coloring] = []
 
     def search(colors: List[Optional[int]]) -> None:
-        if not _propagate(d, bq, colors):
+        if not _propagate(frames, bq, colors):
             return
         try:
             s = next(i for i in range(m) if colors[i] is None)
@@ -238,11 +243,9 @@ def _linear_colorings(d: OrientedDiagram, bq: Biquandle,
     """Colorings of the crossing semiarcs as the solutions of the crossing
     equations over GF(p), unsorted.
 
-    A positive crossing gives o_out = over(o_in, u_in) and
-    u_out = under(u_in, o_out); a negative one the same two equations with
-    inputs and outputs exchanged.  With under and over affine and their
-    column maps bijective these are exactly the conditions
-    :func:`crossing_ok` checks.  Each row {semiarc index: coefficient, plus
+    Each crossing gives the two equations of its :func:`positive_frame`.
+    With under and over affine and their column maps bijective these are
+    exactly the conditions :func:`crossing_ok` checks.  Each row {semiarc index: coefficient, plus
     _CONST} states sum(coef * color) + const == 0.  Gauss-Jordan elimination
     keeps every pivot row free of the other pivots, so after it the free
     semiarcs range over all of GF(p) and each pivot is read off its row.
@@ -251,18 +254,14 @@ def _linear_colorings(d: OrientedDiagram, bq: Biquandle,
     (ua, ub, uc), (oa, ob, oc) = form   # under and over: a x + b y + c
     pivots: Dict[int, Dict[int, int]] = {}
 
-    for cr in d.crossings:
-        if cr.sign > 0:
-            u_in, o_in, o_out, u_out = cr.u_in, cr.o_in, cr.o_out, cr.u_out
-        else:
-            u_in, o_in, o_out, u_out = cr.u_out, cr.o_out, cr.o_in, cr.u_in
+    for a, b, c, dd in _frames(d):
         # -out + coef1 * in1 + coef2 * in2 + const == 0; the solved-for
         # semiarc goes first, so it is the preferred pivot
-        for out, terms, const in ((o_out, ((o_in, oa), (u_in, ob)), oc),
-                                  (u_out, ((u_in, ua), (o_out, ub)), uc)):
-            row: Dict[int, int] = {out - 1: p - 1}
+        for out, terms, const in ((c, ((b, oa), (a, ob)), oc),
+                                  (dd, ((a, ua), (c, ub)), uc)):
+            row: Dict[int, int] = {out: p - 1}
             for s, coef in terms:
-                row[s - 1] = (row.get(s - 1, 0) + coef) % p
+                row[s] = (row.get(s, 0) + coef) % p
             row[_CONST] = const
             for v in [v for v in row if v in pivots]:
                 factor = row.pop(v)

@@ -26,12 +26,6 @@ class Crossing:
     o_out: int
     u_out: int
 
-    def inputs(self) -> Tuple[int, int]:
-        return (self.u_in, self.o_in)
-
-    def outputs(self) -> Tuple[int, int]:
-        return (self.u_out, self.o_out)
-
 
 @dataclass(frozen=True)
 class OrientedDiagram:

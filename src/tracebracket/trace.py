@@ -8,10 +8,10 @@ A trace diagram is a set of rows over edge labels, one row per node, with
 the roles of ``diagram.Crossing``: (u_in, o_in, o_out, u_out).  Nodes are
 crossings (kind ``x``), pass-through traces (kind ``a``) and sink/source
 traces (kind ``b``).  Each node carries the sign and the color pair
-indexing its coefficients, as ``bracket.coefficient_pair`` defines it:
-(u_in, o_out) at a positive crossing and (u_out, o_in) at a negative one.
-A trace stands where a crossing was smoothed and keeps that crossing's
-sign, pair and edges, so smoothing a crossing only changes its kind.
+indexing its coefficients, ``bracket.coefficient_pair`` (the convention is
+``coloring.positive_frame``).  A trace stands where a crossing was smoothed
+and keeps that crossing's sign, pair and edges, so smoothing a crossing
+only changes its kind.
 
 ``_PASS`` pairs the roles of each node once the traces are deleted: a
 crossing is walked through, an ``a`` trace continues the strand through
@@ -39,7 +39,7 @@ from typing import Dict, Hashable, List, Sequence, Tuple
 from .biquandle import Biquandle
 from .bracket import (BiquandleBracket, coefficient_pair, crossing_coefficient_pair,
                       homflypt_coefficients, smoothing_coefficient)
-from .coloring import crossing_outputs, validate_coloring
+from .coloring import _propagate, crossing_outputs, positive_frame, validate_coloring
 from .diagram import (SMOOTHINGS, OrientedDiagram, contract, join_ends, switch_crossing,
                       validate_diagram)
 
@@ -337,14 +337,12 @@ def evaluate_recursive_parity(td: TraceDiagram, beta: BiquandleBracket):
 # (see the compiled move checks below).
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MoveTangle:
-    """One side of a trace move, as crossings over named wires."""
-    rows: Tuple[Tuple[int, str, str, str, str], ...]   # (sign, u_in, o_in, o_out, u_out)
-    target: int = 0                                    # row index of c0
+# One side of a trace move, as crossing rows (sign, u_in, o_in, o_out, u_out)
+# over named wires; row 0 is c0.
+Tangle = Tuple[Tuple[int, str, str, str, str], ...]
 
 
-def _slide_tangles(s_over: bool, c0_sign: int, s_west: bool) -> Tuple[MoveTangle, MoveTangle]:
+def _slide_tangles(s_over: bool, c0_sign: int, s_west: bool) -> Tuple[Tangle, Tangle]:
     s_sign = 1 if (s_over == s_west) else -1
 
     def sc(s_in, s_out, e_in, e_out):
@@ -366,11 +364,11 @@ def _slide_tangles(s_over: bool, c0_sign: int, s_west: bool) -> Tuple[MoveTangle
         after = ((c0_sign, "u1", "v1", "Vout", "Uout"),
                  sc("Sin", "s_mid", "Vin", "v1"),
                  sc("s_mid", "Sout", "Uin", "u1"))
-    return MoveTangle(before), MoveTangle(after)
+    return before, after
 
 
 def _through_tangles(s_over: bool, c0_sign: int,
-                     s_reversed: bool) -> Tuple[MoveTangle, MoveTangle]:
+                     s_reversed: bool) -> Tuple[Tangle, Tangle]:
     """Threading the sink/source neck of a B-trace.
 
     The strand crosses one sink edge and one source edge; pushing it through
@@ -390,15 +388,15 @@ def _through_tangles(s_over: bool, c0_sign: int,
     after = ((c0_sign, "Uin", "v2", "Vout", "u2"),
              sc(-s_sign, "Sin", "s_mid", "Vin", "v2"),
              sc(-s_sign, "s_mid", "Sout", "u2", "Uout"))
-    return MoveTangle(before), MoveTangle(after)
+    return before, after
 
 
 @dataclass(frozen=True)
 class TraceMove:
     move_id: str
     kind: str
-    before: MoveTangle
-    after: MoveTangle
+    before: Tangle
+    after: Tangle
     monochromatic_only: bool = False
 
 
@@ -442,31 +440,22 @@ def move_by_id(move_id: str) -> TraceMove:
     raise KeyError(f"unknown move {move_id!r}")
 
 
-def _tangle_trace_diagram(tangle: MoveTangle, bq: Biquandle,
+def _tangle_trace_diagram(tangle: Tangle, bq: Biquandle,
                           seeds: Dict[str, int], kind: str) -> TraceDiagram:
     """Color the tangle from its entry seeds and replace c0 by a trace.
 
-    The boundary wires are the labels that only one row uses, so the
-    result is an open trace diagram.
+    The wires are colored by ``coloring._propagate``; seeds that leave a
+    wire uncolored raise ValueError.  The boundary wires are the labels that
+    only one row uses, so the result is an open trace diagram.
     """
-    wire_colors: Dict[str, int] = dict(seeds)
-    nodes: Dict[int, Node] = {}
-    pending = set(range(len(tangle.rows)))
-    while pending:
-        progressed = False
-        for i in sorted(pending):
-            sign, ui, oi, oo, uo = tangle.rows[i]
-            if ui in wire_colors and oi in wire_colors:
-                u_out, o_out = crossing_outputs(bq, sign, wire_colors[ui], wire_colors[oi])
-                wire_colors[uo], wire_colors[oo] = u_out, o_out
-                pair = coefficient_pair(sign, wire_colors[ui], wire_colors[oi], o_out, u_out)
-                nodes[i] = Node("x", sign, pair, ui, oi, oo, uo)
-                pending.discard(i)
-                progressed = True
-        if not progressed:
-            raise ValueError("tangle wiring is not forward-colorable")
-    td = TraceDiagram(dict(sorted(nodes.items())), 0)
-    return replace_with_trace(td, tangle.target, kind)
+    colors = dict.fromkeys(wire for row in tangle for wire in row[1:])
+    colors.update(seeds)
+    if not _propagate([positive_frame(*row) for row in tangle], bq, colors) \
+            or None in colors.values():
+        raise ValueError("the seeds do not color every wire of the tangle")
+    nodes = {i: Node("x", sign, coefficient_pair(sign, *(colors[w] for w in wires)), *wires)
+             for i, (sign, *wires) in enumerate(tangle)}
+    return replace_with_trace(TraceDiagram(nodes, 0), 0, kind)
 
 
 def evaluate_open(td: TraceDiagram, beta: BiquandleBracket) -> Dict[object, object]:
@@ -550,7 +539,7 @@ def _seed_identities(bq: Biquandle, move: TraceMove,
     seed_map = {"Sin": seeds[0], "Uin": seeds[1], "Vin": seeds[2]}
     before = _tangle_trace_diagram(move.before, bq, seed_map, move.kind)
     if move.monochromatic_only:
-        x, y = before.nodes[move.before.target].pair
+        x, y = before.nodes[0].pair
         if x != y:
             return []
     after = _tangle_trace_diagram(move.after, bq, seed_map, move.kind)

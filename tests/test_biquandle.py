@@ -90,6 +90,17 @@ def test_parse_rejects_ragged_rows():
         parse_biquandle("2\n2 2 2 3\n1 1 1 1\n")   # entry out of range
 
 
+BQ2_COMMENTED = """# two-element biquandle: both operations swap 1 and 2
+2  # size
+2 2 2 2  # row 1: under | over
+1 1 1 1# row 2, no space before the comment
+"""
+
+
+def test_parse_trailing_comments(bq2):
+    assert parse_biquandle(BQ2_COMMENTED) == bq2
+
+
 def test_inline_spec():
     assert biquandle_from_spec("alexander(3,1,2)").under(1, 1) == 2
     assert biquandle_from_spec("trivial(4)").n == 4

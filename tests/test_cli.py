@@ -168,6 +168,13 @@ def test_biquandle_file_failing_axioms_exit_2(capsys, tmp_path):
         assert_input_error(capsys, argv, "not a biquandle: diagonal fails at (1): 1 != 2")
 
 
+def test_verify_biquandle_trailing_comments_exit_0(capsys, tmp_path):
+    path = tmp_path / "bq2_commented.txt"
+    path.write_text("2  # size\n2 2 2 2  # row\n1 1 1 1  # row\n")
+    rc, out = run(capsys, "verify-biquandle", str(path))
+    assert rc == 0 and "pass" in out
+
+
 def test_verify_biquandle_reports_failing_file_exit_1(capsys, tmp_path):
     broken = tmp_path / "broken.txt"
     broken.write_text("2\n1 1 2 2\n2 2 1 1\n")

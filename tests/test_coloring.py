@@ -5,9 +5,11 @@ import pytest
 
 from tracebracket import coloring
 from tracebracket.biquandle import Biquandle, alexander_biquandle, trivial_biquandle
-from tracebracket.coloring import (_affine_form, _dfs_colorings, counting_invariant,
-                                   enumerate_colorings, monochromatic_riii_check,
-                                   total_semiarcs, validate_coloring)
+from tracebracket.bracket import coefficient_pair
+from tracebracket.coloring import (_affine_form, _dfs_colorings, _propagate, counting_invariant,
+                                   crossing_outputs, enumerate_colorings,
+                                   monochromatic_riii_check, positive_frame, total_semiarcs,
+                                   validate_coloring)
 from tracebracket.diagram import (diagram, hopf_pos, trefoil_pos, trefoil_rii,
                                   unknot0, unknot_kink)
 
@@ -129,6 +131,46 @@ def test_counting_invariant_reidemeister_stability(bq1, bq2, bq3, a312):
         assert counting_invariant(unknot_kink(-1), bq) == base
         assert (counting_invariant(trefoil_pos(), bq)
                 == counting_invariant(trefoil_rii(), bq))
+
+
+def literal_outputs(bq, sign, u_in, o_in):
+    """Every (u_out, o_out) satisfying the README's crossing equations,
+    written out at each sign and found by brute force."""
+    return [(u_out, o_out) for u_out, o_out in itertools.product(range(bq.n), repeat=2)
+            if (o_out == bq.over(o_in, u_in) and u_out == bq.under(u_in, o_out)
+                if sign > 0 else
+                o_in == bq.over(o_out, u_out) and u_in == bq.under(u_out, o_in))]
+
+
+def test_crossing_rules_match_literal_equations(bq1, bq2, bq3, a312):
+    for bq in (bq1, bq2, bq3, a312, alexander_biquandle(5, 2, 3)):
+        for sign in (1, -1):
+            for u_in, o_in in itertools.product(range(bq.n), repeat=2):
+                solutions = literal_outputs(bq, sign, u_in, o_in)
+                assert len(solutions) == 1
+                assert crossing_outputs(bq, sign, u_in, o_in) == solutions[0]
+                u_out, o_out = solutions[0]
+                literal_pair = (u_in, o_out) if sign > 0 else (u_out, o_in)
+                assert coefficient_pair(sign, u_in, o_in, o_out, u_out) == literal_pair
+
+
+def test_propagation_matches_literal_equations(bq2, bq3, a312):
+    # on one crossing over its role names, each of the three known pairs
+    # (inputs, outputs, coefficient pair) forces the other two colors
+    roles = ("u_in", "o_in", "o_out", "u_out")
+    for bq in (bq2, bq3, a312):
+        for sign in (1, -1):
+            frames = [positive_frame(sign, *roles)]
+            pair_roles = ("u_in", "o_out") if sign > 0 else ("u_out", "o_in")
+            for u_in, o_in in itertools.product(range(bq.n), repeat=2):
+                (u_out, o_out), = literal_outputs(bq, sign, u_in, o_in)
+                full = dict(zip(roles, (u_in, o_in, o_out, u_out)))
+                for known in (("u_in", "o_in"), ("u_out", "o_out"), pair_roles):
+                    colors = {r: (full[r] if r in known else None) for r in roles}
+                    assert _propagate(frames, bq, colors)
+                    assert colors == full
+                bad = dict(full, u_out=(u_out + 1) % bq.n)
+                assert not _propagate(frames, bq, bad)
 
 
 def test_riii_check_fixture_biquandles(bq1, bq2, bq3):

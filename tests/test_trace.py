@@ -324,6 +324,15 @@ def test_hopf_multicomponent_with_b_trace(bq2, br_z7):
     assert magnetic_parity(replace_with_trace(td, 0, "B"), 1) == "odd"
 
 
+def test_tangle_seeds_that_miss_a_wire_raise(bq2):
+    move = all_moves()[0]
+    seed_map = {"Sin": 0, "Uin": 1, "Vin": 0}
+    _tangle_trace_diagram(move.before, bq2, seed_map, move.kind)
+    del seed_map["Vin"]
+    with pytest.raises(ValueError, match="do not color every wire"):
+        _tangle_trace_diagram(move.before, bq2, seed_map, move.kind)
+
+
 def reference_move_check(bq, beta, move_id):
     """The move check without compilation: both sides colored from every
     seed and compared boundary-resolved by evaluate_open."""
@@ -332,7 +341,7 @@ def reference_move_check(bq, beta, move_id):
         seed_map = {"Sin": seeds[0], "Uin": seeds[1], "Vin": seeds[2]}
         td_b = _tangle_trace_diagram(move.before, bq, seed_map, move.kind)
         if move.monochromatic_only:
-            x, y = td_b.nodes[move.before.target].pair
+            x, y = td_b.nodes[0].pair
             if x != y:
                 continue
         td_a = _tangle_trace_diagram(move.after, bq, seed_map, move.kind)
