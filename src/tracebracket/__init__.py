@@ -22,8 +22,8 @@ from .search import bracket_key, brute_force_brackets, search_brackets
 from .trace import (MultiComponentCrossingError, NotRIReducibleError,
                     TraceDiagram, all_moves, diagrammatic_adequacy,
                     diagrammatic_passthrough, evaluate_by_parity,
-                    evaluate_crossingless, evaluate_recursive,
-                    evaluate_recursive_parity, from_colored_diagram,
+                    evaluate_recursive, evaluate_recursive_parity,
+                    from_colored_diagram,
                     magnetic_parity, parse_trace_diagram, ri_reducible,
                     skein_identity_check, smooth_crossing,
                     trace_move_fixture_check)

@@ -176,6 +176,13 @@ def trivial_biquandle(n: int) -> Biquandle:
     return Biquandle(rows, rows)
 
 
+def content_lines(text: str) -> List[Tuple[int, str]]:
+    """The (file line number, text) of each line that holds more than a
+    ``#`` comment, stripped of the comment."""
+    return [(i, ln) for i, raw in enumerate(text.splitlines(), start=1)
+            if (ln := raw.split("#", 1)[0].strip())]
+
+
 def parse_biquandle(text: str) -> Biquandle:
     """Parse the block-matrix file format.
 
@@ -183,19 +190,19 @@ def parse_biquandle(text: str) -> Biquandle:
     1-indexed entries forming the block matrix [under | over].  ``#``
     starts a comment, anywhere on a line.
     """
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = content_lines(text)
     if not lines:
         raise ValueError("empty biquandle file")
+    (first, size), rows = lines[0], lines[1:]
     try:
-        n = int(lines[0])
+        n = int(size)
     except ValueError:
-        raise ValueError(f"line 1: expected the size n, got {lines[0]!r}") from None
-    _check_size(n, "line 1")
-    if len(lines) != n + 1:
-        raise ValueError(f"expected {n} matrix rows, found {len(lines) - 1}")
+        raise ValueError(f"line {first}: expected the size n, got {size!r}") from None
+    _check_size(n, f"line {first}")
+    if len(rows) != n:
+        raise ValueError(f"expected {n} matrix rows, found {len(rows)}")
     under, over = [], []
-    for i, ln in enumerate(lines[1:], start=2):
+    for i, ln in rows:
         entries = ln.split()
         if len(entries) != 2 * n:
             raise ValueError(f"line {i}: expected {2 * n} entries, found {len(entries)}")

@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .biquandle import Biquandle
+from .biquandle import Biquandle, content_lines
 from .coloring import enumerate_colorings, positive_frame, validate_coloring
 from .diagram import (SMOOTHINGS, Crossing, OrientedDiagram, contract, state_pairings,
                       writhe_counts)
@@ -393,26 +393,26 @@ def homflypt_coefficients(beta: BiquandleBracket, x: int):
 def parse_bracket_tables(text: str, bq: Biquandle):
     """Parse ``ring mod <n>`` or ``ring laurent`` followed by the [A|B] rows
     into (ring, A, B), without checking the bracket conditions."""
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = content_lines(text)
     if not lines:
         raise ValueError("empty bracket file")
-    head = lines[0].split()
-    if head == ["ring", "laurent"]:
+    (first, head), rows = lines[0], lines[1:]
+    words = head.split()
+    if words == ["ring", "laurent"]:
         ring = LaurentRing()
-    elif len(head) == 3 and head[:2] == ["ring", "mod"]:
+    elif len(words) == 3 and words[:2] == ["ring", "mod"]:
         try:
-            ring = ModRing(int(head[2]))
+            ring = ModRing(int(words[2]))
         except ValueError as e:
-            raise ValueError(f"line 1: bad modulus {head[2]!r}: {e}") from None
+            raise ValueError(f"line {first}: bad modulus {words[2]!r}: {e}") from None
     else:
         raise ValueError("bracket file must start with 'ring mod <n>' or 'ring laurent', "
-                         f"got {lines[0]!r}")
+                         f"got {head!r}")
     n = bq.n
-    if len(lines) != n + 1:
-        raise ValueError(f"expected {n} coefficient rows, found {len(lines) - 1}")
+    if len(rows) != n:
+        raise ValueError(f"expected {n} coefficient rows, found {len(rows)}")
     A, B = [], []
-    for i, ln in enumerate(lines[1:], start=2):
+    for i, ln in rows:
         entries = ln.split()
         if len(entries) != 2 * n:
             raise ValueError(f"line {i}: expected {2 * n} entries, found {len(entries)}")

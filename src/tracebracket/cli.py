@@ -26,10 +26,12 @@ class InputError(Exception):
 
 
 def _read(path: str) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"no such file: {path}")
-    return p.read_text()
+    try:
+        return Path(path).read_text()
+    except FileNotFoundError:
+        raise InputError(f"no such file: {path}") from None
+    except OSError as e:
+        raise InputError(f"{path}: {e.strerror}") from None
 
 
 def _load_biquandle(spec: str, verify: bool = True) -> bqmod.Biquandle:

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Sequence, Tuple
 
+from .biquandle import content_lines
+
 
 @dataclass(frozen=True)
 class Crossing:
@@ -204,10 +206,7 @@ def parse_diagram(text: str) -> OrientedDiagram:
     """
     rows = []
     free_loops = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        ln = raw.split("#", 1)[0].strip()
-        if not ln:
-            continue
+    for lineno, ln in content_lines(text):
         parts = ln.split()
         if parts[0] == "loops":
             if len(parts) != 2:

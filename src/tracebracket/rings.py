@@ -140,23 +140,20 @@ Monomial = Tuple[int, int]  # exponent pair (i, j) for A^i * B^j
 
 
 class LaurentRing:
-    """Integer Laurent polynomials in two variables (default ``A``, ``B``)."""
+    """Integer Laurent polynomials in the two variables ``A`` and ``B``;
+    every instance is the same ring."""
 
-    def __init__(self, var_a: str = "A", var_b: str = "B"):
-        if var_a == var_b:
-            raise ValueError("variable names must be distinct")
-        self.var_a = var_a
-        self.var_b = var_b
+    var_a = "A"
+    var_b = "B"
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, LaurentRing) and other.var_a == self.var_a
-                and other.var_b == self.var_b)
+        return isinstance(other, LaurentRing)
 
     def __hash__(self) -> int:
-        return hash(("laurent", self.var_a, self.var_b))
+        return hash("laurent")
 
     def __repr__(self) -> str:
-        return f"LaurentRing({self.var_a!r}, {self.var_b!r})"
+        return "LaurentRing()"
 
     def element(self, terms: Dict[Monomial, int]) -> "LaurentElement":
         return LaurentElement(self, terms)

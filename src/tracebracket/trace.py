@@ -1,8 +1,8 @@
-"""Colored trace diagrams: the full state sum, crossingless evaluation,
-the skein relation at a diagonal-pair crossing, magnetic parity, the
-parity fast evaluator, and diagrammatic verification of the trace moves on
-fixed three-strand tangles, each move compiled once per biquandle into
-identities in the bracket's coefficient entries.
+"""Colored trace diagrams: the full state sum, the skein relation at a
+diagonal-pair crossing, magnetic parity and kink reducibility, the parity
+fast evaluator, and diagrammatic verification of the trace moves on fixed
+three-strand tangles, each move compiled once per biquandle into identities
+in the bracket's coefficient entries.
 
 A trace diagram is a set of rows over edge labels, one row per node, with
 the roles of ``diagram.Crossing``: (u_in, o_in, o_out, u_out).  Nodes are
@@ -18,7 +18,11 @@ crossing is walked through, an ``a`` trace continues the strand through
 u_in into o_out (and o_in into u_out), and a ``b`` trace joins its two
 inputs into a sink and its two outputs into a source.  Deleting a ``b``
 trace leaves a cap and a cup, so its ends reverse orientation along the
-curve; these are the vertices magnetic parity counts.
+curve; these are the vertices magnetic parity counts.  ``TraceDiagram.curves``
+walks each component of the trace-deleted curve once, and the circle count,
+magnetic parity and kink reducibility are all read off that walk.  The
+paper's stop condition, a magnetic parity at every crossing and kink
+reducibility, reduces to kink reducibility alone.
 
 The full state sum runs on ``diagram.contract`` over the edge labels.  A
 crossing offers both smoothings, each weighted by its coefficient and by
@@ -36,12 +40,11 @@ from functools import cached_property, lru_cache, partial
 from math import prod
 from typing import Dict, Hashable, List, Sequence, Tuple
 
-from .biquandle import Biquandle
+from .biquandle import Biquandle, content_lines
 from .bracket import (BiquandleBracket, coefficient_pair, crossing_coefficient_pair,
                       homflypt_coefficients, smoothing_coefficient)
 from .coloring import _propagate, crossing_outputs, positive_frame, validate_coloring
-from .diagram import (SMOOTHINGS, OrientedDiagram, contract, join_ends, switch_crossing,
-                      validate_diagram)
+from .diagram import SMOOTHINGS, OrientedDiagram, contract, switch_crossing, validate_diagram
 
 
 class MultiComponentCrossingError(ValueError):
@@ -89,13 +92,31 @@ class TraceDiagram:
         return sorted(i for i, n in self.nodes.items() if n.kind != "x")
 
     @cached_property
-    def ends(self) -> Dict[Hashable, List[Tuple[int, str]]]:
-        """Each edge label -> the (node, role) slots it joins."""
+    def curves(self) -> List[List[Tuple[int, int]]]:
+        """The trace-deleted curve of a closed diagram, walked once: each
+        component's crossing passes in walking order, each with the number of
+        sink/source visits made before it.  A component that meets no
+        crossing is an empty list."""
         ends: Dict[Hashable, List[Tuple[int, str]]] = {}
         for nid, n in self.nodes.items():
             for role in _ROLES:
                 ends.setdefault(getattr(n, role), []).append((nid, role))
-        return ends
+        curves, seen = [], set()
+        for label, (here, _) in ends.items():
+            if label in seen:
+                continue
+            passes, visits = [], 0
+            while label not in seen:
+                seen.add(label)
+                nid, role = next(end for end in ends[label] if end != here)
+                node = self.nodes[nid]
+                if node.kind == "x":
+                    passes.append((nid, visits))
+                visits += node.kind == "b"
+                here = (nid, _PARTNER[node.kind][role])
+                label = getattr(node, here[1])
+            curves.append(passes)
+        return curves
 
 
 def from_colored_diagram(d: OrientedDiagram, bq: Biquandle,
@@ -151,22 +172,8 @@ def _trace_state_sum(td: TraceDiagram, beta: BiquandleBracket) -> Dict[frozenset
 
 
 def circles_trace_deleted(td: TraceDiagram) -> int:
-    """Components of the curve system after deleting all traces.
-
-    Crossings are walked through; trace nodes contribute their cap/cup or
-    pass-through pairings, which is exactly what deletion leaves behind.
-    """
-    mate: Dict[Hashable, Hashable] = {}
-    return td.free_circles + sum(join_ends(mate, a, b)
-                                 for n in td.nodes.values()
-                                 for a, b in n.joins(_PASS[n.kind]))
-
-
-def evaluate_crossingless(td: TraceDiagram, beta: BiquandleBracket):
-    """w^(n-p) * delta^k for a diagram with no crossings left."""
-    if td.crossings():
-        raise ValueError("diagram still has crossings")
-    return _trace_state_sum(td, beta)[frozenset()]
+    """Components of the curve system after deleting all traces."""
+    return td.free_circles + len(td.curves)
 
 
 def evaluate_recursive(td: TraceDiagram, beta: BiquandleBracket):
@@ -213,56 +220,42 @@ def skein_identity_check(d: OrientedDiagram, bq: Biquandle, beta: BiquandleBrack
 def magnetic_parity(td: TraceDiagram, cid: int) -> str:
     """'odd', 'even', or 'multi' for one crossing.
 
-    Walks the trace-deleted curve out of the under-pass exit until it comes
-    back to the crossing at its over-pass or its under-pass.  At each node
-    the walk leaves by the role that ``_PASS`` pairs with the one it arrived
-    at; a partner on the same side (a sink or a source) reverses the
-    direction of travel, and these reversals are counted.
+    'multi' when the crossing passes its component of the trace-deleted
+    curve only once (its other pass lies on another component); otherwise
+    the parity of the sink/source visits between its two passes, where the
+    walk reverses direction.  Every component makes an even number of such
+    visits, so both arcs between the passes give the same parity.
     """
     if td.nodes[cid].kind != "x":
         raise ValueError(f"node {cid} is not a crossing")
-    count = 0
-    here = (cid, "u_out")
-    for _ in range(4 * len(td.nodes) + 4):
-        first, second = td.ends[getattr(td.nodes[here[0]], here[1])]
-        nid, role = second if first == here else first
-        if nid == cid:
-            if role.startswith("o"):
-                return "odd" if count % 2 else "even"
-            return "multi"              # back at the under-pass
-        leave = _PARTNER[td.nodes[nid].kind][role]
-        count += role.endswith("in") == leave.endswith("in")
-        here = (nid, leave)
-    raise RuntimeError("parity walk did not terminate")
+    for curve in td.curves:
+        visits = [v for c, v in curve if c == cid]
+        if visits:
+            break
+    if len(visits) == 1:
+        return "multi"
+    return "odd" if (visits[1] - visits[0]) % 2 else "even"
 
 
 def ri_reducible(td: TraceDiagram) -> bool:
     """Can the trace-deleted diagram be unknotted by kink removal alone?
 
-    A kink is a crossing two of whose under/over slots are joined by an arc
-    meeting no other crossing; removing it joins the two remaining slots.
+    A kink is a crossing whose two passes are adjacent on a curve, and
+    removing it makes its neighbours adjacent.  So a curve empties exactly
+    when no two of its crossings interleave along it, whatever the order of
+    removal and wherever the walk starts: push each crossing, and pop it
+    when it comes back on top.  A multi-component crossing passes its curve
+    once and never pops.
     """
-    # the arcs between crossing slots, through edges and trace nodes only
-    mate: Dict[Hashable, Hashable] = {}
-    for nid, n in td.nodes.items():
-        if n.kind == "x":
-            for role in _ROLES:
-                join_ends(mate, (nid, role), getattr(n, role))
-        else:
-            for a, b in n.joins(_PASS[n.kind]):
-                join_ends(mate, a, b)
-    remaining = set(td.crossings())
-    while remaining:
-        kink = next(((cid, us, os_) for cid in sorted(remaining)
-                     for us, os_ in itertools.product(("u_in", "u_out"), ("o_in", "o_out"))
-                     if mate.get((cid, us)) == (cid, os_)), None)
-        if kink is None:
+    for curve in td.curves:
+        stack: List[int] = []
+        for cid, _ in curve:
+            if stack and stack[-1] == cid:
+                stack.pop()
+            else:
+                stack.append(cid)
+        if stack:
             return False
-        cid, us, os_ = kink
-        other_u = "u_out" if us == "u_in" else "u_in"
-        other_o = "o_out" if os_ == "o_in" else "o_in"
-        join_ends(mate, (cid, other_u), (cid, other_o))
-        remaining.discard(cid)
     return True
 
 
@@ -302,9 +295,9 @@ def evaluate_by_parity(td: TraceDiagram, beta: BiquandleBracket):
     return value
 
 
-def parity_applicable(td: TraceDiagram) -> bool:
-    return (all(magnetic_parity(td, cid) != "multi" for cid in td.crossings())
-            and ri_reducible(td))
+# every crossing of a kink-reducible diagram passes its own curve twice, so
+# the parity evaluator applies exactly when the diagram is kink-reducible
+parity_applicable = ri_reducible
 
 
 def evaluate_recursive_parity(td: TraceDiagram, beta: BiquandleBracket):
@@ -687,10 +680,7 @@ def parse_trace_diagram(text: str, bq: Biquandle) -> Tuple[TraceDiagram, Dict[in
     crossing_rows: List[Tuple] = []
     trace_rows: List[Tuple] = []
     colors: Dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        ln = raw.split("#", 1)[0].strip()
-        if not ln:
-            continue
+    for lineno, ln in content_lines(text):
         parts = ln.split()
         head = parts[0]
         if head in ("+", "-"):

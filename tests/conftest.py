@@ -2,6 +2,34 @@ import pytest
 
 from tracebracket import (alexander_biquandle, fixture_text, parse_biquandle,
                           parse_bracket, trivial_biquandle)
+from tracebracket.diagram import diagram
+
+
+def _braid_closure(word, strands=2):
+    """The closure of a braid word.  At sigma_k (k > 0) the strand at
+    position k passes over the one at k + 1, a positive crossing; -k is its
+    switch, sigma_k^-1."""
+    at = list(range(strands))            # semiarc currently at each position
+    rows = []
+    for g in word:
+        k = abs(g) - 1
+        left, right = at[k], at[k + 1]
+        fresh = strands + 2 * len(rows)
+        at[k], at[k + 1] = fresh, fresh + 1
+        if g > 0:
+            rows.append((1, right, left, at[k + 1], at[k]))
+        else:
+            rows.append((-1, left, right, at[k], at[k + 1]))
+    close = {s: p for p, s in enumerate(at)}    # top ends join the bottom ones
+    ids = sorted({close.get(s, s) for row in rows for s in row[1:]})
+    number = {s: i + 1 for i, s in enumerate(ids)}
+    return diagram([(row[0], *(number[close.get(s, s)] for s in row[1:]))
+                    for row in rows])
+
+
+@pytest.fixture(scope="session")
+def braid_closure():
+    return _braid_closure
 
 
 @pytest.fixture(scope="session")

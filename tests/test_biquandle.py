@@ -90,6 +90,13 @@ def test_parse_rejects_ragged_rows():
         parse_biquandle("2\n2 2 2 3\n1 1 1 1\n")   # entry out of range
 
 
+def test_parse_errors_name_file_lines():
+    with pytest.raises(ValueError, match="^line 3: expected 4 entries, found 3$"):
+        parse_biquandle("# c\n2\n2 2 2\n1 1 1 1\n")
+    with pytest.raises(ValueError, match="^line 2: expected the size n"):
+        parse_biquandle("# c\nx\n")
+
+
 BQ2_COMMENTED = """# two-element biquandle: both operations swap 1 and 2
 2  # size
 2 2 2 2  # row 1: under | over

@@ -173,28 +173,6 @@ def test_kink_stability_z5_family(bq3, br_z5):
         assert bracket_invariant(unknot_kink(-1), bq3, beta).multiset_str() == base
 
 
-def _braid_closure(word, strands=2):
-    """The closure of a braid word.  At sigma_k (k > 0) the strand at
-    position k passes over the one at k + 1, a positive crossing; -k is its
-    switch, sigma_k^-1."""
-    at = list(range(strands))            # semiarc currently at each position
-    rows = []
-    for g in word:
-        k = abs(g) - 1
-        left, right = at[k], at[k + 1]
-        fresh = strands + 2 * len(rows)
-        at[k], at[k + 1] = fresh, fresh + 1
-        if g > 0:
-            rows.append((1, right, left, at[k + 1], at[k]))
-        else:
-            rows.append((-1, left, right, at[k], at[k + 1]))
-    close = {s: p for p, s in enumerate(at)}    # top ends join the bottom ones
-    ids = sorted({close.get(s, s) for row in rows for s in row[1:]})
-    number = {s: i + 1 for i, s in enumerate(ids)}
-    return diagram([(row[0], *(number[close.get(s, s)] for s in row[1:]))
-                    for row in rows])
-
-
 def _with_kink(d, s, sign, under_first):
     """``d`` with a kink of the given sign on semiarc ``s``.  The strand
     meets the kink crossing first on its under-pass (the loop joins u_out to
@@ -207,7 +185,8 @@ def _with_kink(d, s, sign, under_first):
     return diagram(rows)
 
 
-def test_coefficient_pair_reidemeister_class(bq1, bq2, bq3, a312, br_gen, br_z7, br_z5):
+def test_coefficient_pair_reidemeister_class(bq1, bq2, bq3, a312, br_gen, br_z7, br_z5,
+                                              braid_closure):
     # One knot drawn seven ways: the trefoil, the trefoil with a kink of each
     # sign in each loop shape, the closure of sigma_1^3, and that closure
     # with sigma_1 sigma_1^-1 or sigma_1^-1 sigma_1 inserted.  A single kink
@@ -218,7 +197,7 @@ def test_coefficient_pair_reidemeister_class(bq1, bq2, bq3, a312, br_gen, br_z7,
     drawings = [trefoil]
     drawings += [_with_kink(trefoil, 1, sign, under_first)
                  for sign in (1, -1) for under_first in (True, False)]
-    drawings += [_braid_closure(w) for w in ((1, 1, 1), (1, -1, 1, 1, 1), (-1, 1, 1, 1, 1))]
+    drawings += [braid_closure(w) for w in ((1, 1, 1), (1, -1, 1, 1, 1), (-1, 1, 1, 1, 1))]
     assert all(validate_diagram(d).ok for d in drawings)
     cases = ([("bq1/laurent", bq1, br_gen), ("bq2/z7", bq2, br_z7)]
              + [(f"bq3/z5_{i}", bq3, b) for i, b in enumerate(br_z5, start=1)])
@@ -323,14 +302,14 @@ def test_skein_precondition_rejected(bq2, br_z7):
 
 
 def test_skein_identity_at_every_diagonal_pair_crossing(bq1, bq2, bq3, br_gen, br_z7,
-                                                        br_z5):
+                                                        br_z5, braid_closure):
     # The check needs only a diagonal coefficient pair (x, x) at the crossing.
     # Every crossing the fixed-point rule accepted (equal inputs x with
     # under(x, x) == x) reads a diagonal pair, so it is checked too.
     rng = random.Random(2017)
     drawings = [unknot_kink(1), unknot_kink(-1), hopf_pos(), trefoil_pos(), trefoil_rii()]
-    drawings += [_braid_closure([rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(3, 7))],
-                                strands=3)
+    drawings += [braid_closure([rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(3, 7))],
+                               strands=3)
                  for _ in range(10)]
     cases = [(bq1, br_gen), (bq2, br_z7)] + [(bq3, beta) for beta in br_z5]
     cases += [(bq2, beta) for i, (beta, _) in enumerate(search_brackets(bq2, 5))
@@ -364,6 +343,13 @@ def test_delta_w_recomputation_consistency(br_z7, br_z5):
         ws = {-(beta.A[x][x] * beta.A[x][x] * beta.B[x][x].inverse())
               for x in range(beta.bq.n)}
         assert ws == {beta.w}
+
+
+def test_parse_errors_name_file_lines(bq2):
+    with pytest.raises(ValueError, match="^line 4: expected 4 entries, found 3$"):
+        parse_bracket("# c\nring mod 5\n# x\n1 1 4\n1 1 4 4\n", bq2)
+    with pytest.raises(ValueError, match="^line 2: bad modulus 'x'"):
+        parse_bracket("# c\nring mod x\n", bq2)
 
 
 def test_serialize_round_trip(bq2, br_z7, bq1, br_gen):

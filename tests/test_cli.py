@@ -225,6 +225,11 @@ def test_json_output_is_one_line(capsys):
         assert json.loads(lines[0])["command"] == argv[0]
 
 
+def test_directory_as_file_exit_2(capsys, tmp_path):
+    assert_input_error(capsys, ["colorings", str(tmp_path), "trivial(2)"], "Is a directory")
+    assert_input_error(capsys, ["verify-biquandle", str(tmp_path)], "Is a directory")
+
+
 def test_eval_trace_malformed_file_exit_2(capsys, tmp_path):
     fixture = fixture_text("trace_phi.tdg")
     kink = "+ 1 2 1 2\ncolor 1 1\ncolor 2 1\n"

@@ -9,7 +9,7 @@ from tracebracket.bracket import (bracket_invariant, classify_adequacy,
                                   constant_bracket, crossing_coefficient_pair,
                                   make_bracket, state_sum)
 from tracebracket.coloring import enumerate_colorings
-from tracebracket.diagram import (diagram, hopf_pos, trefoil_pos, trefoil_rii,
+from tracebracket.diagram import (diagram, hopf_pos, join_ends, trefoil_pos, trefoil_rii,
                                   unknot0, unknot_kink, writhe_counts)
 from tracebracket.rings import ModRing
 from tracebracket.search import search_brackets
@@ -17,10 +17,10 @@ from tracebracket.trace import (MultiComponentCrossingError,
                                 NotRIReducibleError, TraceDiagram, all_moves,
                                 circles_trace_deleted, diagrammatic_adequacy,
                                 diagrammatic_passthrough, evaluate_by_parity,
-                                evaluate_crossingless, evaluate_open,
-                                evaluate_recursive, evaluate_recursive_parity,
-                                from_colored_diagram, magnetic_parity,
-                                move_by_id, parse_trace_diagram, parity_applicable,
+                                evaluate_open, evaluate_recursive,
+                                evaluate_recursive_parity, from_colored_diagram,
+                                magnetic_parity, move_by_id, parse_trace_diagram,
+                                parity_applicable, passthrough_moves,
                                 replace_with_trace, ri_reducible,
                                 smooth_crossing, trace_move_fixture_check,
                                 _seed_identities, _tangle_trace_diagram)
@@ -63,6 +63,18 @@ ORACLE_PASS = {"x": (("u_in", "u_out"), ("o_in", "o_out")),
                "a": (("u_in", "o_out"), ("o_in", "u_out")),
                "b": (("u_in", "o_in"), ("u_out", "o_out"))}
 ROLES = ("u_in", "o_in", "o_out", "u_out")
+# the role each role is paired with by ORACLE_PASS
+ORACLE_PARTNER = {kind: {r: s for pair in pairs for r, s in (pair, pair[::-1])}
+                  for kind, pairs in ORACLE_PASS.items()}
+
+
+def oracle_ends(td):
+    """Each edge label -> the (node, role) slots it joins."""
+    ends = {}
+    for nid, node in td.nodes.items():
+        for role in ROLES:
+            ends.setdefault(getattr(node, role), []).append((nid, role))
+    return ends
 
 
 def brute_force_state_sum(d, coloring, beta):
@@ -179,7 +191,8 @@ def test_negative_crossing_coefficient_inverted(bq1, br_gen):
 
 def test_crossingless_values(bq1, br_gen):
     td = from_colored_diagram(unknot0(), bq1, (0,))
-    assert evaluate_crossingless(td, br_gen) == br_gen.delta
+    assert td.crossings() == []
+    assert evaluate_recursive(td, br_gen) == br_gen.delta
     # two circles, one +A trace and one -B trace: w cancels, delta^2
     td = from_colored_diagram(hopf_pos(), bq1, (0,) * 4)
     td = replace_with_trace(td, 0, "A")
@@ -191,7 +204,8 @@ def test_crossingless_values(bq1, br_gen):
     nodes[ids[1]] = dataclasses.replace(nodes[ids[1]], sign=-1)
     td2 = TraceDiagram(nodes, td.free_circles)
     k = circles_trace_deleted(td2)
-    assert evaluate_crossingless(td2, br_gen) == br_gen.delta ** k
+    assert td2.crossings() == []
+    assert evaluate_recursive(td2, br_gen) == br_gen.delta ** k
 
 
 def test_worked_trace_example(bq1, bq2, br_gen, br_z7):
@@ -267,12 +281,7 @@ def test_parity_stop_recursion_matches(bq1, bq2, bq3, br_gen, br_z7, br_z5):
 def reversals_per_component(td):
     """Walk each component of the trace-deleted curve once, counting the
     sink/source visits, where the walk leaves a node on the side it arrived."""
-    ends = {}
-    for nid, node in td.nodes.items():
-        for role in ROLES:
-            ends.setdefault(getattr(node, role), []).append((nid, role))
-    partner = {kind: {r: s for pair in pairs for r, s in (pair, pair[::-1])}
-               for kind, pairs in ORACLE_PASS.items()}
+    ends = oracle_ends(td)
     seen, counts = set(), []
     for start in ends:
         if start in seen:
@@ -281,7 +290,7 @@ def reversals_per_component(td):
         while label not in seen:
             seen.add(label)
             nid, role = next(end for end in ends[label] if end != here)
-            leave = partner[td.nodes[nid].kind][role]
+            leave = ORACLE_PARTNER[td.nodes[nid].kind][role]
             reversals += role.endswith("in") == leave.endswith("in")
             here = (nid, leave)
             label = getattr(td.nodes[nid], leave)
@@ -322,6 +331,98 @@ def test_hopf_multicomponent_with_b_trace(bq2, br_z7):
     td = from_colored_diagram(hopf_pos(), bq2, col)
     assert magnetic_parity(replace_with_trace(td, 0, "A"), 1) == "even"
     assert magnetic_parity(replace_with_trace(td, 0, "B"), 1) == "odd"
+
+
+def reference_parity(td, cid):
+    """Magnetic parity by its own walk: out of the crossing's under-pass exit
+    until the walk comes back to the crossing, counting the sink/source
+    visits; 'multi' if it comes back at the under-pass."""
+    ends = oracle_ends(td)
+    count, here = 0, (cid, "u_out")
+    for _ in range(4 * len(td.nodes) + 4):
+        first, second = ends[getattr(td.nodes[here[0]], here[1])]
+        nid, role = second if first == here else first
+        if nid == cid:
+            if role.startswith("o"):
+                return "odd" if count % 2 else "even"
+            return "multi"
+        leave = ORACLE_PARTNER[td.nodes[nid].kind][role]
+        count += role.endswith("in") == leave.endswith("in")
+        here = (nid, leave)
+    raise AssertionError("parity walk did not terminate")
+
+
+def reference_ri_reducible(td):
+    """Kink removal on the arcs between crossing slots: remove any crossing
+    whose under and over slots are joined by an arc, and join its other two
+    slots, until no crossing or no kink is left."""
+    mate = {}
+    for nid, node in td.nodes.items():
+        if node.kind == "x":
+            for role in ROLES:
+                join_ends(mate, (nid, role), getattr(node, role))
+        else:
+            for r, s in ORACLE_PASS[node.kind]:
+                join_ends(mate, getattr(node, r), getattr(node, s))
+    remaining = set(td.crossings())
+    while remaining:
+        kink = next(((cid, us, os_) for cid in sorted(remaining)
+                     for us, os_ in itertools.product(("u_in", "u_out"), ("o_in", "o_out"))
+                     if mate.get((cid, us)) == (cid, os_)), None)
+        if kink is None:
+            return False
+        cid, us, os_ = kink
+        join_ends(mate, (cid, "u_out" if us == "u_in" else "u_in"),
+                  (cid, "o_out" if os_ == "o_in" else "o_in"))
+        remaining.discard(cid)
+    return True
+
+
+def reference_circles(td):
+    """Trace-deleted circles by joining path ends."""
+    mate = {}
+    return td.free_circles + sum(join_ends(mate, getattr(node, r), getattr(node, s))
+                                 for node in td.nodes.values()
+                                 for r, s in ORACLE_PASS[node.kind])
+
+
+def test_curve_walk_matches_reference_walks(bq1, bq2, bq3, a312, braid_closure):
+    # seeded closures of 2- to 4-strand braids with random A/B traces
+    rng = random.Random(1117)
+    parities, verdicts, checked = [], set(), 0
+    for bq in (bq1, bq2, bq3, a312):
+        for _ in range(300):
+            strands = rng.randint(2, 4)
+            word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                    for _ in range(rng.randint(strands - 1, 12))]
+            d = braid_closure(word, strands)
+            td = from_colored_diagram(d, bq, rng.choice(enumerate_colorings(d, bq)))
+            for cid in rng.sample(td.crossings(), rng.randint(0, len(td.crossings()))):
+                td = replace_with_trace(td, cid, rng.choice("AB"))
+            expected = [reference_parity(td, cid) for cid in td.crossings()]
+            assert [magnetic_parity(td, cid) for cid in td.crossings()] == expected
+            reducible = reference_ri_reducible(td)
+            assert ri_reducible(td) == reducible
+            assert parity_applicable(td) == reducible
+            # the reference stop test (a parity at every crossing, and kink
+            # reducibility) is kink reducibility alone
+            reference_applicable = "multi" not in expected and reducible
+            assert reference_applicable == reducible
+            assert circles_trace_deleted(td) == reference_circles(td)
+            parities += expected
+            verdicts.add(reducible)
+            checked += 1
+    assert checked >= 1000
+    assert set(parities) == {"multi", "odd", "even"}
+    assert verdicts == {True, False}
+
+
+def test_curves_keep_components_without_crossings(bq1):
+    td = from_colored_diagram(hopf_pos(), bq1, (0,) * 4)
+    td = replace_with_trace(replace_with_trace(td, 0, "A"), 1, "B")
+    assert td.curves == [[]] * reference_circles(td)
+    kink = from_colored_diagram(unknot_kink(1), bq1, (0, 0))
+    assert kink.curves == [[(0, 0), (0, 0)]]
 
 
 def test_tangle_seeds_that_miss_a_wire_raise(bq2):
@@ -397,6 +498,34 @@ def test_move_catalog_counts():
     assert sum(1 for m in moves if m.move_id.startswith("over")) == 8
     assert sum(1 for m in moves if m.move_id.startswith("under")) == 8
     assert sum(1 for m in moves if m.move_id.startswith("through")) == 8
+
+
+def test_passthrough_tangles_wiring():
+    # no bracket involved: c0 joined by the B smoothing, every other crossing
+    # walked straight through
+    for move in passthrough_moves():
+        pairings, s_over = [], set()
+        for side in (move.before, move.after):
+            rows = [dict(zip(ROLES, row[1:])) for row in side]
+            adj = {}
+            for i, row in enumerate(rows):
+                for r, s in ORACLE_SMOOTHINGS["B"] if i == 0 else ORACLE_PASS["x"]:
+                    adj.setdefault(row[r], []).append(row[s])
+                    adj.setdefault(row[s], []).append(row[r])
+            arcs = list(components(adj))
+            arc = {label: k for k, labels in enumerate(arcs) for label in labels}
+            boundary = ("Sin", "Sout", "Uin", "Uout", "Vin", "Vout")
+            pairings.append({frozenset(set(labels) & set(boundary)) for labels in arcs})
+            sink, source = arc[rows[0]["u_in"]], arc[rows[0]["u_out"]]
+            crossed = []
+            for row in rows[1:]:
+                over = arc[row["o_in"]] == arc["Sin"]
+                s_over.add(over)
+                crossed.append(arc[row["u_in" if over else "o_in"]])
+            assert sink != source and sorted(crossed) == sorted((sink, source)), move.move_id
+        assert pairings[0] == pairings[1], move.move_id
+        assert all(len(pair) == 2 for pair in pairings[0])
+        assert len(s_over) == 1, move.move_id
 
 
 def test_diagrammatic_matches_algebraic_adequacy(bq3, br_z5, bq2, br_z7):
