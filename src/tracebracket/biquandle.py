@@ -16,6 +16,7 @@ matrices directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
@@ -159,6 +160,9 @@ def verify_biquandle(bq: Biquandle) -> BiquandleReport:
     return BiquandleReport(ok=not bad, violations=tuple(bad))
 
 
+# A Biquandle is never changed after construction, so the inline
+# constructors hand every caller the same instance for the same arguments.
+@lru_cache(maxsize=64)
 def alexander_biquandle(n: int, t: int, s: int) -> Biquandle:
     """Linear biquandle on Z_n with under(x, y) = t*x + (s-t)*y, over(x, y) = s*x."""
     if gcd(t % n, n) != 1:
@@ -170,6 +174,7 @@ def alexander_biquandle(n: int, t: int, s: int) -> Biquandle:
     return Biquandle(under, over)
 
 
+@lru_cache(maxsize=64)
 def trivial_biquandle(n: int) -> Biquandle:
     """under(x, y) = over(x, y) = x."""
     rows = [[x] * n for x in range(n)]

@@ -8,10 +8,11 @@ with sorted keys, in a stable schema:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, Iterable, List, Optional
 
 from . import biquandle as bqmod
 from . import bracket as brmod
@@ -69,11 +70,13 @@ def _load_bracket(path: str, bq: bqmod.Biquandle) -> brmod.BiquandleBracket:
         raise InputError(f"{path}: {e}") from e
 
 
-def _emit(args, payload: dict, text_lines: List[str]) -> None:
+def _emit(args, payload: dict, text_lines: Callable[[], Iterable[str]]) -> None:
+    """Print the payload as JSON, or else the lines ``text_lines()`` gives,
+    which are built only in text mode."""
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -83,7 +86,7 @@ def cmd_verify_biquandle(args) -> int:
     findings = [v.describe() for v in report.violations]
     _emit(args, {"command": "verify-biquandle", "inputs": {"biquandle": args.biquandle},
                  "result": "pass" if report.ok else "fail", "witnesses": findings},
-          ["pass"] if report.ok else findings)
+          lambda: ["pass"] if report.ok else findings)
     return 0 if report.ok else 1
 
 
@@ -100,12 +103,12 @@ def cmd_verify_bracket(args) -> int:
                      "inputs": {"biquandle": args.biquandle, "bracket": args.bracket},
                      "result": {"delta": str(beta.delta), "w": str(beta.w)},
                      "witnesses": []},
-              [f"valid bracket: delta = {beta.delta}, w = {beta.w}"])
+              lambda: [f"valid bracket: delta = {beta.delta}, w = {beta.w}"])
         return 0
     findings = [v.describe() for v in check.violations]
     _emit(args, {"command": "verify-bracket",
                  "inputs": {"biquandle": args.biquandle, "bracket": args.bracket},
-                 "result": "fail", "witnesses": findings}, findings)
+                 "result": "fail", "witnesses": findings}, lambda: findings)
     return 1
 
 
@@ -113,10 +116,12 @@ def cmd_colorings(args) -> int:
     d = _load_diagram(args.diagram)
     bq = _load_biquandle(args.biquandle)
     cols = colmod.enumerate_colorings(d, bq)
-    lines = []
-    for col in cols:
-        lines.append(" ".join(f"{s}={c + 1}" for s, c in enumerate(col, start=1)))
-    lines.append(f"count: {len(cols)}")
+
+    def lines():
+        for col in cols:
+            yield " ".join(f"{s}={c + 1}" for s, c in enumerate(col, start=1))
+        yield f"count: {len(cols)}"
+
     _emit(args, {"command": "colorings",
                  "inputs": {"diagram": args.diagram, "biquandle": args.biquandle},
                  "result": {"count": len(cols),
@@ -136,7 +141,7 @@ def cmd_invariant(args) -> int:
                  "result": {"multiset": {str(v): m for v, m in inv.sorted_items()},
                             "polynomial": inv.polynomial_str()},
                  "witnesses": []},
-          [f"multiset: {inv.multiset_str()}", f"poly: {inv.polynomial_str()}"])
+          lambda: [f"multiset: {inv.multiset_str()}", f"poly: {inv.polynomial_str()}"])
     return 0
 
 
@@ -154,7 +159,8 @@ def cmd_classify(args) -> int:
                  "result": {"class": cls.label(),
                             "passthrough": cls.passthrough},
                  "witnesses": witnesses},
-          [cls.label(), f"passthrough: {'yes' if cls.passthrough else 'no'}"] + witnesses)
+          lambda: [cls.label(), f"passthrough: {'yes' if cls.passthrough else 'no'}"]
+          + witnesses)
     return 0
 
 
@@ -162,26 +168,24 @@ def cmd_search(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise InputError(f"--limit {args.limit} is negative")
     bq = _load_biquandle(args.biquandle)
-    lines = []
-    results = []
-    count = 0
-    for beta, cls in search_brackets(bq, args.mod, classification=args.classification,
-                                     limit=args.limit):
-        count += 1
-        rows = []
-        for x in range(bq.n):
-            rows.append(" ".join(str(beta.A[x][y]) for y in range(bq.n)) + " | "
-                        + " ".join(str(beta.B[x][y]) for y in range(bq.n)))
-        lines.extend(rows)
-        lines.append(f"class: {cls.label()}  passthrough: {'yes' if cls.passthrough else 'no'}")
-        lines.append("")
-        results.append({"A": [[str(e) for e in row] for row in beta.A],
-                        "B": [[str(e) for e in row] for row in beta.B],
-                        "class": cls.label(), "passthrough": cls.passthrough})
-    lines.append(f"found: {count}")
+    results = [{"A": [[str(e) for e in row] for row in beta.A],
+                "B": [[str(e) for e in row] for row in beta.B],
+                "class": cls.label(), "passthrough": cls.passthrough}
+               for beta, cls in search_brackets(bq, args.mod,
+                                                classification=args.classification,
+                                                limit=args.limit)]
+
+    def lines():
+        for r in results:
+            for row_a, row_b in zip(r["A"], r["B"]):
+                yield " ".join(row_a) + " | " + " ".join(row_b)
+            yield f"class: {r['class']}  passthrough: {'yes' if r['passthrough'] else 'no'}"
+            yield ""
+        yield f"found: {len(results)}"
+
     _emit(args, {"command": "search",
                  "inputs": {"biquandle": args.biquandle, "mod": args.mod},
-                 "result": {"count": count, "brackets": results}, "witnesses": []},
+                 "result": {"count": len(results), "brackets": results}, "witnesses": []},
           lines)
     return 0
 
@@ -204,7 +208,7 @@ def cmd_eval_trace(args) -> int:
                  "inputs": {"trace_file": args.trace_file, "biquandle": args.biquandle,
                             "bracket": args.bracket, "method": args.method},
                  "result": {"value": str(value), "parities": parities}, "witnesses": []},
-          [f"value: {value}"] + [f"parity[{c}]: {p}" for c, p in parities.items()])
+          lambda: [f"value: {value}"] + [f"parity[{c}]: {p}" for c, p in parities.items()])
     return 0
 
 
@@ -232,12 +236,15 @@ def cmd_skein_check(args) -> int:
                  "inputs": {"diagram": args.diagram, "crossing": args.crossing},
                  "result": {"checked": checked, "ok": ok},
                  "witnesses": failures},
-          [f"checked {checked} colorings: " + ("all satisfy the skein identity"
-                                               if ok else f"{len(failures)} failures")])
+          lambda: [f"checked {checked} colorings: " + ("all satisfy the skein identity"
+                                                       if ok else f"{len(failures)} failures")])
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    :func:`main` call in the process."""
     parser = argparse.ArgumentParser(
         prog="tracebracket",
         description="biquandle counting and bracket invariants of oriented links")

@@ -169,23 +169,21 @@ def _dfs_colorings(d: OrientedDiagram, bq: Biquandle) -> List[Coloring]:
     m = d.n_semiarcs
     frames = _frames(d)
     results: List[Coloring] = []
-
-    def search(colors: List[Optional[int]]) -> None:
+    stack: List[List[Optional[int]]] = [[None] * m]
+    while stack:
+        colors = stack.pop()
         if not _propagate(frames, bq, colors):
-            return
-        try:
-            s = next(i for i in range(m) if colors[i] is None)
-        except StopIteration:
+            continue
+        s = next((i for i in range(m) if colors[i] is None), None)
+        if s is None:
             final = tuple(colors)  # type: ignore[arg-type]
             if validate_coloring(d, bq, final + (0,) * d.free_loops):
                 results.append(final)
-            return
+            continue
         for v in range(bq.n):
             branch = list(colors)
             branch[s] = v
-            search(branch)
-
-    search([None] * m)
+            stack.append(branch)
     return _extend_free_loops(d, bq, results)
 
 

@@ -81,6 +81,37 @@ def _equations_hold(ring: ModRing, A, B, delta, triples) -> bool:
     return True
 
 
+def _orbit_representatives(ring: ModRing, n: int, slots: List[int], ready_at,
+                           delta: int, pair_choices) -> Iterator[Tuple[list, list]]:
+    """Depth-first over the slots in order, one (A, B) unit pair per slot,
+    with A = 1 at the first slot.  Yields the flat tables A, B at each full
+    assignment whose checked triples all hold; both lists are reused, so
+    read them before the next one."""
+    A = [0] * (n * n)
+    B = [0] * (n * n)
+    last = len(slots) - 1
+    # (k, a, b, w): put (a, b) at slots[k], where w is the value condition
+    # (i) fixed at an earlier diagonal slot, or None.  Pairs are pushed in
+    # reverse so they pop in order, and a pair pops only after all pairs
+    # pushed above it, so slots[:k] still hold the pairs on its path.
+    stack = [(0, a, b, None) for a, b in reversed(pair_choices) if a == 1]
+    while stack:
+        k, a, b, w = stack.pop()
+        i = slots[k]
+        if i % (n + 1) == 0:                # diagonal pair: condition (i)
+            wx = pair_w(ring, a, b)
+            if w is not None and not ring.same(wx, w):
+                continue
+            w = wx
+        A[i], B[i] = a, b
+        if not _equations_hold(ring, A, B, delta, ready_at[k]):
+            continue
+        if k == last:
+            yield A, B
+        else:
+            stack.extend((k + 1, a, b, w) for a, b in reversed(pair_choices))
+
+
 def search_brackets(bq: Biquandle, modulus: int,
                     classification: Optional[str] = None,
                     limit: Optional[int] = None
@@ -95,7 +126,6 @@ def search_brackets(bq: Biquandle, modulus: int,
         return
     ring = ModRing(modulus)
     n = bq.n
-    same = ring.same
     units = [u.value for u in ring.units()]
     triples = triple_slots(bq)
     slots = _slot_order(n, triples)
@@ -104,31 +134,9 @@ def search_brackets(bq: Biquandle, modulus: int,
     emitted = 0
 
     for delta in sorted(by_delta):
-        pair_choices = sorted(by_delta[delta])
-        A = [0] * (n * n)
-        B = [0] * (n * n)
-
-        def place(k: int, w) -> Iterator[None]:
-            """Fill slots k.. on top of A, B; yields at each full table."""
-            if k == len(slots):
-                yield
-                return
-            i = slots[k]
-            for a, b in pair_choices:
-                if k == 0 and a != 1:       # one member of each scaling orbit
-                    continue
-                if i % (n + 1) == 0:        # diagonal pair: condition (i)
-                    wx = pair_w(ring, a, b)
-                    if w is not None and not same(wx, w):
-                        continue
-                else:
-                    wx = w
-                A[i], B[i] = a, b
-                if _equations_hold(ring, A, B, delta, ready_at[k]):
-                    yield from place(k + 1, wx)
-
         batch = []
-        for _ in place(0, None):
+        for A, B in _orbit_representatives(ring, n, slots, ready_at, delta,
+                                           sorted(by_delta[delta])):
             for lam in units:
                 A_l = [lam * a % modulus for a in A]
                 B_l = [lam * b % modulus for b in B]

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracebracket import fixture_path, fixture_text
-from tracebracket.cli import main
+from tracebracket.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -124,6 +125,76 @@ def test_determinism(capsys):
                      fixture_path("bq3.txt"), fixture_path("br_z5_1.txt"))
         outs.add(out)
     assert len(outs) == 1
+
+
+def run_all(capsys, *argv):
+    """(exit code, stdout, stderr) of one call; an argparse usage error's
+    SystemExit gives its code."""
+    try:
+        rc = main(list(argv))
+    except SystemExit as e:
+        rc = e.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_repeat_calls_are_isolated(capsys):
+    """A call's output does not depend on the calls before it in the process,
+    a usage error, an input error or --json among them."""
+    argv = ["colorings", fixture_path("trefoil_pos.dgm"), "alexander(3,1,2)"]
+    first = run_all(capsys, *argv)
+    assert first[0] == 0 and first[1].endswith("count: 9\n") and first[2] == ""
+    usage = run_all(capsys, "colorings", "--no-such-option")
+    assert usage[0] == 2 and usage[1] == "" and "usage: tracebracket" in usage[2]
+    missing = run_all(capsys, "colorings", "nope.dgm", "trivial(1)")
+    assert missing == (2, "", "error: no such file: nope.dgm\n")
+    assert run_all(capsys, *argv) == first
+    assert json.loads(run_all(capsys, "--json", *argv)[1])["result"]["count"] == 9
+    assert run_all(capsys, *argv) == first
+
+
+# one successful call of each subcommand on bundled fixtures; bq3 is not
+# affine, so its colorings come from the depth-first search
+EVERY_COMMAND = [
+    ["verify-biquandle", fixture_path("bq3.txt")],
+    ["verify-bracket", fixture_path("bq2.txt"), fixture_path("br_z7.txt")],
+    ["colorings", fixture_path("trefoil_pos.dgm"), fixture_path("bq3.txt")],
+    ["invariant", fixture_path("trefoil_pos.dgm"), fixture_path("bq3.txt"),
+     fixture_path("br_z5_1.txt")],
+    ["classify", fixture_path("bq3.txt"), fixture_path("br_z5_1.txt")],
+    ["search", fixture_path("bq2.txt"), "--mod", "5"],
+    ["eval-trace", fixture_path("trace_phi.tdg"), fixture_path("bq2.txt"),
+     fixture_path("br_z7.txt")],
+    ["skein-check", fixture_path("hopf_pos.dgm"), fixture_path("bq2.txt"),
+     fixture_path("br_z7.txt")],
+]
+
+
+def test_parser_is_built_once(capsys):
+    assert len({argv[0] for argv in EVERY_COMMAND}) == 8
+    build_parser.cache_clear()
+    for argv in EVERY_COMMAND:
+        assert main(argv) == 0
+    assert build_parser.cache_info().misses == 1
+
+
+def test_calls_leave_no_cyclic_garbage():
+    """Every successful call frees all it made by reference counting alone,
+    so no call leaves work for the cyclic collector."""
+    build_parser()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        with redirect_stdout(io.StringIO()):
+            for argv in EVERY_COMMAND:
+                for mode in ([], ["--json"]):
+                    assert main(mode + argv) == 0
+        gc.collect()
+        left = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []
 
 
 def assert_input_error(capsys, argv, expected):
