@@ -239,16 +239,17 @@ def biquandle_from_spec(spec: str) -> Optional[Biquandle]:
     caller can fall back to treating it as a file path).
     """
     s = spec.strip().lower()
-    if s.startswith("alexander(") and s.endswith(")"):
-        args = [int(a) for a in s[len("alexander("):-1].split(",")]
-        if len(args) != 3:
-            raise ValueError("alexander(n,t,s) takes three arguments")
-        _check_size(args[0], spec)
-        return alexander_biquandle(*args)
-    if s.startswith("trivial(") and s.endswith(")"):
-        n = int(s[len("trivial("):-1])
-        _check_size(n, spec)
-        return trivial_biquandle(n)
+    for name, form, build, arity in (("alexander", "alexander(n,t,s)", alexander_biquandle, 3),
+                                     ("trivial", "trivial(n)", trivial_biquandle, 1)):
+        if s.startswith(name + "(") and s.endswith(")"):
+            try:
+                args = [int(a) for a in s[len(name) + 1:-1].split(",")]
+            except ValueError:
+                args = []
+            if len(args) != arity:
+                raise ValueError(f"{spec}: expected {form} with integer arguments")
+            _check_size(args[0], spec)
+            return build(*args)
     return None
 
 

@@ -416,8 +416,12 @@ def parse_bracket_tables(text: str, bq: Biquandle):
         entries = ln.split()
         if len(entries) != 2 * n:
             raise ValueError(f"line {i}: expected {2 * n} entries, found {len(entries)}")
-        A.append([ring.parse(e) for e in entries[:n]])
-        B.append([ring.parse(e) for e in entries[n:]])
+        try:
+            values = [ring.parse(e) for e in entries]
+        except ValueError as err:
+            raise ValueError(f"line {i}: {err}") from None
+        A.append(values[:n])
+        B.append(values[n:])
     return ring, A, B
 
 

@@ -205,13 +205,16 @@ def parse_diagram(text: str) -> OrientedDiagram:
     a comment.
     """
     rows = []
-    free_loops = 0
+    free_loops = None
     for lineno, ln in content_lines(text):
         parts = ln.split()
         if parts[0] == "loops":
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected 'loops k'")
-            free_loops = int(parts[1])
+            if free_loops is not None:
+                raise ValueError(f"line {lineno}: 'loops' is given more than once")
+            try:
+                (free_loops,) = (int(p) for p in parts[1:])
+            except ValueError:
+                raise ValueError(f"line {lineno}: expected 'loops k'") from None
             continue
         if parts[0] not in ("+", "-") or len(parts) != 5:
             raise ValueError(f"line {lineno}: expected '(+|-) u_in o_in o_out u_out'")
@@ -221,7 +224,7 @@ def parse_diagram(text: str) -> OrientedDiagram:
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer semiarc id") from None
         rows.append((sign, u_in, o_in, o_out, u_out))
-    return diagram(rows, free_loops)
+    return diagram(rows, free_loops or 0)
 
 
 def serialize_diagram(d: OrientedDiagram) -> str:

@@ -108,7 +108,8 @@ class TraceDiagram:
             passes, visits = [], 0
             while label not in seen:
                 seen.add(label)
-                nid, role = next(end for end in ends[label] if end != here)
+                first, second = ends[label]
+                nid, role = second if first == here else first
                 node = self.nodes[nid]
                 if node.kind == "x":
                     passes.append((nid, visits))
@@ -259,39 +260,28 @@ def ri_reducible(td: TraceDiagram) -> bool:
     return True
 
 
-_PHI_TABLE = {
-    # (sign > 0, parity) -> coefficient builder
-    (True, "odd"): lambda a, b, d: a + d * b,
-    (True, "even"): lambda a, b, d: d * a + b,
-    (False, "odd"): lambda a, b, d: a.inverse() + d * b.inverse(),
-    (False, "even"): lambda a, b, d: d * a.inverse() + b.inverse(),
-}
-
-
 def evaluate_by_parity(td: TraceDiagram, beta: BiquandleBracket):
     """delta^k * w^(n-p) * product of per-crossing parity weights.
 
     Requires every crossing to be single-component and the trace-deleted
-    diagram to reduce to zero crossings by kink removal alone.
+    diagram to reduce to zero crossings by kink removal alone.  With a, b
+    the crossing's signed coefficients (``bracket.smoothing_coefficient``),
+    its weight is a + delta b at odd parity and delta a + b at even parity.
     """
-    parities = {}
+    parities = []
     for cid in td.crossings():
         par = magnetic_parity(td, cid)
         if par == "multi":
             raise MultiComponentCrossingError(f"crossing {cid} is multi-component")
-        parities[cid] = par
+        parities.append((td.nodes[cid], par))
     if not ri_reducible(td):
         raise NotRIReducibleError("trace-deleted diagram is not kink-reducible")
 
-    k = circles_trace_deleted(td)
-    neg = sum(1 for i, n in td.nodes.items() if n.sign < 0)
-    pos = len(td.nodes) - neg
-    value = beta.delta ** k * beta.w ** (neg - pos)
-    for cid, par in parities.items():
-        node = td.nodes[cid]
-        x, y = node.pair
-        phi = _PHI_TABLE[(node.sign > 0, par)](beta.a(x, y), beta.b(x, y), beta.delta)
-        value = value * phi
+    writhe = sum(n.sign for n in td.nodes.values())
+    value = beta.delta ** circles_trace_deleted(td) * beta.w ** -writhe
+    for node, par in parities:
+        a, b = (smoothing_coefficient(beta, node.sign, node.pair, k) for k in SMOOTHINGS)
+        value = value * (a + beta.delta * b if par == "odd" else beta.delta * a + b)
     return value
 
 
@@ -301,11 +291,10 @@ parity_applicable = ri_reducible
 
 
 def evaluate_recursive_parity(td: TraceDiagram, beta: BiquandleBracket):
-    """Recursive expansion that stops early on parity-evaluable diagrams."""
-    try:
+    """Recursive expansion of the first crossing that stops at each
+    parity-evaluable diagram."""
+    if parity_applicable(td):
         return evaluate_by_parity(td, beta)
-    except (MultiComponentCrossingError, NotRIReducibleError):
-        pass
     cid = td.crossings()[0]
     coeff_a, td_a = smooth_crossing(td, cid, "A", beta)
     coeff_b, td_b = smooth_crossing(td, cid, "B", beta)
@@ -335,28 +324,25 @@ def evaluate_recursive_parity(td: TraceDiagram, beta: BiquandleBracket):
 Tangle = Tuple[Tuple[int, str, str, str, str], ...]
 
 
+def _strand_rows(s_over: bool, sign: int, first: Tuple[str, str],
+                 second: Tuple[str, str]) -> Tangle:
+    """The two crossings of strand S, which runs Sin -> s_mid across the edge
+    ``first`` = (e_in, e_out) and then s_mid -> Sout across ``second``, over
+    both edges or under both."""
+    return tuple((sign, e_in, s_in, s_out, e_out) if s_over else (sign, s_in, e_in, e_out, s_out)
+                 for (s_in, s_out), (e_in, e_out)
+                 in ((("Sin", "s_mid"), first), (("s_mid", "Sout"), second)))
+
+
 def _slide_tangles(s_over: bool, c0_sign: int, s_west: bool) -> Tuple[Tangle, Tangle]:
+    """Sliding S past c0, from c0's output edges to its input edges; S meets
+    each pair of edges in the opposite order when it comes from the west."""
     s_sign = 1 if (s_over == s_west) else -1
-
-    def sc(s_in, s_out, e_in, e_out):
-        if s_over:
-            return (s_sign, e_in, s_in, s_out, e_out)
-        return (s_sign, s_in, e_in, e_out, s_out)
-
-    if not s_west:
-        before = ((c0_sign, "Uin", "Vin", "v1", "u1"),
-                  sc("Sin", "s_mid", "v1", "Vout"),
-                  sc("s_mid", "Sout", "u1", "Uout"))
-        after = ((c0_sign, "u1", "v1", "Vout", "Uout"),
-                 sc("Sin", "s_mid", "Uin", "u1"),
-                 sc("s_mid", "Sout", "Vin", "v1"))
-    else:
-        before = ((c0_sign, "Uin", "Vin", "v1", "u1"),
-                  sc("Sin", "s_mid", "u1", "Uout"),
-                  sc("s_mid", "Sout", "v1", "Vout"))
-        after = ((c0_sign, "u1", "v1", "Vout", "Uout"),
-                 sc("Sin", "s_mid", "Vin", "v1"),
-                 sc("s_mid", "Sout", "Uin", "u1"))
+    order = -1 if s_west else 1
+    before = ((c0_sign, "Uin", "Vin", "v1", "u1"),
+              *_strand_rows(s_over, s_sign, *(("v1", "Vout"), ("u1", "Uout"))[::order]))
+    after = ((c0_sign, "u1", "v1", "Vout", "Uout"),
+             *_strand_rows(s_over, s_sign, *(("Uin", "u1"), ("Vin", "v1"))[::order]))
     return before, after
 
 
@@ -369,18 +355,10 @@ def _through_tangles(s_over: bool, c0_sign: int,
     neck edges flow in opposite directions on the two sides).
     """
     s_sign = -1 if s_reversed else 1
-
-    def sc(sign, s_in, s_out, e_in, e_out):
-        if s_over:
-            return (sign, e_in, s_in, s_out, e_out)
-        return (sign, s_in, e_in, e_out, s_out)
-
     before = ((c0_sign, "u1", "Vin", "v1", "Uout"),
-              sc(s_sign, "Sin", "s_mid", "Uin", "u1"),
-              sc(s_sign, "s_mid", "Sout", "v1", "Vout"))
+              *_strand_rows(s_over, s_sign, ("Uin", "u1"), ("v1", "Vout")))
     after = ((c0_sign, "Uin", "v2", "Vout", "u2"),
-             sc(-s_sign, "Sin", "s_mid", "Vin", "v2"),
-             sc(-s_sign, "s_mid", "Sout", "u2", "Uout"))
+             *_strand_rows(s_over, -s_sign, ("Vin", "v2"), ("u2", "Uout")))
     return before, after
 
 
@@ -393,44 +371,43 @@ class TraceMove:
     monochromatic_only: bool = False
 
 
+def _build_moves() -> Dict[str, TraceMove]:
+    """The 16 oriented over/under trace moves, then the 8 oriented
+    monochromatic pass-through moves, by id."""
+    moves = []
+    for kind, s_over, c0_sign, s_west in itertools.product("AB", (True, False), (1, -1),
+                                                            (False, True)):
+        move_id = (f"{'over' if s_over else 'under'}_{kind}"
+                   f"_{'pos' if c0_sign > 0 else 'neg'}_{'W' if s_west else 'E'}")
+        moves.append(TraceMove(move_id, kind, *_slide_tangles(s_over, c0_sign, s_west)))
+    for s_over, c0_sign, s_reversed in itertools.product((True, False), (1, -1), (False, True)):
+        move_id = (f"through_B_{'pos' if c0_sign > 0 else 'neg'}"
+                   f"_{'over' if s_over else 'under'}_{'R' if s_reversed else 'F'}")
+        moves.append(TraceMove(move_id, "B", *_through_tangles(s_over, c0_sign, s_reversed),
+                               monochromatic_only=True))
+    return {m.move_id: m for m in moves}
+
+
+_MOVES = _build_moves()
+
+
 def slide_moves() -> List[TraceMove]:
     """The 16 oriented over/under trace moves."""
-    out = []
-    for kind in ("A", "B"):
-        for s_over in (True, False):
-            for c0_sign in (1, -1):
-                for s_west in (False, True):
-                    b, a = _slide_tangles(s_over, c0_sign, s_west)
-                    move_id = (f"{'over' if s_over else 'under'}_{kind}"
-                               f"_{'pos' if c0_sign > 0 else 'neg'}"
-                               f"_{'W' if s_west else 'E'}")
-                    out.append(TraceMove(move_id, kind, b, a))
-    return out
+    return [m for m in _MOVES.values() if not m.monochromatic_only]
 
 
 def passthrough_moves() -> List[TraceMove]:
     """The 8 oriented monochromatic pass-through moves."""
-    out = []
-    for s_over in (True, False):
-        for c0_sign in (1, -1):
-            for s_reversed in (False, True):
-                b, a = _through_tangles(s_over, c0_sign, s_reversed)
-                move_id = (f"through_B_{'pos' if c0_sign > 0 else 'neg'}"
-                           f"_{'over' if s_over else 'under'}"
-                           f"_{'R' if s_reversed else 'F'}")
-                out.append(TraceMove(move_id, "B", b, a, monochromatic_only=True))
-    return out
+    return [m for m in _MOVES.values() if m.monochromatic_only]
 
 
 def all_moves() -> List[TraceMove]:
-    return slide_moves() + passthrough_moves()
+    return list(_MOVES.values())
 
 
 def move_by_id(move_id: str) -> TraceMove:
-    for m in all_moves():
-        if m.move_id == move_id:
-            return m
-    raise KeyError(f"unknown move {move_id!r}")
+    """The move with this id; KeyError naming the id if there is none."""
+    return _MOVES[move_id]
 
 
 def _tangle_trace_diagram(tangle: Tangle, bq: Biquandle,

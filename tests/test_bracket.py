@@ -350,6 +350,10 @@ def test_parse_errors_name_file_lines(bq2):
         parse_bracket("# c\nring mod 5\n# x\n1 1 4\n1 1 4 4\n", bq2)
     with pytest.raises(ValueError, match="^line 2: bad modulus 'x'"):
         parse_bracket("# c\nring mod x\n", bq2)
+    with pytest.raises(ValueError, match="^line 4: invalid literal for int.*'a'$"):
+        parse_bracket("ring mod 7\n1 1 1 1\n\n1 1 a 1\n", bq2)
+    with pytest.raises(ValueError, match="^line 3: cannot parse Laurent factor 'A\\^'"):
+        parse_bracket("ring laurent\n1 1 1 1\n1 A^ 1 1\n", bq2)
 
 
 def test_serialize_round_trip(bq2, br_z7, bq1, br_gen):

@@ -222,6 +222,13 @@ def test_inline_biquandle_size_below_one_exit_2(capsys):
                            "at least 1")
 
 
+def test_inline_biquandle_malformed_arguments_exit_2(capsys):
+    for spec, form in (("alexander(3,x,2)", "alexander(n,t,s)"), ("alexander()", "alexander(n,t,s)"),
+                       ("trivial(x)", "trivial(n)")):
+        assert_input_error(capsys, ["colorings", fixture_path("hopf_pos.dgm"), spec],
+                           f"{spec}: expected {form} with integer arguments")
+
+
 def test_biquandle_file_size_below_one_exit_2(capsys, tmp_path):
     for size in ("0", "-1"):
         path = tmp_path / f"size{size}.txt"

@@ -184,3 +184,7 @@ def test_parse_errors():
         parse_diagram("+ 1 2 3\n")
     with pytest.raises(ValueError):
         parse_diagram("* 1 2 3 4\n")
+    with pytest.raises(ValueError, match="^line 2: expected 'loops k'$"):
+        parse_diagram("# c\nloops x\n")
+    with pytest.raises(ValueError, match="^line 3: 'loops' is given more than once$"):
+        parse_diagram("loops 1\n+ 1 2 1 2\nloops 2\n")

@@ -21,7 +21,7 @@ from tracebracket.trace import (MultiComponentCrossingError,
                                 evaluate_recursive_parity, from_colored_diagram,
                                 magnetic_parity, move_by_id, parse_trace_diagram,
                                 parity_applicable, passthrough_moves,
-                                replace_with_trace, ri_reducible,
+                                replace_with_trace, ri_reducible, slide_moves,
                                 smooth_crossing, trace_move_fixture_check,
                                 _seed_identities, _tangle_trace_diagram)
 
@@ -378,6 +378,52 @@ def reference_ri_reducible(td):
     return True
 
 
+def reference_leaves(td):
+    """Leaves of the parity-stop recursion, stopping on the reference kink
+    removal and otherwise smoothing the first crossing both ways."""
+    if reference_ri_reducible(td):
+        return 1
+    cid = td.crossings()[0]
+    return sum(reference_leaves(replace_with_trace(td, cid, k)) for k in "AB")
+
+
+def test_parity_stop_is_applied(monkeypatch, bq2, bq3, br_z7, br_z5, braid_closure):
+    # the values agree whether or not the recursion stops early, so count
+    # the diagrams it hands to the parity evaluator
+    import tracebracket.trace as trace_module
+    leaves = []
+
+    def counting(td, beta):
+        leaves.append(td)
+        return evaluate_by_parity(td, beta)
+
+    monkeypatch.setattr(trace_module, "evaluate_by_parity", counting)
+    td, _ = parse_trace_diagram(fixture_text("trace_phi.tdg"), bq2)
+    evaluate_recursive_parity(td, br_z7)
+    assert leaves == [td]
+
+    # seeded closures that are not kink-reducible, so the root is expanded
+    rng = random.Random(2029)
+    stopped_early = False
+    for bq, beta in ((bq2, br_z7), (bq3, br_z5[0])):
+        checked = 0
+        while checked < 12:
+            strands = rng.randint(2, 3)
+            word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(8)]
+            d = braid_closure(word, strands)
+            td = from_colored_diagram(d, bq, rng.choice(enumerate_colorings(d, bq)))
+            for cid in rng.sample(td.crossings(), rng.randint(1, 3)):
+                td = replace_with_trace(td, cid, rng.choice("AB"))
+            if reference_ri_reducible(td):
+                continue
+            leaves.clear()
+            evaluate_recursive_parity(td, beta)
+            assert len(leaves) == reference_leaves(td)
+            stopped_early |= len(leaves) < 2 ** len(td.crossings())
+            checked += 1
+    assert stopped_early
+
+
 def reference_circles(td):
     """Trace-deleted circles by joining path ends."""
     mate = {}
@@ -498,6 +544,40 @@ def test_move_catalog_counts():
     assert sum(1 for m in moves if m.move_id.startswith("over")) == 8
     assert sum(1 for m in moves if m.move_id.startswith("under")) == 8
     assert sum(1 for m in moves if m.move_id.startswith("through")) == 8
+    assert slide_moves() + passthrough_moves() == moves
+    for m in moves:
+        assert move_by_id(m.move_id) is m
+    with pytest.raises(KeyError, match="no_such_move"):
+        move_by_id("no_such_move")
+
+
+def s_crossings(side):
+    """(sign, S over?, e_in, e_out) at each row where strand S crosses an edge."""
+    out = []
+    for sign, u_in, o_in, o_out, u_out in side[1:]:
+        over = o_in in ("Sin", "s_mid")
+        out.append((sign, over) + ((u_in, u_out) if over else (o_in, o_out)))
+    return out
+
+
+def test_slide_tangles_wiring():
+    # S crosses c0's two output edges before the slide and its two input
+    # edges after it, over both or under both; from the west it meets them in
+    # the reverse order, and each of its crossings has the opposite sign
+    moves = {m.move_id: m for m in slide_moves()}
+    for move_id, east in moves.items():
+        if not move_id.endswith("_E"):
+            continue
+        west = moves[move_id[:-1] + "W"]
+        # c0's rows are (sign, u_in, o_in, o_out, u_out)
+        assert {e_in for *_, e_in, _ in s_crossings(east.before)} == set(east.before[0][3:])
+        assert {e_out for *_, e_out in s_crossings(east.after)} == set(east.after[0][1:3])
+        for e_side, w_side in ((east.before, west.before), (east.after, west.after)):
+            assert e_side[0] == w_side[0]
+            e_rows, w_rows = s_crossings(e_side), s_crossings(w_side)
+            assert {over for _, over, *_ in e_rows + w_rows} == {move_id.startswith("over")}
+            assert [edge for _, _, *edge in w_rows] == [edge for _, _, *edge in e_rows][::-1]
+            assert [sign for sign, *_ in w_rows] == [-sign for sign, *_ in e_rows]
 
 
 def test_passthrough_tangles_wiring():
