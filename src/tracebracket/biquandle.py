@@ -15,6 +15,7 @@ matrices directly.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -188,6 +189,20 @@ def content_lines(text: str) -> List[Tuple[int, str]]:
             if (ln := raw.split("#", 1)[0].strip())]
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """The integer ``text`` spells: an optional sign and ASCII digits only.
+    ``int`` alone would also take underscores, surrounding whitespace and
+    non-ASCII digits; the error reads as ``int``'s."""
+    # on an ASCII string isdigit() holds only for 0-9: the common unsigned
+    # case skips the regex
+    if not ((text.isascii() and text.isdigit()) or _INTEGER.fullmatch(text)):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def parse_biquandle(text: str) -> Biquandle:
     """Parse the block-matrix file format.
 
@@ -200,7 +215,7 @@ def parse_biquandle(text: str) -> Biquandle:
         raise ValueError("empty biquandle file")
     (first, size), rows = lines[0], lines[1:]
     try:
-        n = int(size)
+        n = parse_int(size)
     except ValueError:
         raise ValueError(f"line {first}: expected the size n, got {size!r}") from None
     _check_size(n, f"line {first}")
@@ -212,7 +227,7 @@ def parse_biquandle(text: str) -> Biquandle:
         if len(entries) != 2 * n:
             raise ValueError(f"line {i}: expected {2 * n} entries, found {len(entries)}")
         try:
-            row = [int(e) for e in entries]
+            row = [parse_int(e) for e in entries]
         except ValueError:
             raise ValueError(f"line {i}: non-integer entry") from None
         for e in row:
@@ -243,7 +258,7 @@ def biquandle_from_spec(spec: str) -> Optional[Biquandle]:
                                      ("trivial", "trivial(n)", trivial_biquandle, 1)):
         if s.startswith(name + "(") and s.endswith(")"):
             try:
-                args = [int(a) for a in s[len(name) + 1:-1].split(",")]
+                args = [parse_int(a.strip()) for a in s[len(name) + 1:-1].split(",")]
             except ValueError:
                 args = []
             if len(args) != arity:

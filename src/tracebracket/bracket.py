@@ -17,19 +17,23 @@ themselves over the Laurent ring.
 
 The state sum of a colored diagram smooths every crossing both ways,
 weights each state by its coefficients and by delta per resulting circle,
-and corrects by w^(negative crossings - positive crossings).
+and corrects by w^(negative crossings - positive crossings).  The
+smoothings' joins do not depend on the coloring, so each diagram's
+contraction plan (``diagram.plan_contraction``) is built once and run per
+coloring on the bracket's raw coefficient tables (``signed_raw``).
 """
 from __future__ import annotations
 
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import cached_property, lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .biquandle import Biquandle, content_lines
+from .biquandle import Biquandle, content_lines, parse_int
 from .coloring import enumerate_colorings, positive_frame, validate_coloring
-from .diagram import (SMOOTHINGS, Crossing, OrientedDiagram, contract, state_pairings,
-                      writhe_counts)
+from .diagram import (SMOOTHINGS, ContractionPlan, Crossing, OrientedDiagram, plan_contraction,
+                      run_plan, state_pairings, writhe_counts)
 from .rings import LaurentRing, ModRing
 
 
@@ -63,6 +67,16 @@ class BiquandleBracket:
 
     def b(self, x: int, y: int):
         return self.B[x][y]
+
+    @cached_property
+    def signed_raw(self) -> Dict[int, Tuple[Tuple[object, object], ...]]:
+        """Per crossing sign, the raw (A, B) coefficients (see ``ring.raw``)
+        of each color pair (x, y) at flat index x*n + y, inverted at -1."""
+        ring = self.ring
+        pairs = [(ring.raw(a), ring.raw(b))
+                 for row_a, row_b in zip(self.A, self.B) for a, b in zip(row_a, row_b)]
+        return {1: tuple(pairs),
+                -1: tuple((ring.inv(a), ring.inv(b)) for a, b in pairs)}
 
     def __repr__(self) -> str:
         return f"BiquandleBracket(n={self.bq.n}, ring={self.ring!r})"
@@ -233,20 +247,28 @@ def smoothing_coefficient(beta: BiquandleBracket, sign: int, pair: Tuple[int, in
     return coeff if sign > 0 else coeff.inverse()
 
 
-def crossing_coefficient(beta: BiquandleBracket, c: Crossing,
-                         coloring: Sequence[int], choice: str):
-    return smoothing_coefficient(beta, c.sign, crossing_coefficient_pair(c, coloring), choice)
+@lru_cache(maxsize=8)
+def _crossings_plan(crossings: Tuple[Crossing, ...]) -> ContractionPlan:
+    """The contraction plan of a diagram's crossings, shared by its colorings."""
+    return plan_contraction([[state_pairings(c, choice) for choice in SMOOTHINGS]
+                             for c in crossings])
 
 
 def state_sum(d: OrientedDiagram, coloring: Sequence[int], beta: BiquandleBracket):
-    """The state sum of one colored diagram, contracted crossing by crossing."""
+    """The state sum of one colored diagram: the diagram's contraction plan
+    run on the raw coefficients of this coloring."""
     if not validate_coloring(d, beta.bq, coloring):
         raise ValueError("coloring is not valid for this diagram and biquandle")
-    nodes = [[(crossing_coefficient(beta, c, coloring, choice), state_pairings(c, choice))
-              for choice in SMOOTHINGS] for c in d.crossings]
-    total = contract(nodes, beta.ring.one(), beta.delta)[frozenset()]
+    n, signed = beta.bq.n, beta.signed_raw
+    coefficients = []
+    for c in d.crossings:
+        x, y = crossing_coefficient_pair(c, coloring)
+        coefficients.append(signed[c.sign][x * n + y])
+    ring = beta.ring
+    total = run_plan(_crossings_plan(d.crossings), coefficients,
+                     ring.raw(ring.one()), ring.raw(beta.delta))[frozenset()]
     p, neg = writhe_counts(d)
-    return beta.w ** (neg - p) * beta.delta ** d.free_loops * total
+    return beta.w ** (neg - p) * beta.delta ** d.free_loops * ring.wrap(total)
 
 
 @dataclass
@@ -402,7 +424,7 @@ def parse_bracket_tables(text: str, bq: Biquandle):
         ring = LaurentRing()
     elif len(words) == 3 and words[:2] == ["ring", "mod"]:
         try:
-            ring = ModRing(int(words[2]))
+            ring = ModRing(parse_int(words[2]))
         except ValueError as e:
             raise ValueError(f"line {first}: bad modulus {words[2]!r}: {e}") from None
     else:

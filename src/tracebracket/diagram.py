@@ -8,16 +8,23 @@ circle components are tracked by an explicit ``free_loops`` counter.
 
 Planarity is never checked: all operations here are purely combinatorial.
 
-The state-sum engine (``join_ends``, ``contract``) also lives here: the
-bracket state sum, the trace-diagram evaluators and the loop counts all run
-on it.
+The state-sum engine also lives here, in two halves.  The plan
+(``plan_contraction``) depends only on which labels each node's choices
+join: it places the nodes in greedy order, each next node sharing the most
+labels with those already placed, and records how the pairings of open path
+ends pass from step to step and how many circles each passage closes.  The
+run (``run_plan``) sums coefficient values along those passages.
+``contract`` is plan then run; the bracket state sum builds one plan per
+diagram and runs it once per coloring on raw ring values.  The trace-diagram
+evaluators, the compiled trace moves and the loop counts (``join_ends``) all
+run on this engine.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Sequence, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Hashable, Iterable, List, Sequence, Tuple
 
-from .biquandle import content_lines
+from .biquandle import content_lines, parse_int
 
 
 @dataclass(frozen=True)
@@ -106,6 +113,8 @@ def state_pairings(c: Crossing, choice: str) -> Tuple[Tuple[int, int], ...]:
 # its first join opens it as a path end and its second closes it off, so
 # when every node is placed all paths have closed into circles and ``mate``
 # is empty.  Labels joined once (the boundary of an open tangle) stay open.
+# States that leave the same pairing merge, so the cost follows the number of
+# distinct pairings (the width), which the placement order decides.
 # ---------------------------------------------------------------------------
 
 def join_ends(mate: Dict[Hashable, Hashable], x: Hashable, y: Hashable) -> int:
@@ -119,29 +128,104 @@ def join_ends(mate: Dict[Hashable, Hashable], x: Hashable, y: Hashable) -> int:
     return 0
 
 
+@dataclass(frozen=True)
+class ContractionPlan:
+    """The combinatorial half of a contraction, which depends only on the
+    nodes' joins.  ``order`` lists the nodes in placement order.  Step k
+    places node ``order[k]``: each of its transitions (src, choice, dst,
+    loops) takes the pairing numbered src before the step, applies the
+    node's choice, and leaves the pairing numbered dst after it, closing
+    ``loops`` circles; ``widths[k]`` is the number of distinct pairings
+    after the step.  ``pairings`` are the final pairings by number, each
+    ``frozenset(mate.items())``."""
+    order: Tuple[int, ...]
+    steps: Tuple[Tuple[Tuple[int, int, int, int], ...], ...]
+    widths: Tuple[int, ...]
+    pairings: Tuple[FrozenSet[Tuple[Hashable, Hashable]], ...]
+
+
+def greedy_order(labels: Sequence[AbstractSet[Hashable]]) -> List[int]:
+    """Node indices in placement order: next comes the node that shares the
+    most labels with the nodes already placed, ties to the lowest index."""
+    placed: set = set()
+    left = list(range(len(labels)))
+    order = []
+    while left:
+        best = max(left, key=lambda i: len(labels[i] & placed))
+        left.remove(best)
+        order.append(best)
+        placed |= labels[best]
+    return order
+
+
+def plan_contraction(nodes: Sequence[Sequence[Sequence[Tuple[Hashable, Hashable]]]]
+                     ) -> ContractionPlan:
+    """Plan the contraction of nodes given as their choices' joins.
+
+    The nodes are placed in :func:`greedy_order`.  A partial state is kept
+    only as the pairing of open ends it leaves, so states that leave the same
+    pairing share one number and the plan's size follows the number of
+    distinct pairings, not the number of states.
+    """
+    order = greedy_order([{label for joins in choices for pair in joins for label in pair}
+                          for choices in nodes])
+    mates: List[Dict[Hashable, Hashable]] = [{}]     # each pairing's mate map, by number
+    steps, widths = [], []
+    for i in order:
+        numbers: Dict[FrozenSet[Tuple[Hashable, Hashable]], int] = {}
+        after, moves = [], []
+        for src, before in enumerate(mates):
+            for choice, joins in enumerate(nodes[i]):
+                mate = before.copy()
+                loops = 0
+                for x, y in joins:
+                    loops += join_ends(mate, x, y)
+                key = frozenset(mate.items())
+                dst = numbers.get(key)
+                if dst is None:
+                    dst = numbers[key] = len(after)
+                    after.append(mate)
+                moves.append((src, choice, dst, loops))
+        steps.append(tuple(moves))
+        widths.append(len(after))
+        mates = after
+    return ContractionPlan(tuple(order), tuple(steps), tuple(widths),
+                           tuple(frozenset(mate.items()) for mate in mates))
+
+
+def run_plan(plan: ContractionPlan, coefficients: Sequence[Sequence[object]], one, delta
+             ) -> Dict[FrozenSet[Tuple[Hashable, Hashable]], object]:
+    """The numeric half: sum ``coefficients[node][choice]`` along the plan's
+    transitions, multiplying by ``delta`` once per closed circle.  Values
+    need only ``*``, ``+`` and ``**``.  Returns the summed value of each
+    final pairing."""
+    values = [one]
+    for i, moves, width in zip(plan.order, plan.steps, plan.widths):
+        coeffs = coefficients[i]
+        merged: List[object] = [None] * width
+        for src, choice, dst, loops in moves:
+            term = values[src] * coeffs[choice]
+            if loops:
+                term = term * delta ** loops
+            sofar = merged[dst]
+            merged[dst] = term if sofar is None else sofar + term
+        values = merged
+    return dict(zip(plan.pairings, values))
+
+
 def contract(nodes: Iterable[Sequence[Tuple[object, Sequence[Tuple[Hashable, Hashable]]]]],
              one, delta) -> Dict[FrozenSet[Tuple[Hashable, Hashable]], object]:
-    """Sum over every choice at every node, one node at a time.
+    """Sum over every choice at every node: :func:`plan_contraction` on the
+    joins, then :func:`run_plan` on the coefficients.
 
-    Each node lists its choices as (coefficient, joins).  The running sum
-    maps each pairing of open ends, ``frozenset(mate.items())``, to the
-    summed value of the partial states that leave it, and a closed circle
-    multiplies by ``delta`` as soon as it closes.  States that leave the same
-    pairing merge, so the cost follows the number of distinct pairings, not
-    the number of states.
+    Each node lists its choices as (coefficient, joins).  The result maps
+    each final pairing of open ends, ``frozenset(mate.items())``, to the
+    summed value of the states that leave it; a closed diagram leaves only
+    ``frozenset()``.
     """
-    states = {frozenset(): one}
-    for choices in nodes:
-        merged = {}
-        for pairing, value in states.items():
-            for coeff, joins in choices:
-                mate = dict(pairing)
-                loops = sum(join_ends(mate, x, y) for x, y in joins)
-                term = value * coeff * delta ** loops if loops else value * coeff
-                after = frozenset(mate.items())
-                merged[after] = merged[after] + term if after in merged else term
-        states = merged
-    return states
+    nodes = list(nodes)
+    plan = plan_contraction([[joins for _, joins in choices] for choices in nodes])
+    return run_plan(plan, [[coeff for coeff, _ in choices] for choices in nodes], one, delta)
 
 
 def count_state_loops(d: OrientedDiagram, state: Sequence[str]) -> int:
@@ -212,7 +296,7 @@ def parse_diagram(text: str) -> OrientedDiagram:
             if free_loops is not None:
                 raise ValueError(f"line {lineno}: 'loops' is given more than once")
             try:
-                (free_loops,) = (int(p) for p in parts[1:])
+                (free_loops,) = (parse_int(p) for p in parts[1:])
             except ValueError:
                 raise ValueError(f"line {lineno}: expected 'loops k'") from None
             continue
@@ -220,7 +304,7 @@ def parse_diagram(text: str) -> OrientedDiagram:
             raise ValueError(f"line {lineno}: expected '(+|-) u_in o_in o_out u_out'")
         sign = 1 if parts[0] == "+" else -1
         try:
-            u_in, o_in, o_out, u_out = (int(p) for p in parts[1:])
+            u_in, o_in, o_out, u_out = (parse_int(p) for p in parts[1:])
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer semiarc id") from None
         rows.append((sign, u_in, o_in, o_out, u_out))

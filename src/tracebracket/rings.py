@@ -17,6 +17,8 @@ import re
 from math import gcd
 from typing import Dict, Iterable, Tuple
 
+from .biquandle import parse_int
+
 
 class RingMismatchError(ValueError):
     """Raised when combining elements of different rings."""
@@ -59,7 +61,7 @@ class ModRing:
         return (self.element(v) for v in range(1, self.modulus) if self.is_unit(v))
 
     def parse(self, text: str) -> "ModElement":
-        return self.element(int(text))
+        return self.element(parse_int(text))
 
     # raw values are ints, reduced only when compared or wrapped
     def raw(self, e: "ModElement") -> int:
@@ -300,7 +302,7 @@ class LaurentElement:
         return f"Laurent({self})"
 
 
-_MONO_FACTOR = re.compile(r"^([A-Za-z])(?:\^(-?\d+))?$")
+_MONO_FACTOR = re.compile(r"^([A-Za-z])(?:\^(-?[0-9]+))?$")
 
 
 def parse_laurent(ring: LaurentRing, text: str) -> LaurentElement:
@@ -318,12 +320,12 @@ def parse_laurent(ring: LaurentRing, text: str) -> LaurentElement:
         s = s[1:]
     if not s:
         raise ValueError(f"empty Laurent literal in {text!r}")
-    if re.fullmatch(r"\d+", s):
+    if re.fullmatch(r"[0-9]+", s):
         return ring.constant(coeff * int(s))
     i = j = 0
     factors = s.split("*")
     for factor in factors:
-        if re.fullmatch(r"\d+", factor):
+        if re.fullmatch(r"[0-9]+", factor):
             coeff *= int(factor)
             continue
         m = _MONO_FACTOR.match(factor)

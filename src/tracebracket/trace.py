@@ -40,7 +40,7 @@ from functools import cached_property, lru_cache, partial
 from math import prod
 from typing import Dict, Hashable, List, Sequence, Tuple
 
-from .biquandle import Biquandle, content_lines
+from .biquandle import Biquandle, content_lines, parse_int
 from .bracket import (BiquandleBracket, coefficient_pair, crossing_coefficient_pair,
                       homflypt_coefficients, smoothing_coefficient)
 from .coloring import _propagate, crossing_outputs, positive_frame, validate_coloring
@@ -555,12 +555,10 @@ def _compiled_move(under_table, over_table, move_id: str) -> Tuple[Identity, ...
 
 def _raw_factors(beta: BiquandleBracket) -> list:
     """The raw vector [A, A^-1, B, B^-1, delta, w, w^-1] of a bracket."""
-    ring = beta.ring
-    a = [ring.raw(e) for row in beta.A for e in row]
-    b = [ring.raw(e) for row in beta.B for e in row]
+    ring, plus, minus = beta.ring, beta.signed_raw[1], beta.signed_raw[-1]
     w = ring.raw(beta.w)
-    return (a + [ring.inv(v) for v in a] + b + [ring.inv(v) for v in b]
-            + [ring.raw(beta.delta), w, ring.inv(w)])
+    return ([a for a, _ in plus] + [a for a, _ in minus] + [b for _, b in plus]
+            + [b for _, b in minus] + [ring.raw(beta.delta), w, ring.inv(w)])
 
 
 def _multiple(one, count: int):
@@ -616,16 +614,16 @@ def diagrammatic_passthrough(bq: Biquandle, beta: BiquandleBracket) -> bool:
 # the edge fields of each trace line, the order of their groups as the roles
 # (u_in, o_in, o_out, u_out), and the line's shape for error messages
 _TRACE_LINES = {
-    "traceA": (re.compile(r"(\d+)>(\d+) (\d+)>(\d+)"), (0, 2, 1, 3),
+    "traceA": (re.compile(r"([0-9]+)>([0-9]+) ([0-9]+)>([0-9]+)"), (0, 2, 1, 3),
                "traceA (+|-) <in1>><out1> <in2>><out2> <x> <y>"),
-    "traceB": (re.compile(r"sink\((\d+),(\d+)\) source\((\d+),(\d+)\)"), (0, 1, 3, 2),
+    "traceB": (re.compile(r"sink\(([0-9]+),([0-9]+)\) source\(([0-9]+),([0-9]+)\)"), (0, 1, 3, 2),
                "traceB (+|-) sink(<e1>,<e2>) source(<e3>,<e4>) <x> <y>"),
 }
 
 
 def _line_ints(lineno: int, fields: Sequence[str]) -> List[int]:
     try:
-        return [int(f) for f in fields]
+        return [parse_int(f) for f in fields]
     except ValueError:
         raise ValueError(f"line {lineno}: expected integers, got {' '.join(fields)!r}") from None
 

@@ -4,9 +4,13 @@ from math import gcd
 import pytest
 
 from tracebracket.biquandle import (Biquandle, alexander_biquandle,
-                                    biquandle_from_spec, parse_biquandle,
+                                    biquandle_from_spec, parse_biquandle, parse_int,
                                     serialize_biquandle, trivial_biquandle,
                                     verify_biquandle)
+from tracebracket.bracket import parse_bracket_tables
+from tracebracket.diagram import parse_diagram
+from tracebracket.rings import ModRing
+from tracebracket.trace import parse_trace_diagram
 
 
 def test_fixture_biquandles_verify(bq1, bq2, bq3, a312):
@@ -117,3 +121,27 @@ def test_inline_spec():
 def test_diag_map(bq2, bq3):
     assert [bq2.diag(x) for x in range(2)] == [1, 0]
     assert [bq3.diag(x) for x in range(3)] == [2, 1, 0]
+
+
+def test_parse_int_takes_sign_and_ascii_digits_only(bq2):
+    assert [parse_int(t) for t in ("0", "7", "-3", "+12", "007")] == [0, 7, -3, 12, 7]
+    for text in ("1_0", "\u0662", " 1", "1 ", "", "-", "1.0", "0x1", "+-1"):
+        with pytest.raises(ValueError):
+            parse_int(text)
+    # each parser reads its integers through it, so non-ASCII digits are errors
+    two = "\u0662"    # ARABIC-INDIC DIGIT TWO
+    for parse, text, line in (
+            (parse_biquandle, f"{two}\n2 2 2 2\n1 1 1 1\n", 1),
+            (parse_diagram, f"+ 1 2 {two} 2\n", 1),
+            (parse_diagram, f"loops {two}\n", 1),
+            (lambda t: parse_bracket_tables(t, bq2), f"ring mod {two}\n", 1),
+            (lambda t: parse_bracket_tables(t, bq2), f"ring mod 7\n1 {two} 2 5\n4 1 1 2\n", 2),
+            (lambda t: parse_trace_diagram(t, bq2), f"color 1 {two}\n", 1),
+            (lambda t: parse_trace_diagram(t, bq2),
+             f"traceB + sink(1,{two}) source(2,5) 1 1\n", 1)):
+        with pytest.raises(ValueError, match=f"line {line}:"):
+            parse(text)
+    with pytest.raises(ValueError):
+        ModRing(7).parse("1_0")
+    with pytest.raises(ValueError):
+        biquandle_from_spec(f"trivial({two})")

@@ -377,3 +377,23 @@ def test_switched_trefoil_evaluates_to_delta(bq1, br_gen):
     d = switch_crossing(trefoil_pos(), 0)
     col = enumerate_colorings(d, bq1)[0]
     assert state_sum(d, col, br_gen) == br_gen.delta
+
+
+def test_invariant_calls_module_state_sum_once_per_coloring(monkeypatch, bq2, bq3, br_z7,
+                                                            br_z5, braid_closure):
+    # the benchmark counts bracket.state_sums and bracket.states by wrapping
+    # the module-level state_sum, so the invariant must go through it
+    import tracebracket.bracket as brmod
+    calls = []
+
+    def counted(d, coloring, beta):
+        calls.append((d, coloring))
+        return state_sum(d, coloring, beta)
+
+    monkeypatch.setattr(brmod, "state_sum", counted)
+    for bq, beta in ((bq2, br_z7), (bq3, br_z5[0])):
+        for d in (hopf_pos(), trefoil_rii(), unknot0(), braid_closure([1, -2, 1, 2, -1], 3)):
+            calls.clear()
+            inv = bracket_invariant(d, bq, beta)
+            assert calls == [(d, col) for col in enumerate_colorings(d, bq)]
+            assert inv.total_multiplicity() == len(calls)

@@ -223,10 +223,37 @@ def test_inline_biquandle_size_below_one_exit_2(capsys):
 
 
 def test_inline_biquandle_malformed_arguments_exit_2(capsys):
-    for spec, form in (("alexander(3,x,2)", "alexander(n,t,s)"), ("alexander()", "alexander(n,t,s)"),
-                       ("trivial(x)", "trivial(n)")):
+    for spec, form in (("alexander(3,x,2)", "alexander(n,t,s)"),
+                       ("alexander()", "alexander(n,t,s)"), ("trivial(x)", "trivial(n)"),
+                       ("alexander(3,1_0,2)", "alexander(n,t,s)"),
+                       ("trivial(\u0662)", "trivial(n)")):
         assert_input_error(capsys, ["colorings", fixture_path("hopf_pos.dgm"), spec],
                            f"{spec}: expected {form} with integer arguments")
+
+
+def test_integer_fields_take_ascii_digits_only(capsys, tmp_path):
+    # int() alone reads "1_0" as 10
+    bq2, br_z7, hopf = (fixture_path(f) for f in ("bq2.txt", "br_z7.txt", "hopf_pos.dgm"))
+    bracket, trace = fixture_text("br_z7.txt"), fixture_text("trace_phi.tdg")
+    cases = [
+        ("loops 1_0\n", lambda f: ["invariant", f, bq2, br_z7], "line 1: expected 'loops k'"),
+        ("+ 1_0 2 3 4\n", lambda f: ["invariant", f, bq2, br_z7],
+         "line 1: non-integer semiarc id"),
+        (bracket.replace("1 6 2 5", "1_0 6 2 5"), lambda f: ["invariant", hopf, bq2, f],
+         "line 3: invalid literal for int() with base 10: '1_0'"),
+        (bracket.replace("ring mod 7", "ring mod 1_0"), lambda f: ["verify-bracket", bq2, f],
+         "line 2: bad modulus '1_0'"),
+        ("2\n2 2 2 2\n1 1 1_0 1\n", lambda f: ["verify-biquandle", f],
+         "line 3: non-integer entry"),
+        (trace.replace("color 6 2", "color 6 0_2"), lambda f: ["eval-trace", f, bq2, br_z7],
+         "line 12: expected integers, got '6 0_2'"),
+        (trace.replace("source(2,5) 1 1", "source(2,5) 1 1_0"),
+         lambda f: ["eval-trace", f, bq2, br_z7], "line 6: expected integers, got '1 1_0'"),
+    ]
+    for text, argv, expected in cases:
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        assert_input_error(capsys, argv(str(path)), expected)
 
 
 def test_biquandle_file_size_below_one_exit_2(capsys, tmp_path):

@@ -5,12 +5,13 @@ import random
 import pytest
 
 from tracebracket import fixture_text
-from tracebracket.bracket import (bracket_invariant, classify_adequacy,
+from tracebracket.bracket import (_crossings_plan, bracket_invariant, classify_adequacy,
                                   constant_bracket, crossing_coefficient_pair,
                                   make_bracket, state_sum)
 from tracebracket.coloring import enumerate_colorings
-from tracebracket.diagram import (diagram, hopf_pos, join_ends, trefoil_pos, trefoil_rii,
-                                  unknot0, unknot_kink, writhe_counts)
+from tracebracket.diagram import (OrientedDiagram, diagram, hopf_pos, join_ends,
+                                  switch_crossing, trefoil_pos, trefoil_rii, unknot0,
+                                  unknot_kink, writhe_counts)
 from tracebracket.rings import ModRing
 from tracebracket.search import search_brackets
 from tracebracket.trace import (MultiComponentCrossingError,
@@ -111,6 +112,51 @@ def test_recursive_equals_state_sum(bq1, bq2, bq3, br_gen, br_z7, br_z5):
             assert evaluate_recursive(from_colored_diagram(d, bq, col), beta) == expected
 
 
+def shuffled_closure(rng, braid_closure, strands, length):
+    """A seeded braid closure and the same diagram with its crossings permuted."""
+    word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)]
+    d = braid_closure(word, strands)
+    rows = list(d.crossings)
+    rng.shuffle(rows)
+    return d, OrientedDiagram(tuple(rows), d.free_loops)
+
+
+def test_state_sum_any_crossing_order(bq1, bq2, bq3, br_gen, br_z7, br_z5, braid_closure):
+    # state_sum contracts in greedy order whatever order the crossings come in
+    rng = random.Random(1515)
+    for bq, beta in [(bq1, br_gen), (bq2, br_z7)] + [(bq3, b) for b in br_z5]:
+        for strands in (3, 5):
+            for length in (2, 5, 8):
+                d, shuffled = shuffled_closure(rng, braid_closure, strands, length)
+                for col in enumerate_colorings(d, bq)[:3]:
+                    assert state_sum(shuffled, col, beta) == brute_force_state_sum(d, col, beta)
+        for strands, length in ((3, 30), (5, 40)):
+            d, shuffled = shuffled_closure(rng, braid_closure, strands, length)
+            for col in enumerate_colorings(d, bq)[:2]:
+                assert state_sum(shuffled, col, beta) == state_sum(d, col, beta)
+
+
+def test_state_sum_plan_cache_serves_each_diagram_its_own_plan(bq1, bq2, br_gen, br_z7,
+                                                               braid_closure):
+    # two closures with the same crossing count, in alternation, and a
+    # diagram followed by its switch, each against a run on an empty cache
+    rng = random.Random(77)
+    d1 = braid_closure([1, 2, -1, 2, 2, 1, -2, 1], 3)
+    d2 = shuffled_closure(rng, braid_closure, 3, 8)[1]
+    d3 = switch_crossing(d1, 2)
+    for bq, beta in ((bq1, br_gen), (bq2, br_z7)):
+        expected = {}
+        for d in (d1, d2, d3):
+            for col in enumerate_colorings(d, bq):
+                _crossings_plan.cache_clear()
+                expected[d, col] = state_sum(d, col, beta)
+                assert expected[d, col] == brute_force_state_sum(d, col, beta)
+        _crossings_plan.cache_clear()
+        for d in (d1, d2, d1, d2, d1, d3, d1, d3):
+            for col in enumerate_colorings(d, bq):
+                assert state_sum(d, col, beta) == expected[d, col]
+
+
 def expand_open(td, beta):
     """Boundary resolution of an open trace diagram by smooth_crossing
     expansion, each crossingless leaf resolved by walking its strands."""
@@ -156,7 +202,8 @@ def test_evaluate_open_equals_smoothing_expansion(bq2, br_z7):
 
 
 def test_expansion_order_independence(bq2, br_z7, bq1, br_gen):
-    # the state sum places the nodes in the order of td.nodes
+    # the plan's greedy order starts from the first of td.nodes and breaks ties
+    # by position there, so shuffling td.nodes changes the placement order
     rng = random.Random(4242)
     for bq, beta, d in [(bq2, br_z7, hopf_pos()), (bq1, br_gen, trefoil_rii())]:
         col = enumerate_colorings(d, bq)[0]
