@@ -10,10 +10,11 @@ subject to three conditions:
   (iii) five product equations over all triples (x, y, z), spelled out in
         ``_triple_equations`` below.
 
-Conditions (i)-(iii) and the adequacy chains have one body each
-(``check_tables``, ``classify_tables``), run on flat tables of raw ring
-values: plain ints over Z_n, reduced only when compared, and the elements
-themselves over the Laurent ring.
+Conditions (i)-(iii), the adequacy chains and the pass-through condition
+have one body each (``check_tables``, ``over_under_witnesses``,
+``passthrough_witness``), run on flat tables of raw ring values: plain
+ints over Z_n, reduced only when compared, and the elements themselves
+over the Laurent ring.
 
 The state sum of a colored diagram smooths every crossing both ways,
 weights each state by its coefficients and by delta per resulting circle,
@@ -333,6 +334,12 @@ class AdequacyClass:
     def adequate(self) -> bool:
         return self.over_adequate and self.under_adequate
 
+    @classmethod
+    def from_witnesses(cls, over_witness, under_witness, passthrough_witness) -> "AdequacyClass":
+        """The class whose conditions fail exactly where a witness is given."""
+        return cls(over_witness is None, under_witness is None, passthrough_witness is None,
+                   over_witness, under_witness, passthrough_witness)
+
     def label(self) -> str:
         if self.adequate:
             return "adequate"
@@ -352,8 +359,20 @@ def classify_adequacy(beta: BiquandleBracket) -> AdequacyClass:
 
 def classify_tables(bq: Biquandle, ring, A, B, triples) -> AdequacyClass:
     """:func:`classify_adequacy` on flat raw tables, as in :func:`check_tables`."""
+    over_witness, under_witness = over_under_witnesses(ring, A, B, triples)
+    return AdequacyClass.from_witnesses(over_witness, under_witness,
+                                        passthrough_witness(bq, ring, A, B))
+
+
+def over_under_witnesses(ring, A, B, triples):
+    """The first triples at which the over- and the under-adequacy chains
+    fail on flat raw tables, each None if its chain holds everywhere.
+
+    Both sides of every chain equation have the same degree in (A, B), so
+    scaling both tables by a unit keeps the verdicts and the witnesses.
+    """
     same = ring.same
-    over_witness = under_witness = pass_witness = None
+    over_witness = under_witness = None
     for witness, (l1, l2, l3, r1, r2, r3, u) in triples:
         # over:  A[y,z] = A[y^x,z^x] and A[y,z]B[x^y,z_y] = B[x,z]A[y_x,z_x]
         #        = A[x,z]B[y_x,z_x] = B[y,z]A[x^y,z_y]
@@ -371,21 +390,22 @@ def classify_tables(bq: Biquandle, ring, A, B, triples) -> AdequacyClass:
                 under_witness = witness
         if over_witness is not None and under_witness is not None:
             break
+    return over_witness, under_witness
 
-    n = bq.n
+
+def passthrough_witness(bq: Biquandle, ring, A, B) -> Optional[Tuple[int, int]]:
+    """The first pair (x, diag(x)) at which the pass-through condition
+    A[x][x]^2 B[y][y]^2 = A[y][y]^2 B[x][x]^2 = 1, y = diag(x), fails on
+    flat raw tables, or None.  Scaling by a unit l multiplies both
+    products by l^4, so the verdict can differ along a scaling orbit."""
+    same, n = ring.same, bq.n
     one = ring.raw(ring.one())
     for x in range(n):
-        xx, yy = x * (n + 1), bq.diag(x) * (n + 1)
+        y = bq.diag(x)
+        xx, yy = x * (n + 1), y * (n + 1)
         if not (same(A[xx] ** 2 * B[yy] ** 2, one) and same(A[yy] ** 2 * B[xx] ** 2, one)):
-            pass_witness = (x, bq.diag(x))
-            break
-
-    return AdequacyClass(over_adequate=over_witness is None,
-                         under_adequate=under_witness is None,
-                         passthrough=pass_witness is None,
-                         over_witness=over_witness,
-                         under_witness=under_witness,
-                         passthrough_witness=pass_witness)
+            return x, y
+    return None
 
 
 def homflypt_coefficients(beta: BiquandleBracket, x: int):

@@ -241,6 +241,17 @@ def cmd_skein_check(args) -> int:
     return 0 if ok else 1
 
 
+def _int_option(flag: str) -> Callable[[str], int]:
+    """The argparse type of an integer option: ``biquandle.parse_int``, with
+    a bad value an input error (one line, exit 2) rather than a usage error."""
+    def parse(text: str) -> int:
+        try:
+            return bqmod.parse_int(text)
+        except ValueError as e:
+            raise InputError(f"{flag}: {e}") from None
+    return parse
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by every
@@ -279,11 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="search for brackets over Z_n")
     p.add_argument("biquandle")
-    p.add_argument("--mod", type=int, required=True)
+    p.add_argument("--mod", type=_int_option("--mod"), required=True)
     p.add_argument("--class", dest="classification",
                    choices=["adequate", "over", "under", "neither", "any"],
                    default="any")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_int_option("--limit"), default=None)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("eval-trace", help="evaluate a colored trace diagram")
@@ -298,16 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("diagram")
     p.add_argument("biquandle")
     p.add_argument("bracket")
-    p.add_argument("--crossing", type=int, default=0)
+    p.add_argument("--crossing", type=_int_option("--crossing"), default=0)
     p.set_defaults(func=cmd_skein_check)
 
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

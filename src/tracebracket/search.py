@@ -8,14 +8,18 @@ pair).  Slots are placed greedily, each next the one that completes the
 most triples, and the five triple equations are checked as soon as all of a
 triple's slots are filled.
 
-Scaling (A, B) -> (l*A, l*B) by a unit l keeps delta and the homogeneous
-triple equations and sends w to l*w, so brackets come in orbits of phi(n)
-members with distinct A at every slot.  The search fixes A = 1 at the
-first slot it places and expands each table it finds over every unit l.
-Every member is verified by the same kernel as :func:`verify_bracket` and
-classified on its own, since the pass-through condition is not
-scale-invariant.  A brute-force enumerator over all unit tables doubles as
-the correctness oracle in tests.
+Scaling (A, B) -> (l*A, l*B) by a unit l keeps delta, the homogeneous
+triple equations and the homogeneous over/under chains, and sends w to l*w,
+so brackets come in orbits of phi(n) members with distinct A at every slot.
+The search fixes A = 1 at the first slot it places.  Each table it finds,
+one per orbit, is verified in full by the same kernel as
+:func:`verify_bracket` and classified over/under once; each member then
+gets w scaled and the orbit's over/under verdicts.  The pass-through
+condition A[x][x]^2 B[y][y]^2 = 1 scales by l^4, so it is checked per
+member, until a scale-invariant pass-through condition replaces it.  The
+tests check every emitted member against :func:`verify_bracket` and
+:func:`classify_adequacy`, and a brute-force enumerator over all unit
+tables doubles as the correctness oracle.
 """
 from __future__ import annotations
 
@@ -24,8 +28,9 @@ from collections import Counter
 from typing import Iterator, List, Optional, Tuple
 
 from .biquandle import Biquandle
-from .bracket import (AdequacyClass, BiquandleBracket, check_tables, classify_tables,
-                      pair_delta, pair_w, triple_slots, verify_bracket, _triple_equations)
+from .bracket import (AdequacyClass, BiquandleBracket, check_tables, over_under_witnesses,
+                      pair_delta, pair_w, passthrough_witness, triple_slots, verify_bracket,
+                      _triple_equations)
 from .rings import ModRing
 
 
@@ -55,11 +60,6 @@ def _slot_order(n: int, triples) -> List[int]:
             need.discard(best)
         needs = [need for need in needs if need]
     return order
-
-
-def _rows(ring: ModRing, flat, n: int) -> List[list]:
-    """A flat int table as n rows of ring elements."""
-    return [[ring.wrap(v) for v in flat[x * n:(x + 1) * n]] for x in range(n)]
 
 
 def _ready_at(triples, slots: List[int]) -> List[list]:
@@ -132,27 +132,32 @@ def search_brackets(bq: Biquandle, modulus: int,
     ready_at = _ready_at(triples, slots)
     by_delta = _delta_candidates(ring, units)
     emitted = 0
+    elements = [ring.wrap(v) for v in range(modulus)]   # immutable, so shared
+
+    def rows(flat) -> List[list]:
+        return [[elements[v] for v in flat[x * n:(x + 1) * n]] for x in range(n)]
 
     for delta in sorted(by_delta):
         batch = []
         for A, B in _orbit_representatives(ring, n, slots, ready_at, delta,
                                            sorted(by_delta[delta])):
+            bad, _d, w = check_tables(bq, ring, A, B, triples)
+            if bad:                         # unreachable while the pruning is sound
+                A_rows, B_rows = ([t[x * n:(x + 1) * n] for x in range(n)] for t in (A, B))
+                raise RuntimeError(f"search pruning let through A={A_rows} B={B_rows} "
+                                   f"over Z{modulus}: {bad[0].describe()}")
+            over_under = over_under_witnesses(ring, A, B, triples)
             for lam in units:
-                A_l = [lam * a % modulus for a in A]
-                B_l = [lam * b % modulus for b in B]
-                bad, _d, w = check_tables(bq, ring, A_l, B_l, triples)
-                if bad:                     # unreachable while the pruning is sound
-                    rows = [[t[x * n:(x + 1) * n] for x in range(n)] for t in (A_l, B_l)]
-                    raise RuntimeError(f"search pruning let through A={rows[0]} B={rows[1]} "
-                                       f"over Z{modulus}: {bad[0].describe()}")
-                batch.append((A_l, B_l, w))
-        batch.sort()
-        for A_l, B_l, w in batch:
-            cls = classify_tables(bq, ring, A_l, B_l, triples)
+                batch.append(([lam * a % modulus for a in A], [lam * b % modulus for b in B],
+                              lam * w % modulus, over_under))
+        batch.sort(key=lambda member: member[:2])
+        for A_l, B_l, w, (over, under) in batch:
+            cls = AdequacyClass.from_witnesses(over, under,
+                                               passthrough_witness(bq, ring, A_l, B_l))
             if classification and classification != "any" and cls.label() != classification:
                 continue
-            yield BiquandleBracket(bq, ring, _rows(ring, A_l, n), _rows(ring, B_l, n),
-                                   ring.wrap(delta), ring.wrap(w)), cls
+            yield (BiquandleBracket(bq, ring, rows(A_l), rows(B_l), elements[delta], elements[w]),
+                   cls)
             emitted += 1
             if limit is not None and emitted >= limit:
                 return

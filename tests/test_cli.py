@@ -256,6 +256,20 @@ def test_integer_fields_take_ascii_digits_only(capsys, tmp_path):
         assert_input_error(capsys, argv(str(path)), expected)
 
 
+def test_integer_options_take_ascii_digits_only(capsys):
+    # argparse's type=int would read "1_0", "１０" and " 10" as 10
+    bq2, hopf, br = (fixture_path(f) for f in ("bq2.txt", "hopf_pos.dgm", "br_z7.txt"))
+    for flag, value in (("--mod", "1_0"), ("--mod", "１０"), ("--mod", " 10"),
+                        ("--mod", "abc"), ("--limit", "1_0"), ("--limit", "١"),
+                        ("--crossing", "0_0"), ("--crossing", "٠")):
+        argv = (["skein-check", hopf, bq2, br, "--crossing", value] if flag == "--crossing"
+                else ["search", bq2, "--mod", "5", flag, value])
+        assert_input_error(capsys, argv,
+                           f"{flag}: invalid literal for int() with base 10: {value!r}")
+    rc, out = run(capsys, "search", bq2, "--mod", "+5", "--limit", "2")
+    assert rc == 0 and out.endswith("found: 2\n")
+
+
 def test_biquandle_file_size_below_one_exit_2(capsys, tmp_path):
     for size in ("0", "-1"):
         path = tmp_path / f"size{size}.txt"

@@ -1,11 +1,16 @@
+import functools
 import hashlib
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tracebracket import fixture_text, parse_biquandle
 from tracebracket import search as searchmod
 from tracebracket.biquandle import trivial_biquandle
-from tracebracket.bracket import classify_adequacy, triple_slots, verify_bracket
+from tracebracket.bracket import (check_tables, classify_adequacy, classify_tables,
+                                  passthrough_witness, triple_slots, verify_bracket)
 from tracebracket.rings import ModRing
 from tracebracket.search import (bracket_key, brute_force_brackets,
                                  search_brackets)
@@ -145,6 +150,68 @@ def test_search_output_is_whole_scaling_orbits(request, spec, n):
         assert orbit <= found
         orbits.add(orbit)
     assert len(found) == len(orbits) * len(units)
+
+
+@pytest.mark.parametrize("spec, n", [(spec, n) for spec, n, *_ in PINNED_SEARCHES],
+                         ids=[f"{spec}-Z{n}" for spec, n, *_ in PINNED_SEARCHES])
+def test_every_orbit_member_verifies_and_classifies(request, spec, n):
+    """The search checks and classifies one member per scaling orbit; every
+    member it emits must still be a bracket with the emitted delta and w,
+    and carry the class, witnesses included, that classify_adequacy gives."""
+    bq = request.getfixturevalue(spec)
+    for beta, cls in search_brackets(bq, n):
+        check = verify_bracket(bq, beta.ring, beta.A, beta.B)
+        assert check.ok
+        assert (check.bracket.delta, check.bracket.w) == (beta.delta, beta.w)
+        assert classify_adequacy(beta) == cls
+
+
+@functools.cache
+def _scaling_case(spec: str, modulus: int):
+    """(biquandle, its triples, units, flat raw tables of every bracket)."""
+    bq = parse_biquandle(fixture_text(f"{spec}.txt"))
+    brackets = [tuple([e.value for row in table for e in row] for table in (b.A, b.B))
+                for b, _ in search_brackets(bq, modulus)]
+    units = [u for u in range(1, modulus) if gcd(u, modulus) == 1]
+    return bq, triple_slots(bq), units, brackets
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_unit_scaling_keeps_verdicts(data):
+    """Scaling (A, B) by a unit l keeps every violation of the bracket
+    conditions (delta's values fixed, w's times l, the triple equations'
+    times l^3), sends w to l*w and keeps the over/under verdicts and
+    witnesses.  Tables are random units, or a bracket with a few entries
+    redrawn, so that violations and witnesses fall at varied triples."""
+    spec, modulus = data.draw(st.sampled_from([("bq2", 7), ("bq3", 5)]))
+    bq, triples, units, brackets = _scaling_case(spec, modulus)
+    ring, cells, unit = ModRing(modulus), bq.n * bq.n, st.sampled_from(units)
+    if data.draw(st.booleans()):
+        A, B = (list(t) for t in data.draw(st.sampled_from(brackets)))
+        for _ in range(data.draw(st.integers(0, 3))):
+            data.draw(st.sampled_from((A, B)))[data.draw(st.integers(0, cells - 1))] = \
+                data.draw(unit)
+    else:
+        A, B = (data.draw(st.lists(unit, min_size=cells, max_size=cells)) for _ in "AB")
+    lam = data.draw(unit)
+    A_l, B_l = [lam * a % modulus for a in A], [lam * b % modulus for b in B]
+
+    bad, delta, w = check_tables(bq, ring, A, B, triples)
+    bad_l, delta_l, w_l = check_tables(bq, ring, A_l, B_l, triples)
+    assert [(v.condition, v.witness) for v in bad_l] == [(v.condition, v.witness) for v in bad]
+    for v, v_l in zip(bad, bad_l):
+        factor = ring.element(lam) ** {"delta": 0, "w": 1}.get(v.condition, 3)
+        assert (v_l.lhs, v_l.rhs) == (v.lhs * factor, v.rhs * factor)
+    assert ring.same(delta_l, delta) and ring.same(w_l, lam * w)
+
+    cls, cls_l = (classify_tables(bq, ring, *t, triples) for t in ((A, B), (A_l, B_l)))
+    assert (cls_l.over_witness, cls_l.under_witness) == (cls.over_witness, cls.under_witness)
+    assert (cls_l.over_adequate, cls_l.under_adequate) == (cls.over_adequate,
+                                                           cls.under_adequate)
+    # the pass-through products scale by l^4, so only then is that verdict kept
+    if pow(lam, 4, modulus) == 1:
+        assert passthrough_witness(bq, ring, A_l, B_l) == cls.passthrough_witness
 
 
 def test_unsound_pruning_raises(bq2, monkeypatch):
