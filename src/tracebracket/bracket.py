@@ -21,7 +21,10 @@ weights each state by its coefficients and by delta per resulting circle,
 and corrects by w^(negative crossings - positive crossings).  The
 smoothings' joins do not depend on the coloring, so each diagram's
 contraction plan (``diagram.plan_contraction``) is built once and run per
-coloring on the bracket's raw coefficient tables (``signed_raw``).
+coloring on the bracket's raw vector (``BiquandleBracket.raw``).  That
+vector is the one layout of a bracket's coefficients that the evaluators
+read, here and in ``trace``, and :func:`raw_slot` is the one place that
+knows where each entry sits in it.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .biquandle import Biquandle, content_lines, parse_int
 from .coloring import enumerate_colorings, positive_frame, validate_coloring
@@ -70,17 +73,29 @@ class BiquandleBracket:
         return self.B[x][y]
 
     @cached_property
-    def signed_raw(self) -> Dict[int, Tuple[Tuple[object, object], ...]]:
-        """Per crossing sign, the raw (A, B) coefficients (see ``ring.raw``)
-        of each color pair (x, y) at flat index x*n + y, inverted at -1."""
+    def raw(self) -> List[object]:
+        """The raw values (see ``ring.raw``) [A, A^-1, B, B^-1, delta, w,
+        w^-1], each table flat at x*n + y; :func:`raw_slot` indexes it.  A
+        list, whose bound ``__getitem__`` is quicker to call than a tuple's."""
         ring = self.ring
-        pairs = [(ring.raw(a), ring.raw(b))
-                 for row_a, row_b in zip(self.A, self.B) for a, b in zip(row_a, row_b)]
-        return {1: tuple(pairs),
-                -1: tuple((ring.inv(a), ring.inv(b)) for a, b in pairs)}
+        A, B = ([ring.raw(e) for row in table for e in row] for table in (self.A, self.B))
+        w = ring.raw(self.w)
+        return [*A, *map(ring.inv, A), *B, *map(ring.inv, B), ring.raw(self.delta), w, ring.inv(w)]
 
     def __repr__(self) -> str:
         return f"BiquandleBracket(n={self.bq.n}, ring={self.ring!r})"
+
+
+def raw_slot(n: int, factor: str, sign: int = 1, pair: Tuple[int, int] = (0, 0)) -> int:
+    """The index in :attr:`BiquandleBracket.raw`, for a bracket on n colors,
+    of ``factor`` to the power ``sign``: "A" or "B" at the color pair
+    ``pair``, "w", or "delta" (at sign 1 only)."""
+    n2 = n * n
+    if factor == "delta":
+        return 4 * n2
+    if factor == "w":
+        return 4 * n2 + (1 if sign > 0 else 2)
+    return (0 if factor == "A" else 2 * n2) + (0 if sign > 0 else n2) + pair[0] * n + pair[1]
 
 
 @dataclass
@@ -240,14 +255,6 @@ def crossing_coefficient_pair(c: Crossing, coloring: Sequence[int]) -> Tuple[int
                             coloring[c.o_out - 1], coloring[c.u_out - 1])
 
 
-def smoothing_coefficient(beta: BiquandleBracket, sign: int, pair: Tuple[int, int],
-                          choice: str):
-    """A[x][y] or B[x][y] at the pair (x, y), inverted at a negative crossing."""
-    x, y = pair
-    coeff = beta.a(x, y) if choice == "A" else beta.b(x, y)
-    return coeff if sign > 0 else coeff.inverse()
-
-
 @lru_cache(maxsize=8)
 def _crossings_plan(crossings: Tuple[Crossing, ...]) -> ContractionPlan:
     """The contraction plan of a diagram's crossings, shared by its colorings."""
@@ -260,16 +267,17 @@ def state_sum(d: OrientedDiagram, coloring: Sequence[int], beta: BiquandleBracke
     run on the raw coefficients of this coloring."""
     if not validate_coloring(d, beta.bq, coloring):
         raise ValueError("coloring is not valid for this diagram and biquandle")
-    n, signed = beta.bq.n, beta.signed_raw
+    n, raw = beta.bq.n, beta.raw
     coefficients = []
     for c in d.crossings:
-        x, y = crossing_coefficient_pair(c, coloring)
-        coefficients.append(signed[c.sign][x * n + y])
-    ring = beta.ring
-    total = run_plan(_crossings_plan(d.crossings), coefficients,
-                     ring.raw(ring.one()), ring.raw(beta.delta))[frozenset()]
+        pair = crossing_coefficient_pair(c, coloring)
+        coefficients.append((raw[raw_slot(n, "A", c.sign, pair)],
+                             raw[raw_slot(n, "B", c.sign, pair)]))
+    delta = raw[raw_slot(n, "delta")]
+    total = run_plan(_crossings_plan(d.crossings), coefficients, delta ** d.free_loops,
+                     delta)[frozenset()]
     p, neg = writhe_counts(d)
-    return beta.w ** (neg - p) * beta.delta ** d.free_loops * ring.wrap(total)
+    return beta.w ** (neg - p) * beta.ring.wrap(total)
 
 
 @dataclass
@@ -352,9 +360,10 @@ class AdequacyClass:
 
 def classify_adequacy(beta: BiquandleBracket) -> AdequacyClass:
     """Check the over-, under- and pass-through conditions for all triples."""
-    raw = beta.ring.raw
-    return classify_tables(beta.bq, beta.ring, [raw(e) for row in beta.A for e in row],
-                           [raw(e) for row in beta.B for e in row], triple_slots(beta.bq))
+    n, raw = beta.bq.n, beta.raw
+    a, b = raw_slot(n, "A"), raw_slot(n, "B")
+    return classify_tables(beta.bq, beta.ring, raw[a:a + n * n], raw[b:b + n * n],
+                           triple_slots(beta.bq))
 
 
 def classify_tables(bq: Biquandle, ring, A, B, triples) -> AdequacyClass:

@@ -35,16 +35,22 @@ def _read(path: str) -> str:
         raise InputError(f"{path}: {e.strerror}") from None
 
 
+def _parse_file(path: str, parse: Callable, *args):
+    """``parse(text, *args)`` on the file's text, a ValueError becoming an
+    input error that names the file."""
+    try:
+        return parse(_read(path), *args)
+    except ValueError as e:
+        raise InputError(f"{path}: {e}") from e
+
+
 def _load_biquandle(spec: str, verify: bool = True) -> bqmod.Biquandle:
     """An inline spec (valid by construction) or a biquandle file, which
     must pass the axioms unless ``verify`` is off."""
     inline = bqmod.biquandle_from_spec(spec)
     if inline is not None:
         return inline
-    try:
-        bq = bqmod.parse_biquandle(_read(spec))
-    except ValueError as e:
-        raise InputError(f"{spec}: {e}") from e
+    bq = _parse_file(spec, bqmod.parse_biquandle)
     if verify:
         report = bqmod.verify_biquandle(bq)
         if not report.ok:
@@ -53,21 +59,11 @@ def _load_biquandle(spec: str, verify: bool = True) -> bqmod.Biquandle:
 
 
 def _load_diagram(path: str) -> dgmod.OrientedDiagram:
-    try:
-        d = dgmod.parse_diagram(_read(path))
-    except ValueError as e:
-        raise InputError(f"{path}: {e}") from e
+    d = _parse_file(path, dgmod.parse_diagram)
     report = dgmod.validate_diagram(d)
     if not report.ok:
         raise InputError(f"{path}: " + "; ".join(report.problems))
     return d
-
-
-def _load_bracket(path: str, bq: bqmod.Biquandle) -> brmod.BiquandleBracket:
-    try:
-        return brmod.parse_bracket(_read(path), bq)
-    except ValueError as e:
-        raise InputError(f"{path}: {e}") from e
 
 
 def _emit(args, payload: dict, text_lines: Callable[[], Iterable[str]]) -> None:
@@ -92,10 +88,7 @@ def cmd_verify_biquandle(args) -> int:
 
 def cmd_verify_bracket(args) -> int:
     bq = _load_biquandle(args.biquandle)
-    try:
-        ring, A, B = brmod.parse_bracket_tables(_read(args.bracket), bq)
-    except ValueError as e:
-        raise InputError(f"{args.bracket}: {e}") from e
+    ring, A, B = _parse_file(args.bracket, brmod.parse_bracket_tables, bq)
     check = brmod.verify_bracket(bq, ring, A, B)
     if check.ok:
         beta = check.bracket
@@ -133,7 +126,7 @@ def cmd_colorings(args) -> int:
 def cmd_invariant(args) -> int:
     d = _load_diagram(args.diagram)
     bq = _load_biquandle(args.biquandle)
-    beta = _load_bracket(args.bracket, bq)
+    beta = _parse_file(args.bracket, brmod.parse_bracket, bq)
     inv = brmod.bracket_invariant(d, bq, beta)
     _emit(args, {"command": "invariant",
                  "inputs": {"diagram": args.diagram, "biquandle": args.biquandle,
@@ -147,7 +140,7 @@ def cmd_invariant(args) -> int:
 
 def cmd_classify(args) -> int:
     bq = _load_biquandle(args.biquandle)
-    beta = _load_bracket(args.bracket, bq)
+    beta = _parse_file(args.bracket, brmod.parse_bracket, bq)
     cls = brmod.classify_adequacy(beta)
     witnesses = []
     for name, w in (("over", cls.over_witness), ("under", cls.under_witness),
@@ -192,11 +185,8 @@ def cmd_search(args) -> int:
 
 def cmd_eval_trace(args) -> int:
     bq = _load_biquandle(args.biquandle)
-    beta = _load_bracket(args.bracket, bq)
-    try:
-        td, _colors = trmod.parse_trace_diagram(_read(args.trace_file), bq)
-    except ValueError as e:
-        raise InputError(f"{args.trace_file}: {e}") from e
+    beta = _parse_file(args.bracket, brmod.parse_bracket, bq)
+    td, _colors = _parse_file(args.trace_file, trmod.parse_trace_diagram, bq)
     if args.method == "parity":
         value = trmod.evaluate_by_parity(td, beta)
     elif args.method == "statesum":
@@ -215,7 +205,7 @@ def cmd_eval_trace(args) -> int:
 def cmd_skein_check(args) -> int:
     d = _load_diagram(args.diagram)
     bq = _load_biquandle(args.biquandle)
-    beta = _load_bracket(args.bracket, bq)
+    beta = _parse_file(args.bracket, brmod.parse_bracket, bq)
     if not 0 <= args.crossing < len(d.crossings):
         raise InputError(f"--crossing {args.crossing} is out of range: {args.diagram} "
                          f"has {len(d.crossings)} crossings, numbered from 0")

@@ -13,11 +13,11 @@ The state-sum engine also lives here, in two halves.  The plan
 join: it places the nodes in greedy order, each next node sharing the most
 labels with those already placed, and records how the pairings of open path
 ends pass from step to step and how many circles each passage closes.  The
-run (``run_plan``) sums coefficient values along those passages.
-``contract`` is plan then run; the bracket state sum builds one plan per
-diagram and runs it once per coloring on raw ring values.  The trace-diagram
-evaluators, the compiled trace moves and the loop counts (``join_ends``) all
-run on this engine.
+run (``run_plan``) sums coefficient values along those passages.  The
+bracket state sum builds one plan per diagram and runs it once per coloring
+on raw ring values.  The trace-diagram evaluators and the compiled trace
+moves plan and run each trace diagram once, and the loop counts
+(``join_ends``) run on the same path joins.
 """
 from __future__ import annotations
 
@@ -211,21 +211,6 @@ def run_plan(plan: ContractionPlan, coefficients: Sequence[Sequence[object]], on
             merged[dst] = term if sofar is None else sofar + term
         values = merged
     return dict(zip(plan.pairings, values))
-
-
-def contract(nodes: Iterable[Sequence[Tuple[object, Sequence[Tuple[Hashable, Hashable]]]]],
-             one, delta) -> Dict[FrozenSet[Tuple[Hashable, Hashable]], object]:
-    """Sum over every choice at every node: :func:`plan_contraction` on the
-    joins, then :func:`run_plan` on the coefficients.
-
-    Each node lists its choices as (coefficient, joins).  The result maps
-    each final pairing of open ends, ``frozenset(mate.items())``, to the
-    summed value of the states that leave it; a closed diagram leaves only
-    ``frozenset()``.
-    """
-    nodes = list(nodes)
-    plan = plan_contraction([[joins for _, joins in choices] for choices in nodes])
-    return run_plan(plan, [[coeff for coeff, _ in choices] for choices in nodes], one, delta)
 
 
 def count_state_loops(d: OrientedDiagram, state: Sequence[str]) -> int:

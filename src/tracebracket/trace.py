@@ -24,27 +24,32 @@ magnetic parity and kink reducibility are all read off that walk.  The
 paper's stop condition, a magnetic parity at every crossing and kink
 reducibility, reduces to kink reducibility alone.
 
-The full state sum runs on ``diagram.contract`` over the edge labels.  A
-crossing offers both smoothings, each weighted by its coefficient and by
-w^(-sign), the weight of the trace it leaves; a trace offers only its
-pass-through pairing, weighted w^(-sign).  In an open tangle a boundary
-edge is a label that only one node joins, so it stays open, and the value
-is keyed by the pairing of the boundary labels.
+The full state sum is one contraction (``diagram.plan_contraction`` then
+``diagram.run_plan``) over the edge labels.  A crossing offers both
+smoothings, each weighted by its coefficient and by w^(-sign), the weight of
+the trace it leaves; a trace offers only its pass-through pairing, weighted
+w^(-sign).  Each weight is named by its slots in the bracket's raw vector
+(``bracket.raw_slot``), so the numeric evaluators multiply raw values and
+wrap once, and the compiled move checks run the same choices over symbols.
+In an open tangle a boundary edge is a label that only one node joins, so
+it stays open, and the value is keyed by the pairing of the boundary labels.
 """
 from __future__ import annotations
 
 import itertools
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, reduce
 from math import prod
+from operator import mul
 from typing import Dict, Hashable, List, Sequence, Tuple
 
 from .biquandle import Biquandle, content_lines, parse_int
 from .bracket import (BiquandleBracket, coefficient_pair, crossing_coefficient_pair,
-                      homflypt_coefficients, smoothing_coefficient)
+                      homflypt_coefficients, raw_slot)
 from .coloring import _propagate, crossing_outputs, positive_frame, validate_coloring
-from .diagram import SMOOTHINGS, OrientedDiagram, contract, switch_crossing, validate_diagram
+from .diagram import (SMOOTHINGS, OrientedDiagram, plan_contraction, run_plan, switch_crossing,
+                      validate_diagram)
 
 
 class MultiComponentCrossingError(ValueError):
@@ -143,33 +148,41 @@ def replace_with_trace(td: TraceDiagram, cid: int, kind: str) -> TraceDiagram:
 
 
 def smooth_crossing(td: TraceDiagram, cid: int, kind: str, beta: BiquandleBracket):
-    """Return (coefficient, smoothed diagram) for one crossing."""
+    """Return (coefficient, smoothed diagram) for one crossing: its A or B
+    entry, inverted at a negative crossing."""
     node = td.nodes[cid]
-    coeff = smoothing_coefficient(beta, node.sign, node.pair, kind)
+    coeff = beta.ring.wrap(beta.raw[raw_slot(beta.bq.n, kind, node.sign, node.pair)])
     return coeff, replace_with_trace(td, cid, kind)
 
 
-def _node_choices(td: TraceDiagram, coefficient, w_trace) -> List[list]:
-    """Each node's choices for ``diagram.contract``: a crossing offers both
-    smoothings, weighted ``coefficient(sign, pair, kind) * w_trace(sign)``, and
-    a trace only its pass-through pairing, weighted ``w_trace(sign)``."""
+def _node_choices(td: TraceDiagram, n: int) -> List[list]:
+    """Each node's choices as (raw slots, joins), the slots those of a
+    bracket on n colors whose product weighs the choice: a crossing offers
+    both smoothings, weighted by its coefficient and w^(-sign), and a trace
+    only its pass-through pairing, weighted w^(-sign)."""
     nodes = []
     for node in td.nodes.values():
-        w = w_trace(node.sign)
+        w = raw_slot(n, "w", -node.sign)
         if node.kind == "x":
-            nodes.append([(coefficient(node.sign, node.pair, k) * w, node.joins(SMOOTHINGS[k]))
+            nodes.append([((raw_slot(n, k, node.sign, node.pair), w), node.joins(SMOOTHINGS[k]))
                           for k in SMOOTHINGS])
         else:
-            nodes.append([(w, node.joins(_PASS[node.kind]))])
+            nodes.append([((w,), node.joins(_PASS[node.kind]))])
     return nodes
 
 
-def _trace_state_sum(td: TraceDiagram, beta: BiquandleBracket) -> Dict[frozenset, object]:
-    """``diagram.contract`` over every node of the trace diagram."""
-    nodes = _node_choices(td, partial(smoothing_coefficient, beta), lambda sign: beta.w ** -sign)
-    circles = beta.delta ** td.free_circles
-    return {pairing: circles * value
-            for pairing, value in contract(nodes, beta.ring.one(), beta.delta).items()}
+def _state_sum(td: TraceDiagram, n: int, values: Sequence) -> Dict[frozenset, object]:
+    """The state sum over every node of the trace diagram, each choice
+    weighted by the product of ``values`` at its slots and the sum started
+    at delta^(free circles): ``values`` is a bracket's raw vector or symbols
+    standing for it.  Maps each final pairing of the boundary labels to its
+    unwrapped sum."""
+    nodes = _node_choices(td, n)
+    plan = plan_contraction([[joins for _, joins in choices] for choices in nodes])
+    weights = [[reduce(mul, map(values.__getitem__, slots)) for slots, _ in choices]
+               for choices in nodes]
+    delta = values[raw_slot(n, "delta")]
+    return run_plan(plan, weights, delta ** td.free_circles, delta)
 
 
 def circles_trace_deleted(td: TraceDiagram) -> int:
@@ -180,7 +193,7 @@ def circles_trace_deleted(td: TraceDiagram) -> int:
 def evaluate_recursive(td: TraceDiagram, beta: BiquandleBracket):
     """The full state sum of a closed trace diagram: both smoothings of
     every crossing, each leaving a trace of its kind."""
-    return _trace_state_sum(td, beta)[frozenset()]
+    return beta.ring.wrap(_state_sum(td, beta.bq.n, beta.raw)[frozenset()])
 
 
 def skein_identity_check(d: OrientedDiagram, bq: Biquandle, beta: BiquandleBracket,
@@ -265,8 +278,9 @@ def evaluate_by_parity(td: TraceDiagram, beta: BiquandleBracket):
 
     Requires every crossing to be single-component and the trace-deleted
     diagram to reduce to zero crossings by kink removal alone.  With a, b
-    the crossing's signed coefficients (``bracket.smoothing_coefficient``),
-    its weight is a + delta b at odd parity and delta a + b at even parity.
+    the crossing's A and B entries, inverted at a negative crossing (the
+    raw slots that :func:`smooth_crossing` reads), its weight is a + delta b
+    at odd parity and delta a + b at even parity.
     """
     parities = []
     for cid in td.crossings():
@@ -277,12 +291,15 @@ def evaluate_by_parity(td: TraceDiagram, beta: BiquandleBracket):
     if not ri_reducible(td):
         raise NotRIReducibleError("trace-deleted diagram is not kink-reducible")
 
-    writhe = sum(n.sign for n in td.nodes.values())
-    value = beta.delta ** circles_trace_deleted(td) * beta.w ** -writhe
+    n, raw = beta.bq.n, beta.raw
+    writhe = sum(node.sign for node in td.nodes.values())
+    delta = raw[raw_slot(n, "delta")]
+    # w^(-writhe), a power of w or of w^-1 as raw values take no negative powers
+    value = delta ** circles_trace_deleted(td) * raw[raw_slot(n, "w", -writhe)] ** abs(writhe)
     for node, par in parities:
-        a, b = (smoothing_coefficient(beta, node.sign, node.pair, k) for k in SMOOTHINGS)
-        value = value * (a + beta.delta * b if par == "odd" else beta.delta * a + b)
-    return value
+        a, b = (raw[raw_slot(n, k, node.sign, node.pair)] for k in SMOOTHINGS)
+        value = value * (a + delta * b if par == "odd" else delta * a + b)
+    return beta.ring.wrap(value)
 
 
 # every crossing of a kink-reducible diagram passes its own curve twice, so
@@ -435,9 +452,11 @@ def evaluate_open(td: TraceDiagram, beta: BiquandleBracket) -> Dict[object, obje
     joins) to the accumulated ring value of the states producing it.
     Pairings whose value is zero are dropped, so dicts compare structurally.
     """
-    zero = beta.ring.zero()
-    return {frozenset(frozenset(pair) for pair in pairing): value
-            for pairing, value in _trace_state_sum(td, beta).items() if value != zero}
+    ring = beta.ring
+    zero = ring.zero()
+    values = {frozenset(frozenset(pair) for pair in pairing): ring.wrap(value)
+              for pairing, value in _state_sum(td, beta.bq.n, beta.raw).items()}
+    return {pairing: value for pairing, value in values.items() if value != zero}
 
 
 # ---------------------------------------------------------------------------
@@ -446,15 +465,16 @@ def evaluate_open(td: TraceDiagram, beta: BiquandleBracket) -> Dict[object, obje
 # Only the coefficient values depend on the bracket: the colored tangles,
 # their states, boundary pairings and loop counts, and the pair each
 # coefficient reads depend only on the biquandle's tables.  So each move is
-# compiled once per biquandle.  Both sides of every seed are contracted by
-# ``diagram.contract`` over sums of monomials in the factor keys A[x][y] and
-# B[x][y] (exponent -1 at a negative crossing), delta and w.  Per boundary
-# pairing, before - after must vanish; the monomials the two sides share
-# cancel, and the non-zero differences left over all seeds, without repeats,
-# are the move's identities, each scaled so its first monomial counts up.
-# An identity is stored as a tuple of monomials, each a flat int tuple
-# (count, *indices), the indices into the bracket's raw vector
-# [A, A^-1, B, B^-1, delta, w, w^-1], the four tables flat (x*n + y).  A
+# compiled once per biquandle.  Both sides of every seed run the numeric
+# evaluator's state sum over symbols in place of the raw vector: sums of
+# monomials in the factor keys A[x][y], B[x][y], delta and w, each key the
+# raw slot of its factor, and the slot of A[x][y]^-1 standing for key
+# A[x][y] at exponent -1 (likewise B and w).  Per boundary pairing, before -
+# after must vanish; the monomials the two sides share cancel, and the
+# non-zero differences left over all seeds, without repeats, are the move's
+# identities, each scaled so its first monomial counts up.  An identity is
+# stored as a tuple of monomials, each a flat int tuple (count, *slots),
+# the slots into the bracket's raw vector (``BiquandleBracket.raw``).  A
 # bracket passes the move when every identity sums to zero.
 # ---------------------------------------------------------------------------
 
@@ -496,16 +516,25 @@ class _Monomials:
 Identity = Tuple[Tuple[int, ...], ...]
 
 
-def _factor(key: int, exponent: int) -> _Monomials:
-    return _Monomials({((key, exponent),): 1})
+@lru_cache(maxsize=8)
+def _raw_symbols(n: int) -> Tuple[List[_Monomials], Dict[Tuple[int, int], int]]:
+    """The raw vector of a bracket on n colors as symbols, each slot its
+    factor's (key, +-1), and the slot of each (key, +-1)."""
+    delta = raw_slot(n, "delta")
+    powers = {delta: (delta, 1)}
+    factors = [("w", (0, 0))] + [(k, pair) for k in SMOOTHINGS
+                                 for pair in itertools.product(range(n), repeat=2)]
+    for factor, pair in factors:
+        for sign in (1, -1):
+            powers[raw_slot(n, factor, sign, pair)] = (raw_slot(n, factor, 1, pair), sign)
+    symbols = [_Monomials({(powers[slot],): 1}) for slot in range(len(powers))]
+    return symbols, {power: slot for slot, power in powers.items()}
 
 
 def _seed_identities(bq: Biquandle, move: TraceMove,
                      seeds: Tuple[int, int, int]) -> List[Identity]:
     """The identities that one seeding of the strands (S, U, V) imposes,
     sorted; [] when the two sides agree for every bracket."""
-    n, n2 = bq.n, bq.n * bq.n
-    delta_key, w_key = 4 * n2, 4 * n2 + 1
     seed_map = {"Sin": seeds[0], "Uin": seeds[1], "Vin": seeds[2]}
     before = _tangle_trace_diagram(move.before, bq, seed_map, move.kind)
     if move.monochromatic_only:
@@ -513,27 +542,15 @@ def _seed_identities(bq: Biquandle, move: TraceMove,
         if x != y:
             return []
     after = _tangle_trace_diagram(move.after, bq, seed_map, move.kind)
-
-    def coefficient(sign, pair, kind):
-        return _factor((0 if kind == "A" else 2 * n2) + pair[0] * n + pair[1], sign)
-
-    def side(td):
-        nodes = _node_choices(td, coefficient, lambda sign: _factor(w_key, -sign))
-        return contract(nodes, _Monomials({(): 1}), _factor(delta_key, 1))
-
-    def position(key, e):
-        """Where key^(sign of e) sits in the raw vector."""
-        if e > 0:
-            return key
-        return key + 1 if key == w_key else key + n2
-
-    b_sums, a_sums = side(before), side(after)
+    symbols, slot_of = _raw_symbols(bq.n)
+    b_sums, a_sums = (_state_sum(td, bq.n, symbols) for td in (before, after))
     out = []
     for pairing in b_sums.keys() | a_sums.keys():
         diff = dict(b_sums[pairing].terms) if pairing in b_sums else {}
         for m, c in (a_sums[pairing].terms.items() if pairing in a_sums else ()):
             diff[m] = diff.get(m, 0) - c
-        identity = sorted((sorted(position(key, e) for key, e in m for _ in range(abs(e))), c)
+        identity = sorted((sorted(slot_of[key, 1 if e > 0 else -1]
+                                  for key, e in m for _ in range(abs(e))), c)
                           for m, c in diff.items() if c)
         if identity:
             sign = 1 if identity[0][1] > 0 else -1
@@ -553,14 +570,6 @@ def _compiled_move(under_table, over_table, move_id: str) -> Tuple[Identity, ...
     return tuple(tuple(shared.setdefault(m, m) for m in identity) for identity in identities)
 
 
-def _raw_factors(beta: BiquandleBracket) -> list:
-    """The raw vector [A, A^-1, B, B^-1, delta, w, w^-1] of a bracket."""
-    ring, plus, minus = beta.ring, beta.signed_raw[1], beta.signed_raw[-1]
-    w = ring.raw(beta.w)
-    return ([a for a, _ in plus] + [a for a, _ in minus] + [b for _, b in plus]
-            + [b for _, b in minus] + [ring.raw(beta.delta), w, ring.inv(w)])
-
-
 def _multiple(one, count: int):
     """``count`` times ``one`` by addition; raw Laurent values take no int factor."""
     total = one - one
@@ -577,7 +586,7 @@ def trace_move_fixture_check(bq: Biquandle, beta: BiquandleBracket, move_id: str
     compiled identities is summed over the bracket's raw values.
     """
     ring = beta.ring
-    factor = _raw_factors(beta).__getitem__
+    factor = beta.raw.__getitem__
     one = ring.raw(ring.one())
     zero = one - one
     multiples: Dict[int, object] = {}

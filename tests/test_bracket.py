@@ -8,8 +8,8 @@ from tracebracket.bracket import (bracket_invariant, classify_adequacy,
                                   constant_bracket, crossing_coefficient_pair,
                                   generic_laurent_bracket,
                                   homflypt_coefficients, make_bracket,
-                                  parse_bracket, serialize_bracket, state_sum,
-                                  verify_bracket)
+                                  parse_bracket, raw_slot, serialize_bracket,
+                                  state_sum, verify_bracket)
 from tracebracket.coloring import enumerate_colorings
 from tracebracket.diagram import (count_state_loops, diagram, hopf_pos,
                                   trefoil_pos, trefoil_rii, unknot0,
@@ -34,6 +34,25 @@ def test_z5_brackets_verify(br_z5):
     for beta in br_z5:
         assert beta.delta.value == 0
         assert beta.w.value in range(5)
+
+
+def test_raw_vector_layout(br_gen, br_z7, br_z5):
+    # raw is [A, A^-1, B, B^-1, delta, w, w^-1], each table flat at x*n + y,
+    # and raw_slot names every slot once
+    for beta in [br_gen, br_z7, *br_z5]:
+        n, ring = beta.bq.n, beta.ring
+        pairs = list(itertools.product(range(n), repeat=2))
+        expected = ([beta.a(*p) for p in pairs] + [beta.a(*p).inverse() for p in pairs]
+                    + [beta.b(*p) for p in pairs] + [beta.b(*p).inverse() for p in pairs]
+                    + [beta.delta, beta.w, beta.w.inverse()])
+        assert [ring.wrap(v) for v in beta.raw] == expected
+        named = {raw_slot(n, "delta"): beta.delta, raw_slot(n, "w", 1): beta.w,
+                 raw_slot(n, "w", -1): beta.w.inverse()}
+        for pair, sign in itertools.product(pairs, (1, -1)):
+            named[raw_slot(n, "A", sign, pair)] = beta.a(*pair) ** sign
+            named[raw_slot(n, "B", sign, pair)] = beta.b(*pair) ** sign
+        assert sorted(named) == list(range(len(beta.raw)))
+        assert all(ring.wrap(beta.raw[slot]) == value for slot, value in named.items())
 
 
 def test_bad_bracket_reports_violation(bq2):

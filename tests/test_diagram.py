@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from tracebracket.diagram import (SMOOTHINGS, Crossing, OrientedDiagram, contract,
+from tracebracket.diagram import (SMOOTHINGS, Crossing, OrientedDiagram,
                                   count_state_loops, diagram, greedy_order, hopf_pos,
                                   oriented_smoothing, parse_diagram, plan_contraction,
-                                  serialize_diagram, state_pairings, switch_crossing,
+                                  run_plan, serialize_diagram, state_pairings, switch_crossing,
                                   trefoil_pos, trefoil_rii, unknot0, unknot_kink,
                                   validate_diagram, writhe_counts)
 
@@ -217,8 +217,9 @@ def test_plan_widths_and_final_pairings():
              for src1, c1, dst1, l1 in plan.steps[1] if src1 == dst0}
     assert loops == {(0, 0): 2, (0, 1): 1, (1, 0): 1, (1, 1): 2}
     # an open node keeps its ends
-    assert contract([[(5, ((1, 2),))]], 1, 10) == {frozenset({(1, 2), (2, 1)}): 5}
-    assert contract([], 1, 10) == {frozenset(): 1}
+    assert run_plan(plan_contraction([[((1, 2),)]]), [[5]], 1, 10) == {
+        frozenset({(1, 2), (2, 1)}): 5}
+    assert run_plan(plan_contraction([]), [], 1, 10) == {frozenset(): 1}
 
 
 def test_greedy_peak_frontier_on_shuffled_closures(braid_closure):

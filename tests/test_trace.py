@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -24,7 +25,7 @@ from tracebracket.trace import (MultiComponentCrossingError,
                                 parity_applicable, passthrough_moves,
                                 replace_with_trace, ri_reducible, slide_moves,
                                 smooth_crossing, trace_move_fixture_check,
-                                _seed_identities, _tangle_trace_diagram)
+                                _compiled_move, _seed_identities, _tangle_trace_diagram)
 
 
 def fixture_diagrams():
@@ -233,7 +234,9 @@ def test_negative_crossing_coefficient_inverted(bq1, br_gen):
     col = (0, 0)
     td = from_colored_diagram(unknot_kink(-1), bq1, col)
     coeff_a, _ = smooth_crossing(td, 0, "A", br_gen)
+    coeff_b, _ = smooth_crossing(td, 0, "B", br_gen)
     assert coeff_a == br_gen.a(0, 0).inverse()
+    assert coeff_b == br_gen.b(0, 0).inverse()
 
 
 def test_crossingless_values(bq1, br_gen):
@@ -565,6 +568,24 @@ def test_compiled_moves_match_reference_on_searched(request, spec, n):
     bq = request.getfixturevalue(spec)
     cases = [(bq, beta) for beta, _cls in search_brackets(bq, n)]
     assert assert_compiled_matches_reference(cases) == {True, False}
+
+
+# sha256 of the compiled identities of all 24 moves, their reprs joined by
+# newlines in all_moves() order: a change to how the moves compile, or to
+# the raw-vector slots their monomials name, shows here
+COMPILED_DIGESTS = {
+    "bq1": "bb79f0f6279b46dabeb4e766471052aa04165decafcdd62baf00dedcc5facc00",
+    "bq2": "92ab80348bd2ebd68e68211108c3b47fc91170d7105e5038e539e7daf8907ea7",
+    "bq3": "def760b16521379c2bb2170fd9c3acedec23073775362151070da150efad8dff",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPILED_DIGESTS))
+def test_compiled_identities_are_pinned(request, name):
+    bq = request.getfixturevalue(name)
+    text = "\n".join(repr(_compiled_move(bq.under_table, bq.over_table, m.move_id))
+                     for m in all_moves())
+    assert hashlib.sha256(text.encode()).hexdigest() == COMPILED_DIGESTS[name]
 
 
 def test_passthrough_witness_reads_off_diagonal_entries(bq2):
