@@ -12,6 +12,11 @@ The required axioms are
 Elements are 0-indexed internally; every file format and all printed output
 use 1-indexed entries so tables can be compared against printed operation
 matrices directly.
+
+A ``Biquandle`` is never changed after construction, so each input is paid
+for once per process: ``parse_biquandle`` is memoized by its text and
+``verify_biquandle`` by the biquandle, which compares and hashes by its
+tables.  An error is never cached, so a malformed text raises on every call.
 """
 from __future__ import annotations
 
@@ -120,6 +125,7 @@ def _column_inverse(table: Table) -> List[List[int]]:
     return inv
 
 
+@lru_cache(maxsize=64)
 def verify_biquandle(bq: Biquandle) -> BiquandleReport:
     """Check axioms (i)-(iii) by enumeration, reporting every violation."""
     n = bq.n
@@ -203,6 +209,7 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
+@lru_cache(maxsize=64)
 def parse_biquandle(text: str) -> Biquandle:
     """Parse the block-matrix file format.
 

@@ -25,6 +25,10 @@ coloring on the bracket's raw vector (``BiquandleBracket.raw``).  That
 vector is the one layout of a bracket's coefficients that the evaluators
 read, here and in ``trace``, and :func:`raw_slot` is the one place that
 knows where each entry sits in it.
+
+A ``BiquandleBracket`` is never changed after construction, so
+:func:`parse_bracket` is memoized by (text, biquandle): a bracket file is
+parsed and verified once per process, and an error is never cached.
 """
 from __future__ import annotations
 
@@ -476,6 +480,7 @@ def parse_bracket_tables(text: str, bq: Biquandle):
     return ring, A, B
 
 
+@lru_cache(maxsize=64)
 def parse_bracket(text: str, bq: Biquandle) -> BiquandleBracket:
     """Parse a bracket file (see :func:`parse_bracket_tables`) and verify it."""
     return make_bracket(bq, *parse_bracket_tables(text, bq))

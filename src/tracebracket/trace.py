@@ -22,7 +22,10 @@ curve; these are the vertices magnetic parity counts.  ``TraceDiagram.curves``
 walks each component of the trace-deleted curve once, and the circle count,
 magnetic parity and kink reducibility are all read off that walk.  The
 paper's stop condition, a magnetic parity at every crossing and kink
-reducibility, reduces to kink reducibility alone.
+reducibility, reduces to kink reducibility alone.  The walk follows the
+diagram's end links (``TraceDiagram.links``: each node role linked to the
+other end of its edge).  A smoothing keeps every edge, so the links are
+built once per diagram and shared by every diagram smoothed from it.
 
 The full state sum is one contraction (``diagram.plan_contraction`` then
 ``diagram.run_plan``) over the edge labels.  A crossing offers both
@@ -38,11 +41,11 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from math import prod
 from operator import mul
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .biquandle import Biquandle, content_lines, parse_int
 from .bracket import (BiquandleBracket, coefficient_pair, crossing_coefficient_pair,
@@ -65,9 +68,15 @@ _ROLES = ("u_in", "o_in", "o_out", "u_out")
 # is walked through, and a trace keeps the pairing of the smoothing it stands for
 _PASS = {"x": (("u_in", "u_out"), ("o_in", "o_out")),
          "a": SMOOTHINGS["A"], "b": SMOOTHINGS["B"]}
-# the role each role is paired with by _PASS
-_PARTNER = {kind: {r: s for pair in pairs for r, s in (pair, pair[::-1])}
-            for kind, pairs in _PASS.items()}
+
+
+def _partners(pairs) -> Tuple[int, ...]:
+    """For each role, the index of the role that ``pairs`` pairs it with."""
+    partner = {r: s for pair in pairs for r, s in (pair, pair[::-1])}
+    return tuple(_ROLES.index(partner[r]) for r in _ROLES)
+
+
+_PARTNER = {kind: _partners(pairs) for kind, pairs in _PASS.items()}
 
 
 @dataclass(frozen=True)
@@ -89,6 +98,8 @@ class Node:
 class TraceDiagram:
     nodes: Dict[int, Node]
     free_circles: int = 0
+    # the links of the diagram this one was smoothed from (see ``links``)
+    given_links: Optional[List[int]] = field(default=None, compare=False, repr=False)
 
     def crossings(self) -> List[int]:
         return sorted(i for i, n in self.nodes.items() if n.kind == "x")
@@ -97,30 +108,48 @@ class TraceDiagram:
         return sorted(i for i, n in self.nodes.items() if n.kind != "x")
 
     @cached_property
+    def links(self) -> List[int]:
+        """The end links of the edges: end 4*i + r is role ``_ROLES[r]`` of
+        the i-th node in ``nodes`` order, and ``links[e]`` is the other end
+        of e's edge, or -1 at a boundary edge, which only one node joins."""
+        if self.given_links is not None:
+            return self.given_links
+        links = [-1] * (4 * len(self.nodes))
+        first: Dict[Hashable, int] = {}
+        for i, n in enumerate(self.nodes.values()):
+            for e, label in enumerate((n.u_in, n.o_in, n.o_out, n.u_out), start=4 * i):
+                if label in first:
+                    links[e], links[first[label]] = first[label], e
+                else:
+                    first[label] = e
+        return links
+
+    @cached_property
     def curves(self) -> List[List[Tuple[int, int]]]:
         """The trace-deleted curve of a closed diagram, walked once: each
         component's crossing passes in walking order, each with the number of
         sink/source visits made before it.  A component that meets no
         crossing is an empty list."""
-        ends: Dict[Hashable, List[Tuple[int, str]]] = {}
-        for nid, n in self.nodes.items():
-            for role in _ROLES:
-                ends.setdefault(getattr(n, role), []).append((nid, role))
-        curves, seen = [], set()
-        for label, (here, _) in ends.items():
-            if label in seen:
+        links = self.links
+        if -1 in links:
+            raise ValueError("an open tangle has no closed trace-deleted curve")
+        ids, kinds = list(self.nodes), [n.kind for n in self.nodes.values()]
+        # the end by which the walk leaves a node it entered at end e
+        leave = [4 * i + r for i, kind in enumerate(kinds) for r in _PARTNER[kind]]
+        curves, seen = [], [False] * len(links)
+        for start in range(len(links)):
+            if seen[start]:
                 continue
-            passes, visits = [], 0
-            while label not in seen:
-                seen.add(label)
-                first, second = ends[label]
-                nid, role = second if first == here else first
-                node = self.nodes[nid]
-                if node.kind == "x":
-                    passes.append((nid, visits))
-                visits += node.kind == "b"
-                here = (nid, _PARTNER[node.kind][role])
-                label = getattr(node, here[1])
+            passes, visits, here = [], 0, start
+            while not seen[here]:
+                there = links[here]
+                seen[here] = seen[there] = True
+                kind = kinds[there >> 2]
+                if kind == "x":
+                    passes.append((ids[there >> 2], visits))
+                elif kind == "b":
+                    visits += 1
+                here = leave[there]
             curves.append(passes)
         return curves
 
@@ -144,7 +173,9 @@ def replace_with_trace(td: TraceDiagram, cid: int, kind: str) -> TraceDiagram:
         raise ValueError(f"node {cid} is not a crossing")
     if kind not in SMOOTHINGS:
         raise ValueError("kind must be 'A' or 'B'")
-    return TraceDiagram({**td.nodes, cid: replace(node, kind=kind.lower())}, td.free_circles)
+    trace = Node(kind.lower(), node.sign, node.pair, node.u_in, node.o_in, node.o_out, node.u_out)
+    # a smoothing keeps every edge, so the derived diagram shares the links
+    return TraceDiagram({**td.nodes, cid: trace}, td.free_circles, td.links)
 
 
 def smooth_crossing(td: TraceDiagram, cid: int, kind: str, beta: BiquandleBracket):

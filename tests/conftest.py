@@ -1,7 +1,6 @@
 import pytest
 
-from tracebracket import (alexander_biquandle, fixture_text, parse_biquandle,
-                          parse_bracket, trivial_biquandle)
+from tracebracket import alexander_biquandle, fixture_text, parse_biquandle, parse_bracket
 from tracebracket.diagram import diagram
 
 

@@ -18,8 +18,6 @@ import itertools
 import random
 import time
 
-import pytest
-
 from tracebracket import fixture_path, fixture_text
 from tracebracket.biquandle import trivial_biquandle
 from tracebracket.bracket import (bracket_invariant, classify_adequacy,
@@ -31,7 +29,7 @@ from tracebracket.coloring import (counting_invariant, enumerate_colorings,
 from tracebracket.diagram import (count_state_loops, hopf_pos,
                                   oriented_smoothing, state_pairings,
                                   switch_crossing, trefoil_pos, trefoil_rii,
-                                  unknot0, unknot_kink, writhe_counts)
+                                  unknot0, unknot_kink)
 from tracebracket.search import bracket_key, brute_force_brackets, search_brackets
 from tracebracket.trace import (diagrammatic_adequacy, evaluate_by_parity,
                                 evaluate_recursive, evaluate_recursive_parity,

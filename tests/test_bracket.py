@@ -6,13 +6,11 @@ import pytest
 from tracebracket.biquandle import trivial_biquandle
 from tracebracket.bracket import (bracket_invariant, classify_adequacy,
                                   constant_bracket, crossing_coefficient_pair,
-                                  generic_laurent_bracket,
                                   homflypt_coefficients, make_bracket,
                                   parse_bracket, raw_slot, serialize_bracket,
                                   state_sum, verify_bracket)
 from tracebracket.coloring import enumerate_colorings
-from tracebracket.diagram import (count_state_loops, diagram, hopf_pos,
-                                  trefoil_pos, trefoil_rii, unknot0,
+from tracebracket.diagram import (diagram, hopf_pos, trefoil_pos, trefoil_rii, unknot0,
                                   unknot_kink, validate_diagram, writhe_counts)
 from tracebracket.rings import LaurentRing, ModRing
 from tracebracket.search import search_brackets

@@ -6,7 +6,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracebracket import fixture_path, fixture_text
+from tracebracket import (fixture_path, fixture_text, parse_biquandle, parse_bracket,
+                          serialize_biquandle, trivial_biquandle, verify_biquandle)
 from tracebracket.cli import build_parser, main
 
 
@@ -214,6 +215,35 @@ def test_bracket_header_without_ring_kind_exit_2(capsys, tmp_path):
                                     fixture_path("bq2.txt"), str(bad)], "ring mod <n>")
         assert_input_error(capsys, ["verify-bracket", fixture_path("bq2.txt"), str(bad)],
                            "ring mod <n>")
+
+
+def test_loads_are_memoized_per_text(capsys, tmp_path):
+    bq_text = fixture_text("bq2.txt")
+    bq = parse_biquandle(bq_text)
+    assert parse_biquandle(bq_text) is bq
+    assert verify_biquandle(bq) is verify_biquandle(bq)
+    edited = parse_biquandle(serialize_biquandle(trivial_biquandle(2)))
+    assert edited is not bq and edited.under_table == ((0, 0), (1, 1))
+
+    br_text = "ring mod 5\n1 1 4 4\n1 1 4 4\n"
+    beta = parse_bracket(br_text, bq)
+    assert parse_bracket(br_text, bq) is beta
+    edited = parse_bracket(br_text.replace("4", "2"), bq)
+    assert edited is not beta and (str(edited.b(0, 0)), str(edited.delta)) == ("2", "0")
+    other = parse_bracket(br_text, trivial_biquandle(2))
+    assert other is not beta
+    assert (beta.bq, other.bq) == (bq, trivial_biquandle(2))
+
+    # errors are not cached: each call reports the malformed file again
+    bad = tmp_path / "bad.txt"
+    bad.write_text("ring mod 7\n1 6 2\n4 1 1 2\n")
+    argv = ["invariant", fixture_path("hopf_pos.dgm"), fixture_path("bq2.txt"), str(bad)]
+    errors = []
+    for _ in range(2):
+        assert main(argv) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and errors[0].count("\n") == 1
+    assert "line 2: expected 4 entries, found 3" in errors[0]
 
 
 def test_inline_biquandle_size_below_one_exit_2(capsys):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from tracebracket.diagram import (SMOOTHINGS, Crossing, OrientedDiagram,
+from tracebracket.diagram import (SMOOTHINGS, OrientedDiagram,
                                   count_state_loops, diagram, greedy_order, hopf_pos,
                                   oriented_smoothing, parse_diagram, plan_contraction,
                                   run_plan, serialize_diagram, state_pairings, switch_crossing,

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from tracebracket import fixture_text
-from tracebracket.bracket import (_crossings_plan, bracket_invariant, classify_adequacy,
+from tracebracket.bracket import (_crossings_plan, classify_adequacy,
                                   constant_bracket, crossing_coefficient_pair,
                                   make_bracket, state_sum)
 from tracebracket.coloring import enumerate_colorings
@@ -15,8 +15,7 @@ from tracebracket.diagram import (OrientedDiagram, diagram, hopf_pos, join_ends,
                                   unknot_kink, writhe_counts)
 from tracebracket.rings import ModRing
 from tracebracket.search import search_brackets
-from tracebracket.trace import (MultiComponentCrossingError,
-                                NotRIReducibleError, TraceDiagram, all_moves,
+from tracebracket.trace import (MultiComponentCrossingError, TraceDiagram, all_moves,
                                 circles_trace_deleted, diagrammatic_adequacy,
                                 diagrammatic_passthrough, evaluate_by_parity,
                                 evaluate_open, evaluate_recursive,
@@ -495,6 +494,9 @@ def test_curve_walk_matches_reference_walks(bq1, bq2, bq3, a312, braid_closure):
             td = from_colored_diagram(d, bq, rng.choice(enumerate_colorings(d, bq)))
             for cid in rng.sample(td.crossings(), rng.randint(0, len(td.crossings()))):
                 td = replace_with_trace(td, cid, rng.choice("AB"))
+            # the walk over links shared with the unsmoothed diagram equals a
+            # walk over links built afresh
+            assert td.curves == TraceDiagram(dict(td.nodes), td.free_circles).curves
             expected = [reference_parity(td, cid) for cid in td.crossings()]
             assert [magnetic_parity(td, cid) for cid in td.crossings()] == expected
             reducible = reference_ri_reducible(td)
@@ -513,12 +515,17 @@ def test_curve_walk_matches_reference_walks(bq1, bq2, bq3, a312, braid_closure):
     assert verdicts == {True, False}
 
 
-def test_curves_keep_components_without_crossings(bq1):
+def test_curves_keep_components_without_crossings(bq1, bq2):
     td = from_colored_diagram(hopf_pos(), bq1, (0,) * 4)
     td = replace_with_trace(replace_with_trace(td, 0, "A"), 1, "B")
     assert td.curves == [[]] * reference_circles(td)
     kink = from_colored_diagram(unknot_kink(1), bq1, (0, 0))
     assert kink.curves == [[(0, 0), (0, 0)]]
+    # an open tangle's boundary edges have one end, so it has no closed curve
+    move = all_moves()[0]
+    tangle = _tangle_trace_diagram(move.before, bq2, {"Sin": 0, "Uin": 1, "Vin": 0}, move.kind)
+    with pytest.raises(ValueError, match="open tangle"):
+        tangle.curves
 
 
 def test_tangle_seeds_that_miss_a_wire_raise(bq2):
