@@ -3,17 +3,22 @@
 Crossing conventions
 --------------------
 The convention is stated once, in :func:`positive_frame`.  The coloring
-rules, propagation, the linear system and the bracket's coefficient pair
-all read a crossing of either sign through its frame.
+rules, the propagation schedule and the bracket's coefficient pair all
+read a crossing of either sign through its frame.
 
-Enumeration takes one of two paths.  When both operations are affine over
-a prime field, under(x, y) = a x + b y + c and over(x, y) = d x + e y + f
-mod a prime n with a and d nonzero (every alexander(p, t, s) with p prime,
-and the two-element fixture bq2), each crossing's two equations are linear
-and the colorings are the solutions of a sparse linear system over GF(n),
-found by elimination.  Every other table (n = 1, composite n, non-affine
-tables, and affine tables with a or d zero) goes through a depth-first
-search with constraint propagation.  Both paths return the same list.
+Which labels a crossing's rule can fill depends only on which labels are
+known, not on their colors.  So each diagram gets one
+:func:`propagation_schedule`: a list of levels, each a seed (the lowest
+uncolored semiarc) and the steps that seed forces, every crossing firing
+in exactly one step.  Enumeration runs that schedule one of two ways.
+When both operations are affine over a prime field, under(x, y) =
+a x + b y + c and over(x, y) = d x + e y + f mod a prime n with a and d
+nonzero (every alexander(p, t, s) with p prime, and the two-element
+fixture bq2), every color is affine in the k seed colors, so the checks
+form a linear system in k unknowns over GF(n), solved by elimination.
+Every other table (n = 1, composite n, non-affine tables, and affine
+tables with a or d zero) goes through a depth-first search over the seed
+colors.  Both paths return the same list.
 
 These rules are pinned by the worked invariants they must reproduce: nine
 colorings of the trefoil under the linear biquandle on Z_3 with t=1, s=2,
@@ -24,7 +29,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .biquandle import Biquandle
 from .diagram import Crossing, OrientedDiagram, validate_diagram
@@ -109,49 +115,127 @@ def _frames(d: OrientedDiagram) -> List[Frame]:
             for c in d.crossings]
 
 
-def _propagate(frames: Sequence[Frame], bq: Biquandle, colors) -> bool:
-    """Fill in forced colors; False on contradiction.
+# A schedule step fires one frame once: (frame index, rule, in1, in2, out1,
+# out2, assign1, assign2).  The rule computes the frame's two outputs from
+# its two inputs; each output is assigned when it is still unknown and
+# checked against its color otherwise.  In (a, b, c, d) terms the rules are
+# forward (a, b) -> (c, d), backward (c, d) -> (a, b) and mixed
+# (a, c) -> (b, d), tried in that order.
+Step = Tuple[int, int, Hashable, Hashable, Hashable, Hashable, bool, bool]
+# A level: the seed it colors (None for the labels given up front) and the
+# steps that coloring forces.
+Level = Tuple[Optional[Hashable], Tuple[Step, ...]]
 
-    ``colors`` maps every label the frames use (a list index or a dict key)
-    to its color, or None while it is unknown.
-    """
+_FORWARD, _BACKWARD, _MIXED = 0, 1, 2
+
+
+def _forced_steps(frames: Sequence[Frame], pending: List[int], known: set) -> Tuple[Step, ...]:
+    """Fire every frame in ``pending`` that the known labels let fire, in
+    passes over the frames until a pass assigns nothing.  Updates ``known``
+    and ``pending``."""
+    steps: List[Step] = []
     changed = True
     while changed:
         changed = False
-        for fa, fb, fc, fd in frames:
-            a, b, c, d = colors[fa], colors[fb], colors[fc], colors[fd]
-            if a is not None and b is not None:
-                derived = zip((fc, fd), _forward(bq, a, b))
-            elif c is not None and d is not None:
-                derived = zip((fa, fb), _backward(bq, c, d))
-            elif a is not None and c is not None:
-                derived = ((fb, bq.alpha_inv(a, c)), (fd, bq.under(a, c)))
+        waiting = []
+        for f in pending:
+            a, b, c, d = frames[f]
+            if a in known and b in known:
+                step = [f, _FORWARD, a, b, c, d]
+            elif c in known and d in known:
+                step = [f, _BACKWARD, c, d, a, b]
+            elif a in known and c in known:
+                step = [f, _MIXED, a, c, b, d]
             else:
+                waiting.append(f)
                 continue
-            for label, value in derived:
-                cur = colors[label]
-                if cur is None:
-                    colors[label] = value
-                    changed = True
-                elif cur != value:
-                    return False
+            for out in step[4:]:
+                fresh = out not in known
+                known.add(out)
+                changed |= fresh
+                step.append(fresh)
+            steps.append(tuple(step))
+        pending[:] = waiting
+    return tuple(steps)
+
+
+def propagation_schedule(frames: Sequence[Frame], labels: Sequence[Hashable],
+                         given: Iterable[Hashable] = ()) -> List[Level]:
+    """The order in which coloring the frames' labels forces colors.
+
+    Which labels a frame's rule can fill depends only on which labels are
+    known, not on their colors, so one schedule serves every assignment of
+    colors.  When ``given`` is non-empty the first level, with seed None,
+    holds the steps that the given labels force.  Each further level seeds
+    the first label of ``labels`` still uncolored and holds the steps that
+    seed forces.  Every frame fires in exactly one step, so each of its two
+    equations is checked once, and every label that is neither given nor a
+    seed is assigned by exactly one step.
+    """
+    known = set(given)
+    pending = list(range(len(frames)))
+    levels: List[Level] = []
+    if known:
+        levels.append((None, _forced_steps(frames, pending, known)))
+    for seed in labels:
+        if seed not in known:
+            known.add(seed)
+            levels.append((seed, _forced_steps(frames, pending, known)))
+    return levels
+
+
+def run_steps(steps: Sequence[Step], bq: Biquandle, colors,
+              differences: Optional[List[int]] = None) -> bool:
+    """Run schedule steps on ``colors`` (a list or a dict over the labels);
+    False at the first failed check.  Given a ``differences`` list, every
+    check appends (color - computed color) to it instead and the run goes
+    on.  An inverse that a non-bijective column lacks raises ValueError."""
+    over, under = bq.over_table, bq.under_table
+    for _f, rule, x, y, z, w, assign_z, assign_w in steps:
+        a, b = colors[x], colors[y]
+        if rule == _FORWARD:        # (a, b) -> (c, d)
+            u = over[b][a]
+            v = under[a][u]
+        elif rule == _BACKWARD:     # (c, d) -> (a, b)
+            u = bq.beta_inv(a, b)
+            v = bq.alpha_inv(u, a)
+        else:                       # (a, c) -> (b, d)
+            u = bq.alpha_inv(a, b)
+            v = under[a][b]
+        if assign_z:
+            colors[z] = u
+        elif differences is not None:
+            differences.append(colors[z] - u)
+        elif colors[z] != u:
+            return False
+        if assign_w:
+            colors[w] = v
+        elif differences is not None:
+            differences.append(colors[w] - v)
+        elif colors[w] != v:
+            return False
     return True
+
+
+def _diagram_schedule(d: OrientedDiagram) -> List[Level]:
+    """The diagram's schedule over its 0-based crossing semiarcs."""
+    return propagation_schedule(_frames(d), range(d.n_semiarcs))
 
 
 def enumerate_colorings(d: OrientedDiagram, bq: Biquandle) -> List[Coloring]:
     """All valid colorings, in lexicographic order of the color tuple.
 
-    Over a biquandle that is affine over a prime field (see
-    :func:`_affine_form`) the colorings are the solutions of a linear
-    system, found by sparse elimination over GF(n).  Every other biquandle,
-    including n = 1 and composite n, goes through the depth-first search of
-    :func:`_dfs_colorings`.  Both give the same list.
+    Both runners read one :func:`propagation_schedule` of the diagram.  Over
+    a biquandle that is affine over a prime field (see :func:`_affine_form`)
+    :func:`_solve_seeds` solves for the seed colors; every other biquandle,
+    including n = 1 and composite n, goes through the search of
+    :func:`_search_seeds`.  Both give the same list.
     """
-    form = _affine_form(bq)
-    if form is None:
-        return _dfs_colorings(d, bq)
     _require_valid(d)
-    return _extend_free_loops(d, bq, _linear_colorings(d, bq, form))
+    levels = _diagram_schedule(d)
+    if _affine_form(bq) is None:
+        return _extend_free_loops(d, bq, _search_seeds(d, bq, levels))
+    return _extend_free_loops(d, bq, _solve_seeds(d, bq, levels))
 
 
 def _require_valid(d: OrientedDiagram) -> None:
@@ -160,31 +244,39 @@ def _require_valid(d: OrientedDiagram) -> None:
         raise ValueError("invalid diagram: " + "; ".join(report.problems))
 
 
-def _dfs_colorings(d: OrientedDiagram, bq: Biquandle) -> List[Coloring]:
-    """Depth-first search with constraint propagation: repeatedly propagate
-    forced colors through crossings, then branch on the lowest-numbered
-    uncolored semiarc.  Works over any biquandle."""
-    _require_valid(d)
+def _search_seeds(d: OrientedDiagram, bq: Biquandle, levels: Sequence[Level]) -> List[Coloring]:
+    """Depth-first search over the seed colors, highest color first, running
+    each level's steps and pruning at the first failed check; the colorings
+    of the crossing semiarcs, unsorted.  Works over any biquandle.
 
-    m = d.n_semiarcs
-    frames = _frames(d)
+    A level only overwrites labels that no earlier level colors, so the
+    search backtracks without restoring anything.
+    """
+    if not levels:
+        return [()]
+    colors = [0] * d.n_semiarcs
+    loops = (0,) * d.free_loops
     results: List[Coloring] = []
-    stack: List[List[Optional[int]]] = [[None] * m]
-    while stack:
-        colors = stack.pop()
-        if not _propagate(frames, bq, colors):
+    last = len(levels) - 1
+    untried = [bq.n] + [0] * last   # colors not yet tried at each level
+    depth = 0
+    while depth >= 0:
+        if not untried[depth]:
+            depth -= 1
             continue
-        s = next((i for i in range(m) if colors[i] is None), None)
-        if s is None:
-            final = tuple(colors)  # type: ignore[arg-type]
-            if validate_coloring(d, bq, final + (0,) * d.free_loops):
-                results.append(final)
+        untried[depth] -= 1
+        seed, steps = levels[depth]
+        colors[seed] = untried[depth]
+        if not run_steps(steps, bq, colors):
             continue
-        for v in range(bq.n):
-            branch = list(colors)
-            branch[s] = v
-            stack.append(branch)
-    return _extend_free_loops(d, bq, results)
+        if depth < last:
+            depth += 1
+            untried[depth] = bq.n
+            continue
+        final = tuple(colors)
+        if validate_coloring(d, bq, final + loops):
+            results.append(final)
+    return results
 
 
 def _extend_free_loops(d: OrientedDiagram, bq: Biquandle,
@@ -219,10 +311,12 @@ def _affine_coefficients(table: Sequence[Sequence[int]], n: int) -> Optional[Aff
     return None
 
 
+@lru_cache(maxsize=64)
 def _affine_form(bq: Biquandle) -> Optional[Tuple[Affine, Affine]]:
     """The coefficients of under and over when bq is affine over the prime
     field Z_n with bijective column maps (a nonzero x coefficient in both),
-    else None."""
+    else None.  Memoized: a biquandle never changes and hashes by its
+    tables."""
     n = bq.n
     if n < 2 or any(n % k == 0 for k in range(2, int(n ** 0.5) + 1)):
         return None
@@ -233,73 +327,70 @@ def _affine_form(bq: Biquandle) -> Optional[Tuple[Affine, Affine]]:
     return under, over
 
 
-_CONST = -1  # the key of a row's constant term
+def _solve_seeds(d: OrientedDiagram, bq: Biquandle, levels: Sequence[Level]) -> List[Coloring]:
+    """Colorings of the crossing semiarcs over an affine biquandle on GF(p),
+    unsorted.
 
-
-def _linear_colorings(d: OrientedDiagram, bq: Biquandle,
-                      form: Tuple[Affine, Affine]) -> List[Coloring]:
-    """Colorings of the crossing semiarcs as the solutions of the crossing
-    equations over GF(p), unsorted.
-
-    Each crossing gives the two equations of its :func:`positive_frame`.
-    With under and over affine and their column maps bijective these are
-    exactly the conditions :func:`crossing_ok` checks.  Each row {semiarc index: coefficient, plus
-    _CONST} states sum(coef * color) + const == 0.  Gauss-Jordan elimination
-    keeps every pivot row free of the other pivots, so after it the free
-    semiarcs range over all of GF(p) and each pivot is read off its row.
+    Over such a biquandle every color the steps compute, and so every
+    check's difference, is an affine function of the k seed colors.  Each
+    is read off the steps' run at the zero seed vector and at the k unit
+    vectors.  The checks' differences must vanish: a linear system in k
+    unknowns, solved by elimination.  The free seeds range
+    over all of GF(p), each pivot seed is read off its row, and
+    :func:`run_steps` fills in the other colors from each seed assignment.
     """
     p = bq.n
-    (ua, ub, uc), (oa, ob, oc) = form   # under and over: a x + b y + c
-    pivots: Dict[int, Dict[int, int]] = {}
+    seeds = [seed for seed, _ in levels]
+    steps = [step for _, level_steps in levels for step in level_steps]
+    k = len(seeds)
+    colors = [0] * d.n_semiarcs
 
-    for a, b, c, dd in _frames(d):
-        # -out + coef1 * in1 + coef2 * in2 + const == 0; the solved-for
-        # semiarc goes first, so it is the preferred pivot
-        for out, terms, const in ((c, ((b, oa), (a, ob)), oc),
-                                  (dd, ((a, ua), (c, ub)), uc)):
-            row: Dict[int, int] = {out: p - 1}
-            for s, coef in terms:
-                row[s] = (row.get(s, 0) + coef) % p
-            row[_CONST] = const
-            for v in [v for v in row if v in pivots]:
-                factor = row.pop(v)
-                for w, coef in pivots[v].items():
-                    if w != v:
-                        row[w] = (row.get(w, 0) - factor * coef) % p
-            row = {w: coef for w, coef in row.items() if coef}
-            v = next((w for w in row if w != _CONST), None)
-            if v is None:
-                if row:
-                    return []      # 0 == nonzero constant: no colorings
-                continue
-            inv = pow(row[v], -1, p)
-            row = {w: coef * inv % p for w, coef in row.items()}
-            for other in pivots.values():
-                factor = other.pop(v, 0)
-                if factor:
-                    for w, coef in row.items():
-                        if w != v:
-                            other[w] = (other.get(w, 0) - factor * coef) % p
-                            if not other[w]:
-                                del other[w]
-            pivots[v] = row
+    samples: List[List[int]] = []
+    for point in range(-1, k):              # the zero vector, then each unit vector
+        for j, seed in enumerate(seeds):
+            colors[seed] = int(j == point)
+        samples.append([])
+        run_steps(steps, bq, colors, samples[-1])
+    origin, units = samples[0], samples[1:]
+    # each row: sum(coef * seed) + const == 0
+    rows = [[(unit[r] - const) % p for unit in units] + [const % p]
+            for r, const in enumerate(origin)]
 
-    m = d.n_semiarcs
-    free = [s for s in range(m) if s not in pivots]
-    solved = [(v, row.get(_CONST, 0), [(w, coef) for w, coef in row.items()
-                                       if w != v and w != _CONST])
-              for v, row in pivots.items()]
+    # Gauss-Jordan: each pivot row stays free of every other pivot column
+    pivots: List[Tuple[int, List[int]]] = []
+    for row in rows:
+        for col, other in pivots:
+            factor = row[col]
+            if factor:
+                row = [(g - factor * h) % p for g, h in zip(row, other)]
+        col = next((j for j in range(k) if row[j]), None)
+        if col is None:
+            if row[k]:
+                return []                   # 0 == nonzero constant: no colorings
+            continue
+        inv = pow(row[col], -1, p)
+        row = [g * inv % p for g in row]
+        for _, other in pivots:
+            factor = other[col]
+            if factor:
+                other[:] = [(g - factor * h) % p for g, h in zip(other, row)]
+        pivots.append((col, row))
+
+    solved = dict(pivots)
+    free = [j for j in range(k) if j not in solved]
     results: List[Coloring] = []
-    colors = [0] * m
     loops = (0,) * d.free_loops
-    for values in itertools.product(range(p), repeat=len(free)):
-        for s, value in zip(free, values):
-            colors[s] = value
-        for v, const, terms in solved:
-            colors[v] = -(const + sum(coef * colors[w] for w, coef in terms)) % p
-        final = tuple(colors)
-        if validate_coloring(d, bq, final + loops):
-            results.append(final)
+    for choice in itertools.product(range(p), repeat=len(free)):
+        # a seed is uncolored until its level, so every seed can be set
+        # before the steps of all levels run as one list
+        for j, value in zip(free, choice):
+            colors[seeds[j]] = value
+        for j, row in pivots:
+            colors[seeds[j]] = -(row[k] + sum(row[f] * colors[seeds[f]] for f in free)) % p
+        if run_steps(steps, bq, colors):
+            final = tuple(colors)
+            if validate_coloring(d, bq, final + loops):
+                results.append(final)
     return results
 
 

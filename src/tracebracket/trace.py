@@ -50,7 +50,8 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 from .biquandle import Biquandle, content_lines, parse_int
 from .bracket import (BiquandleBracket, coefficient_pair, crossing_coefficient_pair,
                       homflypt_coefficients, raw_slot)
-from .coloring import _propagate, crossing_outputs, positive_frame, validate_coloring
+from .coloring import (crossing_outputs, positive_frame, propagation_schedule, run_steps,
+                       validate_coloring)
 from .diagram import (SMOOTHINGS, OrientedDiagram, plan_contraction, run_plan, switch_crossing,
                       validate_diagram)
 
@@ -152,6 +153,44 @@ class TraceDiagram:
                 here = leave[there]
             curves.append(passes)
         return curves
+
+    @cached_property
+    def parities(self) -> Dict[int, str]:
+        """Every crossing's magnetic parity (see :func:`magnetic_parity`),
+        from one pass over the curves."""
+        parities: Dict[int, str] = {}
+        for curve in self.curves:
+            first: Dict[int, int] = {}
+            for cid, visits in curve:
+                if cid in first:
+                    parities[cid] = "odd" if (visits - first.pop(cid)) % 2 else "even"
+                else:
+                    first[cid] = visits
+            for cid in first:
+                parities.setdefault(cid, "multi")
+        return parities
+
+    @cached_property
+    def kink_reducible(self) -> bool:
+        """Can the trace-deleted diagram be unknotted by kink removal alone?
+
+        A kink is a crossing whose two passes are adjacent on a curve, and
+        removing it makes its neighbours adjacent.  So a curve empties
+        exactly when no two of its crossings interleave along it, whatever
+        the order of removal and wherever the walk starts: push each
+        crossing, and pop it when it comes back on top.  A multi-component
+        crossing passes its curve once and never pops.
+        """
+        for curve in self.curves:
+            stack: List[int] = []
+            for cid, _ in curve:
+                if stack and stack[-1] == cid:
+                    stack.pop()
+                else:
+                    stack.append(cid)
+            if stack:
+                return False
+        return True
 
 
 def from_colored_diagram(d: OrientedDiagram, bq: Biquandle,
@@ -269,39 +308,18 @@ def magnetic_parity(td: TraceDiagram, cid: int) -> str:
     curve only once (its other pass lies on another component); otherwise
     the parity of the sink/source visits between its two passes, where the
     walk reverses direction.  Every component makes an even number of such
-    visits, so both arcs between the passes give the same parity.
+    visits, so both arcs between the passes give the same parity.  All
+    crossings' parities come from one pass, ``TraceDiagram.parities``.
     """
     if td.nodes[cid].kind != "x":
         raise ValueError(f"node {cid} is not a crossing")
-    for curve in td.curves:
-        visits = [v for c, v in curve if c == cid]
-        if visits:
-            break
-    if len(visits) == 1:
-        return "multi"
-    return "odd" if (visits[1] - visits[0]) % 2 else "even"
+    return td.parities[cid]
 
 
 def ri_reducible(td: TraceDiagram) -> bool:
     """Can the trace-deleted diagram be unknotted by kink removal alone?
-
-    A kink is a crossing whose two passes are adjacent on a curve, and
-    removing it makes its neighbours adjacent.  So a curve empties exactly
-    when no two of its crossings interleave along it, whatever the order of
-    removal and wherever the walk starts: push each crossing, and pop it
-    when it comes back on top.  A multi-component crossing passes its curve
-    once and never pops.
-    """
-    for curve in td.curves:
-        stack: List[int] = []
-        for cid, _ in curve:
-            if stack and stack[-1] == cid:
-                stack.pop()
-            else:
-                stack.append(cid)
-        if stack:
-            return False
-    return True
+    Computed once per diagram: ``TraceDiagram.kink_reducible``."""
+    return td.kink_reducible
 
 
 def evaluate_by_parity(td: TraceDiagram, beta: BiquandleBracket):
@@ -315,11 +333,11 @@ def evaluate_by_parity(td: TraceDiagram, beta: BiquandleBracket):
     """
     parities = []
     for cid in td.crossings():
-        par = magnetic_parity(td, cid)
+        par = td.parities[cid]
         if par == "multi":
             raise MultiComponentCrossingError(f"crossing {cid} is multi-component")
         parities.append((td.nodes[cid], par))
-    if not ri_reducible(td):
+    if not td.kink_reducible:
         raise NotRIReducibleError("trace-deleted diagram is not kink-reducible")
 
     n, raw = beta.bq.n, beta.raw
@@ -462,14 +480,16 @@ def _tangle_trace_diagram(tangle: Tangle, bq: Biquandle,
                           seeds: Dict[str, int], kind: str) -> TraceDiagram:
     """Color the tangle from its entry seeds and replace c0 by a trace.
 
-    The wires are colored by ``coloring._propagate``; seeds that leave a
-    wire uncolored raise ValueError.  The boundary wires are the labels that
-    only one row uses, so the result is an open trace diagram.
+    The wires are colored by ``coloring.propagation_schedule`` with the
+    seeds as given labels; seeds that leave a wire uncolored, or that no
+    coloring extends, raise ValueError.  The boundary wires are the labels
+    that only one row uses, so the result is an open trace diagram.
     """
-    colors = dict.fromkeys(wire for row in tangle for wire in row[1:])
-    colors.update(seeds)
-    if not _propagate([positive_frame(*row) for row in tangle], bq, colors) \
-            or None in colors.values():
+    labels = list(dict.fromkeys(wire for row in tangle for wire in row[1:]))
+    levels = propagation_schedule([positive_frame(*row) for row in tangle], labels, seeds)
+    colors = dict(seeds)
+    # the given level alone must color every wire
+    if [seed for seed, _ in levels] != [None] or not run_steps(levels[0][1], bq, colors):
         raise ValueError("the seeds do not color every wire of the tangle")
     nodes = {i: Node("x", sign, coefficient_pair(sign, *(colors[w] for w in wires)), *wires)
              for i, (sign, *wires) in enumerate(tangle)}

@@ -6,9 +6,10 @@ import pytest
 from tracebracket import coloring
 from tracebracket.biquandle import Biquandle, alexander_biquandle, trivial_biquandle
 from tracebracket.bracket import coefficient_pair
-from tracebracket.coloring import (_affine_form, _dfs_colorings, _propagate, counting_invariant,
-                                   crossing_outputs, enumerate_colorings,
-                                   monochromatic_riii_check, positive_frame, total_semiarcs,
+from tracebracket.coloring import (_affine_form, _diagram_schedule, _extend_free_loops, _frames,
+                                   _search_seeds, counting_invariant, crossing_outputs,
+                                   enumerate_colorings, monochromatic_riii_check, positive_frame,
+                                   propagation_schedule, run_steps, total_semiarcs,
                                    validate_coloring)
 from tracebracket.diagram import (diagram, hopf_pos, trefoil_pos, trefoil_rii,
                                   unknot0, unknot_kink)
@@ -166,11 +167,14 @@ def test_propagation_matches_literal_equations(bq2, bq3, a312):
                 (u_out, o_out), = literal_outputs(bq, sign, u_in, o_in)
                 full = dict(zip(roles, (u_in, o_in, o_out, u_out)))
                 for known in (("u_in", "o_in"), ("u_out", "o_out"), pair_roles):
-                    colors = {r: (full[r] if r in known else None) for r in roles}
-                    assert _propagate(frames, bq, colors)
+                    (seed, steps), = propagation_schedule(frames, roles, known)
+                    assert seed is None
+                    colors = {r: full[r] for r in known}
+                    assert run_steps(steps, bq, colors)
                     assert colors == full
                 bad = dict(full, u_out=(u_out + 1) % bq.n)
-                assert not _propagate(frames, bq, bad)
+                (_, steps), = propagation_schedule(frames, roles, roles)
+                assert not run_steps(steps, bq, bad)
 
 
 def test_riii_check_fixture_biquandles(bq1, bq2, bq3):
@@ -198,6 +202,11 @@ def test_affine_form_detection(bq1, bq2, bq3):
     assert _affine_form(alexander_biquandle(4, 1, 3)) is None  # composite n
 
 
+def seed_search(d, bq):
+    """The seed search over the diagram's schedule, whatever the table."""
+    return _extend_free_loops(d, bq, _search_seeds(d, bq, _diagram_schedule(d)))
+
+
 def test_linear_path_equals_dfs_on_random_codes(bq2):
     rng = random.Random(20171)
     bqs = [alexander_biquandle(2, 1, 1), alexander_biquandle(3, 1, 2),
@@ -208,7 +217,7 @@ def test_linear_path_equals_dfs_on_random_codes(bq2):
         for bq in bqs:
             assert _affine_form(bq) is not None
             cols = enumerate_colorings(d, bq)
-            assert cols == _dfs_colorings(d, bq)
+            assert cols == seed_search(d, bq)
             counts.append((len(cols), d.free_loops))
     assert any(n == 0 for n, _ in counts)                  # inconsistent systems
     assert any(n > 0 and loops for n, loops in counts)     # free-loop extension
@@ -227,12 +236,69 @@ def test_affine_table_with_zero_coefficient_takes_dfs(monkeypatch):
     def linear_path(*_args):
         raise AssertionError("the linear path must not run")
 
-    monkeypatch.setattr(coloring, "_linear_colorings", linear_path)
+    monkeypatch.setattr(coloring, "_solve_seeds", linear_path)
     assert enumerate_colorings(hopf_pos(), bq) == [(0, 2, 0, 2), (1, 0, 1, 0), (2, 1, 2, 1)]
     assert enumerate_colorings(hopf_pos(), bq) == brute_force_colorings(hopf_pos(), bq)
     assert enumerate_colorings(unknot_kink(1), bq) == []
     with pytest.raises(ValueError, match="not a bijection"):
         enumerate_colorings(trefoil_rii(), bq)
+
+
+def test_random_codes_match_brute_force_and_seed_search(bq1, bq2, bq3):
+    # a seeded oracle over random codes with 0-6 crossings and 0-2 free
+    # loops: brute force where n^semiarcs is small, and on affine tables the
+    # seed search, which never solves for the seeds
+    rng = random.Random(2017)
+    bqs = [alexander_biquandle(5, 2, 3), alexander_biquandle(7, 3, 2),
+           alexander_biquandle(4, 1, 3), alexander_biquandle(3, 1, 2),
+           trivial_biquandle(1), trivial_biquandle(3), bq1, bq2, bq3]
+    seen = set()
+    for _ in range(30):
+        d = random_code(rng, rng.randint(0, 6), rng.choice((0, 0, 1, 2)))
+        for bq in bqs:
+            cols = enumerate_colorings(d, bq)
+            if bq.n ** total_semiarcs(d) <= 5000:
+                assert cols == brute_force_colorings(d, bq)
+                seen.add("brute")
+            if _affine_form(bq) is not None:
+                assert cols == seed_search(d, bq)
+                if not cols:
+                    seen.add("inconsistent")
+                elif d.free_loops:
+                    seen.add("free loops")
+                elif len(cols) > bq.n:
+                    seen.add("free variables")
+    assert seen == {"brute", "inconsistent", "free loops", "free variables"}
+
+
+def test_schedule_fires_each_frame_once_and_assigns_each_semiarc_once():
+    # rule priority: forward (a, b), then backward (c, d), then mixed (a, c)
+    rules = ((0, 1, 2, 3), (2, 3, 0, 1), (0, 2, 1, 3))
+    rng = random.Random(9)
+    for _ in range(40):
+        d = random_code(rng, rng.randint(0, 9))
+        frames = _frames(d)
+        levels = _diagram_schedule(d)
+        steps = [step for _, level_steps in levels for step in level_steps]
+        assert sorted(step[0] for step in steps) == list(range(len(d.crossings)))
+        seeds = [seed for seed, _ in levels]
+        assert seeds == sorted(seeds) and None not in seeds
+        assigned = [out for step in steps for out, assign in zip(step[4:6], step[6:8]) if assign]
+        assert sorted(seeds + assigned) == list(range(d.n_semiarcs))
+        known = set()
+        for seed, level_steps in levels:
+            assert seed not in known
+            known.add(seed)
+            for f, rule, *labels, assign_z, assign_w in level_steps:
+                frame = frames[f]
+                assert rule == next(r for r, (i, j, _, _) in enumerate(rules)
+                                    if frame[i] in known and frame[j] in known)
+                assert labels == [frame[i] for i in rules[rule]]
+                z, w = labels[2:]
+                assert assign_z == (z not in known)
+                known.add(z)
+                assert assign_w == (w not in known)
+                known.add(w)
 
 
 def test_linear_path_kernel_size_14_crossings():
