@@ -7,14 +7,19 @@ subject to three conditions:
   (i)   -A[x][x]^2 * B[x][x]^(-1) has a common value w for all x;
   (ii)  -A[x][y]^(-1)*B[x][y] - A[x][y]*B[x][y]^(-1) has a common value
         delta for all pairs;
-  (iii) five product equations over all triples (x, y, z), spelled out in
-        ``_triple_equations`` below.
+  (iii) five product equations over all triples (x, y, z).
 
-Conditions (i)-(iii), the adequacy chains and the pass-through condition
-have one body each (``check_tables``, ``over_under_witnesses``,
-``passthrough_witness``), run on flat tables of raw ring values: plain
-ints over Z_n, reduced only when compared, and the elements themselves
-over the Laurent ring.
+The five equations of (iii) are stated once, as the table of monomials
+``TRIPLE_EQUATIONS``.  ``check_tables`` evaluates that table at every
+triple and reports each violation, and ``compiled_triples`` compiles it
+once per biquandle, for the search over Z_n: index tuples over
+T = A + B + [delta, 1], with identities and repeats dropped and the common
+unit factors of the binomials cancelled, which ``equations_hold`` checks on
+plain ints.  Conditions (i)-(iii), the adequacy chains and the
+pass-through condition have one body each (``check_tables``,
+``over_under_witnesses``, ``passthrough_witness``), run on flat tables of
+raw ring values: plain ints over Z_n, reduced only when compared, and the
+elements themselves over the Laurent ring.
 
 The state sum of a colored diagram smooths every crossing both ways,
 weights each state by its coefficients and by delta per resulting circle,
@@ -36,6 +41,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import isqrt
 from typing import List, Optional, Sequence, Tuple
 
 from .biquandle import Biquandle, content_lines, parse_int
@@ -65,8 +71,8 @@ class BiquandleBracket:
     def __init__(self, bq: Biquandle, ring, A, B, delta, w):
         self.bq = bq
         self.ring = ring
-        self.A = tuple(tuple(row) for row in A)
-        self.B = tuple(tuple(row) for row in B)
+        self.A = tuple(map(tuple, A))
+        self.B = tuple(map(tuple, B))
         self.delta = delta
         self.w = w
 
@@ -127,31 +133,141 @@ def triple_slots(bq: Biquandle) -> Tuple[Tuple[Tuple[int, int, int], Tuple[int, 
     return tuple(out)
 
 
+# Condition (iii): the five triple equations, stated once.  Each side is a
+# sum of monomials.  A monomial is a word naming the table, A or B, read at
+# each of its side's three slot roles from :func:`triple_slots` (l1 l2 l3
+# on the left, r1 r2 r3 on the right); a leading "d" multiplies it by delta.
+# ``check_tables`` evaluates this table and :func:`compiled_triples`
+# compiles it.
+TRIPLE_EQUATIONS = (
+    ("triple1", ("AAA",), ("AAA",)),
+    ("triple2", ("ABB",), ("BBA",)),
+    ("triple3", ("BAB",), ("BAB",)),
+    ("triple4", ("AAB",), ("ABA", "AAB", "dABB", "BBB")),
+    ("triple5", ("BAA", "ABA", "dBBA", "BBB"), ("BAA",)),
+)
+
+
+def _terms(words):
+    """A side of :data:`TRIPLE_EQUATIONS` as (delta divides it, table at
+    each of the three roles) per monomial, a table being 0 for A, 1 for B."""
+    return tuple((word[0] == "d", *("AB".index(t) for t in word[-3:])) for word in words)
+
+
+_TERMS = {tag: (_terms(lhs), _terms(rhs)) for tag, lhs, rhs in TRIPLE_EQUATIONS}
+
+
+def _side_value(tables, delta, x, y, z, terms):
+    total = None
+    for has_delta, p, q, r in terms:
+        value = tables[p][x] * tables[q][y] * tables[r][z]
+        if has_delta:
+            value = delta * value
+        total = value if total is None else total + value
+    return total
+
+
 def _triple_equations(A, B, delta, slots):
-    """The five equations at one triple over flat tables, ``slots`` being
-    its index tuple from :func:`triple_slots`; yields (tag, lhs, rhs)."""
+    """The five equations of :data:`TRIPLE_EQUATIONS` at one triple over
+    flat tables, ``slots`` being its index tuple from
+    :func:`triple_slots`; yields (tag, lhs, rhs)."""
+    tables = (A, B)
     l1, l2, l3, r1, r2, r3 = slots[:6]
-    yield ("triple1",
-           A[l1] * A[l2] * A[l3],
-           A[r1] * A[r2] * A[r3])
-    yield ("triple2",
-           A[l1] * B[l2] * B[l3],
-           B[r1] * B[r2] * A[r3])
-    yield ("triple3",
-           B[l1] * A[l2] * B[l3],
-           B[r1] * A[r2] * B[r3])
-    yield ("triple4",
-           A[l1] * A[l2] * B[l3],
-           A[r1] * B[r2] * A[r3]
-           + A[r1] * A[r2] * B[r3]
-           + delta * A[r1] * B[r2] * B[r3]
-           + B[r1] * B[r2] * B[r3])
-    yield ("triple5",
-           B[l1] * A[l2] * A[l3]
-           + A[l1] * B[l2] * A[l3]
-           + delta * B[l1] * B[l2] * A[l3]
-           + B[l1] * B[l2] * B[l3],
-           B[r1] * A[r2] * A[r3])
+    for tag, (lhs, rhs) in _TERMS.items():
+        yield (tag, _side_value(tables, delta, l1, l2, l3, lhs),
+               _side_value(tables, delta, r1, r2, r3, rhs))
+
+
+# triple4 and triple5 both read A[m1]A[m2]B[m3] = P(p1, p2, p3), where
+# P(x, y, z) = A[x](B[y]A[z] + A[y]B[z] + delta B[y]B[z]) + B[x]B[y]B[z];
+# the slot roles (m1, m2, m3, p1, p2, p3) of each.  A test checks this
+# layout against the statement.
+_FOUR_TERM_ROLES = {"triple4": (0, 1, 2, 3, 4, 5), "triple5": (5, 4, 3, 2, 1, 0)}
+
+
+@lru_cache(maxsize=64)
+def compiled_triples(bq: Biquandle) -> Tuple[Tuple[int, ...], ...]:
+    """The triple equations of :data:`TRIPLE_EQUATIONS` at every triple,
+    compiled for Z_n to index tuples over T = A + B + [delta, 1] (flat
+    tables, so B[i] is T[n*n + i]), as :func:`equations_hold` reads them;
+    see :func:`_compile_equation`.  Identities and exact repeats, of either
+    side order, are dropped."""
+    seen = set()
+    out: List[Tuple[int, ...]] = []
+    for _witness, slots in triple_slots(bq):
+        for tag in _TERMS:
+            key, equation = _compile_equation(bq.n * bq.n, slots, tag)
+            if equation is not None and key not in seen:
+                seen.add(key)
+                out.append(equation)
+    return tuple(out)
+
+
+def _compile_equation(N: int, slots, tag: str):
+    """The statement's equation ``tag`` at one triple's ``slots``, over
+    tables of N entries: (key, equation).  The key is its canonical form,
+    both sides as sorted monomials of T indices, in sorted order.
+
+    A binomial (triple1-3) has the factors its sides share cancelled, which
+    is sound only when every entry is a unit.  What is left of each side is
+    padded with the index of 1 to three factors, giving a 6-tuple
+    (a, b, c, x, y, z): T[a]T[b]T[c] = T[x]T[y]T[z].  It is None, an
+    identity, when nothing is left.  triple4 and triple5 become 9-tuples
+    (a, b, c, x1, y1, x2, y2, x3, y3):
+    T[a]T[b]T[c] = T[x1](T[y2]T[x3] + T[x2]T[y3] + delta T[y2]T[y3]) + T[y1]T[y2]T[y3].
+    """
+    lhs, rhs = _TERMS[tag]
+    sides = [tuple(sorted(tuple(sorted([2 * N] * has_delta
+                                       + [t * N + i for t, i in zip(tables, cells)]))
+                          for has_delta, *tables in terms))
+             for terms, cells in ((lhs, slots[:3]), (rhs, slots[3:6]))]
+    if len(lhs) == len(rhs) == 1:
+        common = Counter(sides[0][0]) & Counter(sides[1][0])
+        sides = [(tuple(sorted((Counter(m) - common).elements())),) for (m,) in sides]
+        key = tuple(sorted(sides))
+        if sides[0] == sides[1]:
+            return key, None
+        return key, tuple(itertools.chain.from_iterable(m + (2 * N + 1,) * (3 - len(m))
+                                                        for (m,) in sides))
+    m1, m2, m3, *p = (slots[role] for role in _FOUR_TERM_ROLES[tag])
+    return (tuple(sorted(sides)),
+            (m1, m2, N + m3, *itertools.chain.from_iterable((i, N + i) for i in p)))
+
+
+def equations_hold(T, modulus: int, equations) -> bool:
+    """Whether every compiled equation (see :func:`compiled_triples`) holds
+    on the int vector T = A + B + [delta, 1] over Z_modulus."""
+    for e in equations:
+        if len(e) == 6:
+            a, b, c, x, y, z = e
+            if (T[a] * T[b] * T[c] - T[x] * T[y] * T[z]) % modulus:
+                return False
+        else:
+            a, b, c, x1, y1, x2, y2, x3, y3 = e
+            b2, b3 = T[y2], T[y3]
+            if (T[a] * T[b] * T[c] - T[x1] * (b2 * T[x3] + T[x2] * b3 + T[-2] * b2 * b3)
+                    - T[y1] * b2 * b3) % modulus:
+                return False
+    return True
+
+
+def conditions_hold(ring: ModRing, A, B, equations) -> Optional[Tuple[int, int]]:
+    """Conditions (i)-(iii) on flat int tables over Z_n, with the triple
+    equations compiled (see :func:`compiled_triples`): (delta, w), reduced,
+    if they hold, else None.  The units are checked first, which makes the
+    compiled set's cancelled factors sound.  :func:`check_tables` says
+    which condition fails."""
+    m = ring.modulus
+    if not all(ring.is_unit(v) for v in itertools.chain(A, B)):
+        return None
+    delta = pair_delta(ring, A[0], B[0]) % m
+    if any((pair_delta(ring, a, b) - delta) % m for a, b in zip(A, B)):
+        return None
+    n = isqrt(len(A))
+    w = pair_w(ring, A[0], B[0]) % m
+    if any((pair_w(ring, A[i], B[i]) - w) % m for i in range(n + 1, n * n, n + 1)):
+        return None
+    return (delta, w) if equations_hold([*A, *B, delta, 1], m, equations) else None
 
 
 def pair_delta(ring, a, b):
@@ -169,8 +285,9 @@ def check_tables(bq: Biquandle, ring, A, B, triples):
     (see ``ModRing.raw``), with ``triples`` from :func:`triple_slots`.
 
     Returns (violations, delta, w), delta and w raw; the violations hold
-    ring elements.  This is the one body behind :func:`verify_bracket` and
-    the bracket search.
+    ring elements.  This is the one body behind :func:`verify_bracket`, and
+    it names what failed when the search's compiled check
+    (:func:`conditions_hold`) rejects a table.
     """
     n = bq.n
     same, wrap = ring.same, ring.wrap

@@ -161,8 +161,11 @@ def cmd_search(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise InputError(f"--limit {args.limit} is negative")
     bq = _load_biquandle(args.biquandle)
-    results = [{"A": [[str(e) for e in row] for row in beta.A],
-                "B": [[str(e) for e in row] for row in beta.B],
+    # an entry's text by its value, one string per residue; none is needed
+    # at --limit 0, where the modulus may be too large to list
+    names = [str(v) for v in range(args.mod)] if args.limit != 0 else []
+    results = [{"A": [[names[e.value] for e in row] for row in beta.A],
+                "B": [[names[e.value] for e in row] for row in beta.B],
                 "class": cls.label(), "passthrough": cls.passthrough}
                for beta, cls in search_brackets(bq, args.mod,
                                                 classification=args.classification,

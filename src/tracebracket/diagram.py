@@ -22,6 +22,7 @@ moves plan and run each trace diagram once, and the loop counts
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import AbstractSet, Dict, FrozenSet, Hashable, Iterable, List, Sequence, Tuple
 
 from .biquandle import content_lines, parse_int
@@ -48,6 +49,12 @@ class OrientedDiagram:
     def semiarcs(self) -> range:
         return range(1, self.n_semiarcs + 1)
 
+    @cached_property
+    def report(self) -> "DiagramReport":
+        """The :func:`validate_diagram` report, made on first use: a diagram
+        is never changed after construction, so it is checked once."""
+        return _validation_report(self)
+
 
 @dataclass(frozen=True)
 class DiagramReport:
@@ -62,6 +69,12 @@ def diagram(crossing_rows: Iterable[Tuple[int, int, int, int, int]],
 
 
 def validate_diagram(d: OrientedDiagram) -> DiagramReport:
+    """Whether every semiarc is one crossing's input and one's output, with
+    the problems found; kept on the diagram (:attr:`OrientedDiagram.report`)."""
+    return d.report
+
+
+def _validation_report(d: OrientedDiagram) -> DiagramReport:
     m = d.n_semiarcs
     problems: List[str] = []
     ins: Dict[int, int] = {}

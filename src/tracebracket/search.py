@@ -1,25 +1,35 @@
 """Constraint-pruned exhaustive search for brackets over Z_n.
 
-The search runs on plain int tables, flattened as A[x*n + y].  It
-enumerates candidate coefficient tables pair by pair.  For a fixed delta,
-the B entry over a chosen unit A is restricted to the unit roots of
-B^2 + delta*A*B + A^2 = 0 (equivalent to the delta condition for that
-pair).  Slots are placed greedily, each next the one that completes the
-most triples, and the five triple equations are checked as soon as all of a
-triple's slots are filled.
+The search runs on plain ints: one flat vector T = A + B + [delta, 1], the
+tables flattened as A[x*n + y].  It enumerates candidate coefficient tables
+pair by pair.  For a fixed delta, the B entry over a chosen unit A is
+restricted to the unit roots of B^2 + delta*A*B + A^2 = 0 (equivalent to
+the delta condition for that pair).  Slots are placed greedily, each next
+the one that completes the most triples.  The pruning reads the triple
+equations as ``bracket.compiled_triples`` gives them, once per biquandle:
+identities and repeats dropped, and the common unit factors of the
+binomials cancelled (every value the walk places is a unit).  Each compiled
+equation is checked as soon as the last slot it reads is filled, so a
+cancelled binomial prunes before its whole triple is placed.
 
 Scaling (A, B) -> (l*A, l*B) by a unit l keeps delta, the homogeneous
 triple equations and the homogeneous over/under chains, and sends w to l*w,
 so brackets come in orbits of phi(n) members with distinct A at every slot.
 The search fixes A = 1 at the first slot it places.  Each table it finds,
-one per orbit, is verified in full by the same kernel as
-:func:`verify_bracket` and classified over/under once; each member then
-gets w scaled and the orbit's over/under verdicts.  The pass-through
-condition A[x][x]^2 B[y][y]^2 = 1 scales by l^4, so it is checked per
-member, until a scale-invariant pass-through condition replaces it.  The
-tests check every emitted member against :func:`verify_bracket` and
-:func:`classify_adequacy`, and a brute-force enumerator over all unit
-tables doubles as the correctness oracle.
+one per orbit, is verified on the full compiled set, after its units, delta
+and w (``bracket.conditions_hold``, which never reads the pruning
+schedule); a failure raises, naming the violation ``check_tables`` finds.
+The orbit is classified over/under once, and each member gets w scaled and
+the orbit's over/under verdicts.  The pass-through condition A[x][x]^2
+B[y][y]^2 = 1 scales by l^4, so it is checked once per value of l^4 in
+each orbit, until a scale-invariant pass-through condition replaces it.
+
+Members are built cheaply: every entry is one shared element per residue,
+every row a tuple of them shared by all members with that row of ints, and
+every class one object per set of witnesses.  The tests check every
+emitted member against :func:`verify_bracket` and :func:`classify_adequacy`,
+and a brute-force enumerator over all unit tables doubles as the
+correctness oracle.
 """
 from __future__ import annotations
 
@@ -28,9 +38,9 @@ from collections import Counter
 from typing import Iterator, List, Optional, Tuple
 
 from .biquandle import Biquandle
-from .bracket import (AdequacyClass, BiquandleBracket, check_tables, over_under_witnesses,
-                      pair_delta, pair_w, passthrough_witness, triple_slots, verify_bracket,
-                      _triple_equations)
+from .bracket import (AdequacyClass, BiquandleBracket, check_tables, compiled_triples,
+                      conditions_hold, equations_hold, over_under_witnesses, pair_delta,
+                      pair_w, passthrough_witness, triple_slots, verify_bracket)
 from .rings import ModRing
 
 
@@ -63,32 +73,26 @@ def _slot_order(n: int, triples) -> List[int]:
 
 
 def _ready_at(triples, slots: List[int]) -> List[list]:
-    """For each slot position k, the triples whose five equations become
-    checkable once slot k is filled."""
+    """For each slot position k, the compiled triple equations (see
+    ``compiled_triples``) that become checkable once slot k is filled:
+    each sits at the highest rank of the slots it reads."""
+    cells = len(slots)
     rank = {s: k for k, s in enumerate(slots)}
     ready: List[list] = [[] for _ in slots]
-    for triple in triples:
-        ready[max(rank[i] for i in triple[1][:6])].append(triple)
+    for equation in triples:
+        ready[max(rank[i % cells] for i in equation if i < 2 * cells)].append(equation)
     return ready
 
 
-def _equations_hold(ring: ModRing, A, B, delta, triples) -> bool:
-    """Whether all five equations hold at each of these triples."""
-    for _witness, slots in triples:
-        for _tag, lhs, rhs in _triple_equations(A, B, delta, slots):
-            if not ring.same(lhs, rhs):
-                return False
-    return True
-
-
 def _orbit_representatives(ring: ModRing, n: int, slots: List[int], ready_at,
-                           delta: int, pair_choices) -> Iterator[Tuple[list, list]]:
+                           delta: int, pair_choices) -> Iterator[list]:
     """Depth-first over the slots in order, one (A, B) unit pair per slot,
-    with A = 1 at the first slot.  Yields the flat tables A, B at each full
-    assignment whose checked triples all hold; both lists are reused, so
-    read them before the next one."""
-    A = [0] * (n * n)
-    B = [0] * (n * n)
+    with A = 1 at the first slot.  Yields T = A + B + [delta, 1], flat, at
+    each full assignment whose checked equations all hold; the list is
+    reused, so read it before the next one."""
+    cells = n * n
+    T = [0] * (2 * cells) + [delta, 1]
+    modulus = ring.modulus
     last = len(slots) - 1
     # (k, a, b, w): put (a, b) at slots[k], where w is the value condition
     # (i) fixed at an earlier diagonal slot, or None.  Pairs are pushed in
@@ -103,13 +107,22 @@ def _orbit_representatives(ring: ModRing, n: int, slots: List[int], ready_at,
             if w is not None and not ring.same(wx, w):
                 continue
             w = wx
-        A[i], B[i] = a, b
-        if not _equations_hold(ring, A, B, delta, ready_at[k]):
+        T[i], T[cells + i] = a, b
+        if not equations_hold(T, modulus, ready_at[k]):
             continue
         if k == last:
-            yield A, B
+            yield T
         else:
             stack.extend((k + 1, a, b, w) for a, b in reversed(pair_choices))
+
+
+def _unsound(bq: Biquandle, ring: ModRing, A, B, triples) -> RuntimeError:
+    bad = check_tables(bq, ring, A, B, triples)[0]
+    n = bq.n
+    A_rows, B_rows = ([t[x * n:(x + 1) * n] for x in range(n)] for t in (A, B))
+    return RuntimeError(f"search pruning let through A={A_rows} B={B_rows} "
+                        f"over Z{ring.modulus}: "
+                        + (bad[0].describe() if bad else "compiled conditions fail"))
 
 
 def search_brackets(bq: Biquandle, modulus: int,
@@ -121,39 +134,57 @@ def search_brackets(bq: Biquandle, modulus: int,
     Emission order is lexicographic in (delta, flattened A table, flattened
     B table).  ``classification`` filters on the adequacy label
     (adequate/over/under/neither); ``limit`` caps the number of results.
+    A modulus below 2 raises ValueError, whatever the limit.
     """
+    ring = ModRing(modulus)
     if limit is not None and limit <= 0:
         return
-    ring = ModRing(modulus)
     n = bq.n
+    cells = n * n
     units = [u.value for u in ring.units()]
     triples = triple_slots(bq)
+    equations = compiled_triples(bq)
     slots = _slot_order(n, triples)
-    ready_at = _ready_at(triples, slots)
+    ready_at = _ready_at(equations, slots)
     by_delta = _delta_candidates(ring, units)
     emitted = 0
     elements = [ring.wrap(v) for v in range(modulus)]   # immutable, so shared
+    element_rows = {}                   # int row -> its row of shared elements
+    classes = {}                        # witnesses -> their AdequacyClass
 
-    def rows(flat) -> List[list]:
-        return [[elements[v] for v in flat[x * n:(x + 1) * n]] for x in range(n)]
+    def rows(flat) -> tuple:
+        out = []
+        for x in range(0, cells, n):
+            key = tuple(flat[x:x + n])
+            row = element_rows.get(key)
+            if row is None:
+                row = element_rows[key] = tuple([elements[v] for v in key])
+            out.append(row)
+        return tuple(out)
 
     for delta in sorted(by_delta):
         batch = []
-        for A, B in _orbit_representatives(ring, n, slots, ready_at, delta,
-                                           sorted(by_delta[delta])):
-            bad, _d, w = check_tables(bq, ring, A, B, triples)
-            if bad:                         # unreachable while the pruning is sound
-                A_rows, B_rows = ([t[x * n:(x + 1) * n] for x in range(n)] for t in (A, B))
-                raise RuntimeError(f"search pruning let through A={A_rows} B={B_rows} "
-                                   f"over Z{modulus}: {bad[0].describe()}")
-            over_under = over_under_witnesses(ring, A, B, triples)
+        for T in _orbit_representatives(ring, n, slots, ready_at, delta,
+                                        sorted(by_delta[delta])):
+            A, B = T[:cells], T[cells:2 * cells]
+            verdict = conditions_hold(ring, A, B, equations)
+            if verdict is None:             # unreachable while the pruning is sound
+                raise _unsound(bq, ring, A, B, triples)
+            w = verdict[1]
+            over, under = over_under_witnesses(ring, A, B, triples)
+            passthrough = {}            # l^4 -> witness: its products scale by l^4
             for lam in units:
-                batch.append(([lam * a % modulus for a in A], [lam * b % modulus for b in B],
-                              lam * w % modulus, over_under))
+                A_l, B_l = [lam * a % modulus for a in A], [lam * b % modulus for b in B]
+                q = pow(lam, 4, modulus)
+                if q not in passthrough:
+                    passthrough[q] = passthrough_witness(bq, ring, A_l, B_l)
+                witnesses = (over, under, passthrough[q])
+                cls = classes.get(witnesses)
+                if cls is None:
+                    cls = classes[witnesses] = AdequacyClass.from_witnesses(*witnesses)
+                batch.append((A_l, B_l, lam * w % modulus, cls))
         batch.sort(key=lambda member: member[:2])
-        for A_l, B_l, w, (over, under) in batch:
-            cls = AdequacyClass.from_witnesses(over, under,
-                                               passthrough_witness(bq, ring, A_l, B_l))
+        for A_l, B_l, w, cls in batch:
             if classification and classification != "any" and cls.label() != classification:
                 continue
             yield (BiquandleBracket(bq, ring, rows(A_l), rows(B_l), elements[delta], elements[w]),

@@ -6,9 +6,13 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from tracebracket import (fixture_path, fixture_text, parse_biquandle, parse_bracket,
-                          serialize_biquandle, trivial_biquandle, verify_biquandle)
+                          parse_diagram, serialize_biquandle, trivial_biquandle, verify_biquandle)
+from tracebracket import diagram as dgmod
 from tracebracket.cli import build_parser, main
+from tracebracket.search import search_brackets
 
 
 def run(capsys, *argv):
@@ -352,6 +356,64 @@ def test_search_limit(capsys):
     assert rc == 0 and out.strip() == "found: 0"
     assert_input_error(capsys, ["search", fixture_path("bq2.txt"), "--mod", "7",
                                 "--limit", "-1"], "--limit -1 is negative")
+
+
+def test_search_invalid_modulus_exit_2(capsys):
+    for modulus in ("0", "-3", "1"):
+        for limit in ([], ["--limit", "0"], ["--limit", "3"]):
+            rc = main(["search", "trivial(2)", "--mod", modulus, *limit])
+            captured = capsys.readouterr()
+            assert (rc, captured.out, captured.err) == (2, "", "error: modulus must be at least 2\n")
+
+
+@pytest.mark.parametrize("spec, n", [("bq2", 5), ("bq3", 3), ("trivial(2)", 5)])
+def test_search_cli_renders_the_library(capsys, spec, n):
+    """The search CLI prints exactly what search_brackets yields, in JSON
+    and in text, for each class filter and limit."""
+    if spec.startswith("bq"):
+        arg, bq = fixture_path(f"{spec}.txt"), parse_biquandle(fixture_text(f"{spec}.txt"))
+    else:
+        arg, bq = spec, trivial_biquandle(2)
+    for classification in ("any", "over", "adequate"):
+        for limit in (None, 3, 0):
+            found = [{"A": [[str(e) for e in row] for row in beta.A],
+                      "B": [[str(e) for e in row] for row in beta.B],
+                      "class": cls.label(), "passthrough": cls.passthrough}
+                     for beta, cls in search_brackets(bq, n, classification, limit)]
+            payload = {"command": "search", "inputs": {"biquandle": arg, "mod": n},
+                       "result": {"count": len(found), "brackets": found}, "witnesses": []}
+            text = "".join(
+                "".join(f"{' '.join(a)} | {' '.join(b)}\n" for a, b in zip(r["A"], r["B"]))
+                + f"class: {r['class']}  passthrough: {'yes' if r['passthrough'] else 'no'}\n\n"
+                for r in found) + f"found: {len(found)}\n"
+            options = ["--class", classification] + ([] if limit is None else
+                                                     ["--limit", str(limit)])
+            assert run(capsys, "--json", "search", arg, "--mod", str(n), *options) == \
+                (0, json.dumps(payload, sort_keys=True) + "\n")
+            assert run(capsys, "search", arg, "--mod", str(n), *options) == (0, text)
+
+
+def test_each_diagram_job_validates_its_diagram_once(capsys, monkeypatch, tmp_path):
+    """A colorings, invariant or skein-check job checks its input diagram
+    once, and a malformed one still exits 2 naming the file."""
+    report = dgmod._validation_report
+    checked = []
+    monkeypatch.setattr(dgmod, "_validation_report",
+                        lambda d: checked.append(d) or report(d))
+    hopf, bq2, br = fixture_path("hopf_pos.dgm"), fixture_path("bq2.txt"), fixture_path("br_z7.txt")
+    diagram = parse_diagram(fixture_text("hopf_pos.dgm"))
+    for argv in (["colorings", hopf, bq2], ["invariant", hopf, bq2, br],
+                 ["skein-check", hopf, bq2, br]):
+        checked.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert checked.count(diagram) == 1
+    bad = tmp_path / "bad.dgm"
+    bad.write_text("+ 1 2 3 4\n+ 1 2 3 4\n")
+    problems = dgmod.validate_diagram(parse_diagram(bad.read_text())).problems
+    checked.clear()
+    assert main(["colorings", str(bad), "trivial(2)"]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {'; '.join(problems)}\n"
+    assert len(checked) == 1
 
 
 # trace_phi.tdg with the second crossing's under-output renamed from 4 to 7:

@@ -1,16 +1,20 @@
 import functools
 import hashlib
+import random
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tracebracket import bracket as brmod
 from tracebracket import fixture_text, parse_biquandle
 from tracebracket import search as searchmod
-from tracebracket.biquandle import trivial_biquandle
-from tracebracket.bracket import (check_tables, classify_adequacy, classify_tables,
-                                  passthrough_witness, triple_slots, verify_bracket)
+from tracebracket.biquandle import biquandle_from_spec, trivial_biquandle
+from tracebracket.bracket import (TRIPLE_EQUATIONS, check_tables, classify_adequacy,
+                                  classify_tables, compiled_triples, conditions_hold,
+                                  equations_hold, passthrough_witness, triple_slots,
+                                  verify_bracket)
 from tracebracket.rings import ModRing
 from tracebracket.search import (bracket_key, brute_force_brackets,
                                  search_brackets)
@@ -93,6 +97,13 @@ def test_limit(bq2):
     assert len(list(search_brackets(bq2, 7, limit=5))) == 5
     for limit in (0, -1):
         assert list(search_brackets(bq2, 7, limit=limit)) == []
+
+
+def test_invalid_modulus_raises_whatever_the_limit(bq2):
+    for modulus in (0, -3, 1):
+        for limit in (None, 0, 3):
+            with pytest.raises(ValueError, match="^modulus must be at least 2$"):
+                list(search_brackets(bq2, modulus, limit=limit))
 
 
 def test_brute_force_cap():
@@ -259,3 +270,110 @@ def test_slot_order_is_greedy(request, spec):
         placed = set(order[:k])
         assert all(completes(placed, slot) >= completes(placed, other)
                    for other in order[k + 1:])
+
+
+# (biquandle, modulus of the searched brackets the compiled checks are run on)
+COMPILED_CASES = [("bq1", 7), ("bq2", 7), ("bq3", 4), ("alexander(3,1,2)", 5),
+                  ("alexander(5,2,3)", 3), ("trivial(2)", 5), ("trivial(3)", 3)]
+
+
+def _spec_biquandle(spec: str):
+    return biquandle_from_spec(spec) or parse_biquandle(fixture_text(f"{spec}.txt"))
+
+
+def _polynomial(N: int, equation):
+    """A compiled equation read back as the layout ``equations_hold``
+    evaluates: both sides as sorted monomials of T indices (the index of 1
+    left out), in sorted order."""
+    one, delta = 2 * N + 1, 2 * N
+    if len(equation) == 6:
+        sides = [(tuple(sorted(i for i in side if i != one)),)
+                 for side in (equation[:3], equation[3:])]
+    else:
+        a, b, c, x1, y1, x2, y2, x3, y3 = equation
+        sides = [(tuple(sorted((a, b, c))),),
+                 tuple(sorted(tuple(sorted(m)) for m in ((x1, y2, x3), (x1, x2, y3),
+                                                         (delta, x1, y2, y3), (y1, y2, y3))))]
+    return tuple(sorted(sides))
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _n in COMPILED_CASES])
+def test_compiled_triples_are_the_statement(spec):
+    """No compiled equation is an identity or a repeat, and each equation of
+    the statement at each triple is an identity or one of them."""
+    bq = _spec_biquandle(spec)
+    N = bq.n * bq.n
+    compiled = [_polynomial(N, e) for e in compiled_triples(bq)]
+    assert all(lhs != rhs for lhs, rhs in compiled)
+    assert len(set(compiled)) == len(compiled)
+    reached = set()
+    for _witness, slots in triple_slots(bq):
+        for tag, *_sides in TRIPLE_EQUATIONS:
+            key, equation = brmod._compile_equation(N, slots, tag)
+            if equation is None:
+                assert key[0] == key[1]
+            else:
+                assert _polynomial(N, equation) == key
+                reached.add(key)
+    assert reached == set(compiled)
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _n in COMPILED_CASES])
+def test_compiled_equations_hold_where_the_statement_does(spec):
+    """On unit values over Z7 (delta any residue), each equation of the
+    statement holds exactly where its compiled form does, identities
+    everywhere: the cancelled binomials and the specialized triple4 and
+    triple5 layout evaluate the statement."""
+    bq = _spec_biquandle(spec)
+    N = bq.n * bq.n
+    rng = random.Random(spec)
+    for _witness, slots in triple_slots(bq):
+        for tag, *_sides in TRIPLE_EQUATIONS:
+            equation = brmod._compile_equation(N, slots, tag)[1]
+            for _ in range(12):
+                A, B = ([rng.randrange(1, 7) for _ in range(N)] for _table in "AB")
+                delta = rng.randrange(7)
+                holds = next((lhs - rhs) % 7 == 0 for t, lhs, rhs
+                             in brmod._triple_equations(A, B, delta, slots) if t == tag)
+                assert holds == (equation is None
+                                 or equations_hold([*A, *B, delta, 1], 7, [equation]))
+
+
+@functools.cache
+def _compiled_case(spec: str, modulus: int):
+    """(biquandle, units, delta -> unit pairs, flat tables of every bracket)."""
+    bq = _spec_biquandle(spec)
+    ring = ModRing(modulus)
+    units = [u for u in range(1, modulus) if gcd(u, modulus) == 1]
+    brackets = [tuple([e.value for row in table for e in row] for table in (b.A, b.B))
+                for b, _ in search_brackets(bq, modulus)]
+    return bq, units, searchmod._delta_candidates(ring, units), brackets
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(data=st.data())
+def test_compiled_conditions_agree_with_check_tables(data):
+    """``conditions_hold`` passes a table exactly when ``check_tables``
+    reports nothing, with the same delta and w.  Tables are random units,
+    or a searched bracket with a few entries redrawn, or a few pairs
+    redrawn among those with its delta, so that the triple equations decide."""
+    spec, modulus = data.draw(st.sampled_from(COMPILED_CASES))
+    bq, units, by_delta, brackets = _compiled_case(spec, modulus)
+    ring, cells, unit = ModRing(modulus), bq.n * bq.n, st.sampled_from(units)
+    how = data.draw(st.sampled_from(["units", "entries", "pairs"]))
+    if how == "units":
+        A, B = (data.draw(st.lists(unit, min_size=cells, max_size=cells)) for _ in "AB")
+    else:
+        A, B = (list(t) for t in data.draw(st.sampled_from(brackets)))
+        delta = brmod.pair_delta(ring, A[0], B[0]) % modulus
+        for _ in range(data.draw(st.integers(0, 3))):
+            i = data.draw(st.integers(0, cells - 1))
+            if how == "entries":
+                data.draw(st.sampled_from((A, B)))[i] = data.draw(unit)
+            else:
+                A[i], B[i] = data.draw(st.sampled_from(by_delta[delta]))
+    bad, delta, w = check_tables(bq, ring, A, B, triple_slots(bq))
+    verdict = conditions_hold(ring, A, B, compiled_triples(bq))
+    assert (verdict is not None) == (not bad)
+    if verdict is not None:
+        assert verdict == (delta % modulus, w % modulus)
