@@ -118,11 +118,12 @@ class BracketVerification:
         return self.bracket is not None
 
 
+@lru_cache(maxsize=64)
 def triple_slots(bq: Biquandle) -> Tuple[Tuple[Tuple[int, int, int], Tuple[int, ...]], ...]:
     """Every triple (x, y, z) with the flat indices (u*n + v) of the pairs
     the bracket conditions read there: (x,y), (y,z), (x^y,z_y) on the left
     of the triple equations, (x,z), (y_x,z_x), (x^z,y^z) on the right, and
-    (y^x, z^x) for the over-adequacy chain."""
+    (y^x, z^x) for the over-adequacy chain.  Built once per biquandle."""
     U, O = bq.under, bq.over
     n = bq.n
     out = []

@@ -55,6 +55,12 @@ class OrientedDiagram:
         is never changed after construction, so it is checked once."""
         return _validation_report(self)
 
+    @cached_property
+    def _switches(self) -> Dict[int, "OrientedDiagram"]:
+        """The diagrams :func:`switch_crossing` has made from this one, by
+        crossing index."""
+        return {}
+
 
 @dataclass(frozen=True)
 class DiagramReport:
@@ -237,13 +243,16 @@ def count_state_loops(d: OrientedDiagram, state: Sequence[str]) -> int:
 
 
 def switch_crossing(d: OrientedDiagram, index: int) -> OrientedDiagram:
-    """Swap over/under roles (and the sign) at one crossing."""
-    c = d.crossings[index]
-    switched = Crossing(-c.sign, u_in=c.o_in, o_in=c.u_in,
-                        o_out=c.u_out, u_out=c.o_out)
-    rows = list(d.crossings)
-    rows[index] = switched
-    return OrientedDiagram(tuple(rows), d.free_loops)
+    """Swap over/under roles (and the sign) at one crossing.  Made once per
+    diagram and index, so a caller that switches the same crossing again
+    gets the same diagram, with its validation report."""
+    switched = d._switches.get(index)
+    if switched is None:
+        c = d.crossings[index]
+        rows = list(d.crossings)
+        rows[index] = Crossing(-c.sign, u_in=c.o_in, o_in=c.u_in, o_out=c.u_out, u_out=c.o_out)
+        switched = d._switches[index] = OrientedDiagram(tuple(rows), d.free_loops)
+    return switched
 
 
 def oriented_smoothing(d: OrientedDiagram, index: int) -> OrientedDiagram:

@@ -20,9 +20,12 @@ inputs into a sink and its two outputs into a source.  Deleting a ``b``
 trace leaves a cap and a cup, so its ends reverse orientation along the
 curve; these are the vertices magnetic parity counts.  ``TraceDiagram.curves``
 walks each component of the trace-deleted curve once, and the circle count,
-magnetic parity and kink reducibility are all read off that walk.  The
-paper's stop condition, a magnetic parity at every crossing and kink
-reducibility, reduces to kink reducibility alone.  The walk follows the
+magnetic parity and the crossings that kink removal leaves are all read off
+that walk.  The paper's stop condition, a magnetic parity at every crossing
+and kink reducibility, reduces to kink reducibility alone, so the
+parity-stop recursion expands the lowest-numbered crossing that kink
+removal leaves: expanding a kink that already comes off would leave both
+children blocked by the same crossings.  The walk follows the
 diagram's end links (``TraceDiagram.links``: each node role linked to the
 other end of its edge).  A smoothing keeps every edge, so the links are
 built once per diagram and shared by every diagram smoothed from it.
@@ -45,7 +48,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from math import prod
 from operator import mul
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
 from .biquandle import Biquandle, content_lines, parse_int
 from .bracket import (BiquandleBracket, coefficient_pair, crossing_coefficient_pair,
@@ -171,16 +174,19 @@ class TraceDiagram:
         return parities
 
     @cached_property
-    def kink_reducible(self) -> bool:
-        """Can the trace-deleted diagram be unknotted by kink removal alone?
+    def kink_leftover(self) -> FrozenSet[int]:
+        """The crossings that maximal kink removal leaves in the
+        trace-deleted diagram.
 
         A kink is a crossing whose two passes are adjacent on a curve, and
-        removing it makes its neighbours adjacent.  So a curve empties
-        exactly when no two of its crossings interleave along it, whatever
-        the order of removal and wherever the walk starts: push each
-        crossing, and pop it when it comes back on top.  A multi-component
-        crossing passes its curve once and never pops.
+        removing it makes its neighbours adjacent.  So removal cancels
+        adjacent equal passes, and what is left does not depend on the order
+        of removal: push each crossing, and pop it when it comes back on
+        top.  The walk starts a curve at an arbitrary point, so the stack's
+        two ends are adjacent too, and they cancel while they are equal.  A
+        multi-component crossing passes its curve once and always stays.
         """
+        left: List[int] = []
         for curve in self.curves:
             stack: List[int] = []
             for cid, _ in curve:
@@ -188,9 +194,16 @@ class TraceDiagram:
                     stack.pop()
                 else:
                     stack.append(cid)
-            if stack:
-                return False
-        return True
+            lo, hi = 0, len(stack) - 1
+            while lo < hi and stack[lo] == stack[hi]:
+                lo, hi = lo + 1, hi - 1
+            left += stack[lo:hi + 1]
+        return frozenset(left)
+
+    @property
+    def kink_reducible(self) -> bool:
+        """Can the trace-deleted diagram be unknotted by kink removal alone?"""
+        return not self.kink_leftover
 
 
 def from_colored_diagram(d: OrientedDiagram, bq: Biquandle,
@@ -318,7 +331,8 @@ def magnetic_parity(td: TraceDiagram, cid: int) -> str:
 
 def ri_reducible(td: TraceDiagram) -> bool:
     """Can the trace-deleted diagram be unknotted by kink removal alone?
-    Computed once per diagram: ``TraceDiagram.kink_reducible``."""
+    True when kink removal leaves no crossing: ``TraceDiagram.kink_leftover``,
+    computed once per diagram."""
     return td.kink_reducible
 
 
@@ -357,15 +371,25 @@ parity_applicable = ri_reducible
 
 
 def evaluate_recursive_parity(td: TraceDiagram, beta: BiquandleBracket):
-    """Recursive expansion of the first crossing that stops at each
-    parity-evaluable diagram."""
-    if parity_applicable(td):
-        return evaluate_by_parity(td, beta)
-    cid = td.crossings()[0]
-    coeff_a, td_a = smooth_crossing(td, cid, "A", beta)
-    coeff_b, td_b = smooth_crossing(td, cid, "B", beta)
-    return (coeff_a * evaluate_recursive_parity(td_a, beta)
-            + coeff_b * evaluate_recursive_parity(td_b, beta))
+    """The recursive expansion with the parity stop: a diagram that kink
+    removal unknots is evaluated by :func:`evaluate_by_parity`, and any
+    other has its lowest-numbered crossing that kink removal leaves
+    (``TraceDiagram.kink_leftover``) smoothed both ways.  Smoothing a kink
+    that already comes off leaves its children blocked by the same
+    crossings, so the expansion works on what blocks the stop; every order
+    gives the same value.  The expansion sums raw values and wraps once."""
+    return beta.ring.wrap(_expand_to_parity_stops(td, beta))
+
+
+def _expand_to_parity_stops(td: TraceDiagram, beta: BiquandleBracket):
+    """The unwrapped value of :func:`evaluate_recursive_parity`."""
+    if not td.kink_leftover:
+        return beta.ring.raw(evaluate_by_parity(td, beta))
+    cid = min(td.kink_leftover)
+    node = td.nodes[cid]
+    a, b = (beta.raw[raw_slot(beta.bq.n, k, node.sign, node.pair)]
+            * _expand_to_parity_stops(replace_with_trace(td, cid, k), beta) for k in SMOOTHINGS)
+    return a + b
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,16 @@ import random
 
 import pytest
 
+from tracebracket import fixture_text
 from tracebracket.biquandle import trivial_biquandle
 from tracebracket.bracket import (bracket_invariant, classify_adequacy,
                                   constant_bracket, crossing_coefficient_pair,
-                                  homflypt_coefficients, make_bracket,
+                                  generic_laurent_bracket, homflypt_coefficients, make_bracket,
                                   parse_bracket, raw_slot, serialize_bracket,
                                   state_sum, verify_bracket)
 from tracebracket.coloring import enumerate_colorings
-from tracebracket.diagram import (diagram, hopf_pos, trefoil_pos, trefoil_rii, unknot0,
-                                  unknot_kink, validate_diagram, writhe_counts)
+from tracebracket.diagram import (diagram, hopf_pos, parse_diagram, trefoil_pos, trefoil_rii,
+                                  unknot0, unknot_kink, validate_diagram, writhe_counts)
 from tracebracket.rings import LaurentRing, ModRing
 from tracebracket.search import search_brackets
 from tracebracket.trace import skein_identity_check
@@ -25,6 +26,19 @@ def test_z7_bracket_delta_w(br_z7):
 def test_generic_bracket_delta_w(br_gen):
     assert str(br_gen.delta) == "-A*B^-1 - A^-1*B"
     assert str(br_gen.w) == "-A^2*B^-1"
+
+
+def test_generic_laurent_bracket_is_the_shipped_laurent_bracket(bq1, br_gen):
+    # the exported symbolic bracket passes the bracket conditions and is
+    # br_laurent.txt on bq1: the same entries, delta, w and invariants
+    gen = generic_laurent_bracket()
+    assert verify_bracket(gen.bq, gen.ring, gen.A, gen.B).ok
+    assert gen.bq == bq1
+    assert (gen.A, gen.B, gen.delta, gen.w) == (br_gen.A, br_gen.B, br_gen.delta, br_gen.w)
+    names = ["unknot0", "unknot_kink_pos", "unknot_kink_neg", "hopf_pos", "trefoil_pos",
+             "trefoil_rii"]
+    for d in (parse_diagram(fixture_text(f"{name}.dgm")) for name in names):
+        assert bracket_invariant(d, gen.bq, gen) == bracket_invariant(d, bq1, br_gen)
 
 
 def test_z5_brackets_verify(br_z5):

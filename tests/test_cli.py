@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import pytest
 
 from tracebracket import (fixture_path, fixture_text, parse_biquandle, parse_bracket,
-                          parse_diagram, serialize_biquandle, trivial_biquandle, verify_biquandle)
+                          parse_diagram, serialize_biquandle, switch_crossing, trivial_biquandle,
+                          verify_biquandle)
 from tracebracket import diagram as dgmod
 from tracebracket.cli import build_parser, main
 from tracebracket.search import search_brackets
@@ -395,7 +396,8 @@ def test_search_cli_renders_the_library(capsys, spec, n):
 
 def test_each_diagram_job_validates_its_diagram_once(capsys, monkeypatch, tmp_path):
     """A colorings, invariant or skein-check job checks its input diagram
-    once, and a malformed one still exits 2 naming the file."""
+    once (and a skein-check job its switched diagram once), and a malformed
+    one still exits 2 naming the file."""
     report = dgmod._validation_report
     checked = []
     monkeypatch.setattr(dgmod, "_validation_report",
@@ -407,6 +409,9 @@ def test_each_diagram_job_validates_its_diagram_once(capsys, monkeypatch, tmp_pa
         checked.clear()
         assert run(capsys, *argv)[0] == 0
         assert checked.count(diagram) == 1
+        if argv[0] == "skein-check":
+            # the switched diagram is made and checked once, not per coloring
+            assert checked.count(switch_crossing(diagram, 0)) == 1
     bad = tmp_path / "bad.dgm"
     bad.write_text("+ 1 2 3 4\n+ 1 2 3 4\n")
     problems = dgmod.validate_diagram(parse_diagram(bad.read_text())).problems

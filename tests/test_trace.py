@@ -401,10 +401,10 @@ def reference_parity(td, cid):
     raise AssertionError("parity walk did not terminate")
 
 
-def reference_ri_reducible(td):
+def reference_kink_leftover(td):
     """Kink removal on the arcs between crossing slots: remove any crossing
     whose under and over slots are joined by an arc, and join its other two
-    slots, until no crossing or no kink is left."""
+    slots, until no kink is left.  Returns the crossings left."""
     mate = {}
     for nid, node in td.nodes.items():
         if node.kind == "x":
@@ -414,26 +414,33 @@ def reference_ri_reducible(td):
             for r, s in ORACLE_PASS[node.kind]:
                 join_ends(mate, getattr(node, r), getattr(node, s))
     remaining = set(td.crossings())
-    while remaining:
+    while True:
         kink = next(((cid, us, os_) for cid in sorted(remaining)
                      for us, os_ in itertools.product(("u_in", "u_out"), ("o_in", "o_out"))
                      if mate.get((cid, us)) == (cid, os_)), None)
         if kink is None:
-            return False
+            return remaining
         cid, us, os_ = kink
         join_ends(mate, (cid, "u_out" if us == "u_in" else "u_in"),
                   (cid, "o_out" if os_ == "o_in" else "o_in"))
         remaining.discard(cid)
-    return True
 
 
-def reference_leaves(td):
-    """Leaves of the parity-stop recursion, stopping on the reference kink
-    removal and otherwise smoothing the first crossing both ways."""
-    if reference_ri_reducible(td):
+def reference_ri_reducible(td):
+    """Does the reference kink removal leave no crossing?"""
+    return not reference_kink_leftover(td)
+
+
+def reference_leaves(td, first_crossing=False):
+    """Leaves of the parity-stop recursion, stopping when the reference kink
+    removal leaves no crossing and otherwise smoothing both ways the
+    lowest-numbered crossing it leaves, or with ``first_crossing`` the
+    lowest-numbered crossing of all."""
+    left = reference_kink_leftover(td)
+    if not left:
         return 1
-    cid = td.crossings()[0]
-    return sum(reference_leaves(replace_with_trace(td, cid, k)) for k in "AB")
+    cid = td.crossings()[0] if first_crossing else min(left)
+    return sum(reference_leaves(replace_with_trace(td, cid, k), first_crossing) for k in "AB")
 
 
 def test_parity_stop_is_applied(monkeypatch, bq2, bq3, br_z7, br_z5, braid_closure):
@@ -453,7 +460,7 @@ def test_parity_stop_is_applied(monkeypatch, bq2, bq3, br_z7, br_z5, braid_closu
 
     # seeded closures that are not kink-reducible, so the root is expanded
     rng = random.Random(2029)
-    stopped_early = False
+    stopped_early = fewer_than_first_crossing = False
     for bq, beta in ((bq2, br_z7), (bq3, br_z5[0])):
         checked = 0
         while checked < 12:
@@ -468,9 +475,14 @@ def test_parity_stop_is_applied(monkeypatch, bq2, bq3, br_z7, br_z5, braid_closu
             leaves.clear()
             evaluate_recursive_parity(td, beta)
             assert len(leaves) == reference_leaves(td)
+            # expanding what blocks the stop never makes more leaves than
+            # expanding the first crossing
+            first_crossing = reference_leaves(td, first_crossing=True)
+            assert len(leaves) <= first_crossing
             stopped_early |= len(leaves) < 2 ** len(td.crossings())
+            fewer_than_first_crossing |= len(leaves) < first_crossing
             checked += 1
-    assert stopped_early
+    assert stopped_early and fewer_than_first_crossing
 
 
 def reference_circles(td):
@@ -513,6 +525,29 @@ def test_curve_walk_matches_reference_walks(bq1, bq2, bq3, a312, braid_closure):
     assert checked >= 1000
     assert set(parities) == {"multi", "odd", "even"}
     assert verdicts == {True, False}
+
+
+def test_recursion_matches_state_sum_and_reference_kink_removal(bq1, bq2, bq3, br_gen, br_z7,
+                                                                br_z5, braid_closure):
+    # seeded closures of 2- to 4-strand braids with random A/B traces: the
+    # crossings that kink removal leaves are the reference's, and the
+    # parity-stop recursion that expands them gives the full state sum
+    rng = random.Random(4111)
+    blocked = 0
+    for bq, brackets in ((bq1, [br_gen]), (bq2, [br_z7]), (bq3, br_z5)):
+        for _ in range(300):
+            strands = rng.randint(2, 4)
+            word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                    for _ in range(rng.randint(strands - 1, 12))]
+            d = braid_closure(word, strands)
+            td = from_colored_diagram(d, bq, rng.choice(enumerate_colorings(d, bq)))
+            for cid in rng.sample(td.crossings(), rng.randint(0, len(td.crossings()))):
+                td = replace_with_trace(td, cid, rng.choice("AB"))
+            assert td.kink_leftover == reference_kink_leftover(td)
+            beta = rng.choice(brackets)
+            assert evaluate_recursive_parity(td, beta) == evaluate_recursive(td, beta)
+            blocked += bool(td.kink_leftover)
+    assert blocked >= 300
 
 
 def test_curves_keep_components_without_crossings(bq1, bq2):
