@@ -25,8 +25,7 @@ from .trace import (MultiComponentCrossingError, NotRIReducibleError,
                     evaluate_recursive, evaluate_recursive_parity,
                     from_colored_diagram,
                     magnetic_parity, parse_trace_diagram, ri_reducible,
-                    skein_identity_check, smooth_crossing,
-                    trace_move_fixture_check)
+                    skein_identity_check, trace_move_fixture_check)
 
 __version__ = "0.1.0"
 

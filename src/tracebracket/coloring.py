@@ -10,15 +10,18 @@ Which labels a crossing's rule can fill depends only on which labels are
 known, not on their colors.  So each diagram gets one
 :func:`propagation_schedule`: a list of levels, each a seed (the lowest
 uncolored semiarc) and the steps that seed forces, every crossing firing
-in exactly one step.  Enumeration runs that schedule one of two ways.
-When both operations are affine over a prime field, under(x, y) =
-a x + b y + c and over(x, y) = d x + e y + f mod a prime n with a and d
-nonzero (every alexander(p, t, s) with p prime, and the two-element
-fixture bq2), every color is affine in the k seed colors, so the checks
-form a linear system in k unknowns over GF(n), solved by elimination.
-Every other table (n = 1, composite n, non-affine tables, and affine
-tables with a or d zero) goes through a depth-first search over the seed
-colors.  Both paths return the same list.
+in exactly one step.  Enumeration is one depth-first search over the
+seed colors, :func:`_search_seeds`: each level tries the colors that
+:func:`_solve_seeds` allows it, given the colors of the seeds before it,
+runs its steps and prunes at the first failed check.  When both
+operations are affine over a prime field, under(x, y) = a x + b y + c and
+over(x, y) = d x + e y + f mod a prime n with a and d nonzero (every
+alexander(p, t, s) with p prime, and the two-element fixture bq2), every
+color is affine in the k seed colors, so the checks form a linear system
+in k unknowns over GF(n).  Elimination then narrows each pivot seed to
+the one color its row gives.  Every other table (n = 1, composite n,
+non-affine tables, and affine tables with a or d zero) tries every color
+at every seed.
 
 These rules are pinned by the worked invariants they must reproduce: nine
 colorings of the trefoil under the linear biquandle on Z_3 with t=1, s=2,
@@ -30,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .biquandle import Biquandle
 from .diagram import Crossing, OrientedDiagram, validate_diagram
@@ -90,7 +93,7 @@ def crossing_outputs(bq: Biquandle, sign: int, u_in: int, o_in: int) -> Tuple[in
 def crossing_ok(bq: Biquandle, c: Crossing, colors: Sequence[int]) -> bool:
     a, b, fc, fd = positive_frame(c.sign, colors[c.u_in - 1], colors[c.o_in - 1],
                                   colors[c.o_out - 1], colors[c.u_out - 1])
-    # (c, d) == _forward(bq, a, b), inlined: validate_coloring runs per solution
+    # (c, d) == _forward(bq, a, b), inlined: state_sum checks every coloring it is given
     return fc == bq.over(b, a) and fd == bq.under(a, fc)
 
 
@@ -222,20 +225,19 @@ def _diagram_schedule(d: OrientedDiagram) -> List[Level]:
     return propagation_schedule(_frames(d), range(d.n_semiarcs))
 
 
-def enumerate_colorings(d: OrientedDiagram, bq: Biquandle) -> List[Coloring]:
-    """All valid colorings, in lexicographic order of the color tuple.
+# The colors a level of the seed search tries, from its depth and the
+# colors of the seeds before it.
+Choices = Callable[[int, Sequence[int]], Sequence[int]]
 
-    Both runners read one :func:`propagation_schedule` of the diagram.  Over
-    a biquandle that is affine over a prime field (see :func:`_affine_form`)
-    :func:`_solve_seeds` solves for the seed colors; every other biquandle,
-    including n = 1 and composite n, goes through the search of
-    :func:`_search_seeds`.  Both give the same list.
-    """
+
+def enumerate_colorings(d: OrientedDiagram, bq: Biquandle) -> List[Coloring]:
+    """All valid colorings, in lexicographic order of the color tuple: the
+    search of :func:`_search_seeds` over the diagram's
+    :func:`propagation_schedule`, trying the colors :func:`_solve_seeds`
+    allows each seed."""
     _require_valid(d)
     levels = _diagram_schedule(d)
-    if _affine_form(bq) is None:
-        return _extend_free_loops(d, bq, _search_seeds(d, bq, levels))
-    return _extend_free_loops(d, bq, _solve_seeds(d, bq, levels))
+    return _extend_free_loops(d, bq, _search_seeds(d, bq, levels, _solve_seeds(d, bq, levels)))
 
 
 def _require_valid(d: OrientedDiagram) -> None:
@@ -244,38 +246,38 @@ def _require_valid(d: OrientedDiagram) -> None:
         raise ValueError("invalid diagram: " + "; ".join(report.problems))
 
 
-def _search_seeds(d: OrientedDiagram, bq: Biquandle, levels: Sequence[Level]) -> List[Coloring]:
-    """Depth-first search over the seed colors, highest color first, running
-    each level's steps and pruning at the first failed check; the colorings
-    of the crossing semiarcs, unsorted.  Works over any biquandle.
+def _search_seeds(d: OrientedDiagram, bq: Biquandle, levels: Sequence[Level],
+                  choices: Choices) -> List[Coloring]:
+    """Depth-first search over the seed colors, each level trying the colors
+    ``choices`` gives it, running its steps and pruning at the first failed
+    check; the colorings of the crossing semiarcs, unsorted.  Works over
+    any biquandle.
 
-    A level only overwrites labels that no earlier level colors, so the
-    search backtracks without restoring anything.
+    Every frame fires in exactly one step, so a coloring that passes every
+    level satisfies both equations at every crossing.  A level only
+    overwrites labels that no earlier level colors, so the search
+    backtracks without restoring anything.
     """
     if not levels:
         return [()]
     colors = [0] * d.n_semiarcs
-    loops = (0,) * d.free_loops
     results: List[Coloring] = []
     last = len(levels) - 1
-    untried = [bq.n] + [0] * last   # colors not yet tried at each level
+    untried = [list(choices(0, colors))] + [[]] * last   # colors left at each level
     depth = 0
     while depth >= 0:
         if not untried[depth]:
             depth -= 1
             continue
-        untried[depth] -= 1
         seed, steps = levels[depth]
-        colors[seed] = untried[depth]
+        colors[seed] = untried[depth].pop()
         if not run_steps(steps, bq, colors):
             continue
         if depth < last:
             depth += 1
-            untried[depth] = bq.n
+            untried[depth] = list(choices(depth, colors))
             continue
-        final = tuple(colors)
-        if validate_coloring(d, bq, final + loops):
-            results.append(final)
+        results.append(tuple(colors))
     return results
 
 
@@ -284,17 +286,8 @@ def _extend_free_loops(d: OrientedDiagram, bq: Biquandle,
     """Sort the crossing-semiarc colorings and extend each over the
     free loops, whose colors are unconstrained."""
     results.sort()
-    if not d.free_loops:
-        return results
-
-    extended: List[Coloring] = []
-    for base in results:
-        stack: List[Tuple[int, ...]] = [base]
-        for _ in range(d.free_loops):
-            stack = [t + (v,) for t in stack for v in range(bq.n)]
-        extended.extend(stack)
-    extended.sort()
-    return extended
+    loops = itertools.product(range(bq.n), repeat=d.free_loops)
+    return [base + tail for base, tail in itertools.product(results, loops)]
 
 
 Affine = Tuple[int, int, int]
@@ -327,30 +320,34 @@ def _affine_form(bq: Biquandle) -> Optional[Tuple[Affine, Affine]]:
     return under, over
 
 
-def _solve_seeds(d: OrientedDiagram, bq: Biquandle, levels: Sequence[Level]) -> List[Coloring]:
-    """Colorings of the crossing semiarcs over an affine biquandle on GF(p),
-    unsorted.
+def _solve_seeds(d: OrientedDiagram, bq: Biquandle, levels: Sequence[Level]) -> Choices:
+    """The colors each seed may take, given the colors of the seeds before it.
 
-    Over such a biquandle every color the steps compute, and so every
-    check's difference, is an affine function of the k seed colors.  Each
-    is read off the steps' run at the zero seed vector and at the k unit
-    vectors.  The checks' differences must vanish: a linear system in k
-    unknowns, solved by elimination.  The free seeds range
-    over all of GF(p), each pivot seed is read off its row, and
-    :func:`run_steps` fills in the other colors from each seed assignment.
+    Over an affine biquandle on GF(p) (see :func:`_affine_form`) every color
+    the steps compute, and so every check's difference, is an affine
+    function of the k seed colors.  Each is read off the steps' run at the
+    zero seed vector and at the k unit vectors.  The checks' differences
+    must vanish: a linear system in k unknowns, solved by elimination with
+    each pivot at its row's last nonzero column, so that a pivot row reads
+    only earlier seeds.  A pivot seed gets the one color its row gives, a
+    free seed all of GF(p), and an inconsistent system no color at all.
+    Over every other biquandle each seed may take every color.
     """
+    every = range(bq.n)
+    if _affine_form(bq) is None:
+        return lambda _depth, _colors: every
     p = bq.n
     seeds = [seed for seed, _ in levels]
     steps = [step for _, level_steps in levels for step in level_steps]
     k = len(seeds)
-    colors = [0] * d.n_semiarcs
+    trial = [0] * d.n_semiarcs
 
     samples: List[List[int]] = []
     for point in range(-1, k):              # the zero vector, then each unit vector
         for j, seed in enumerate(seeds):
-            colors[seed] = int(j == point)
+            trial[seed] = int(j == point)
         samples.append([])
-        run_steps(steps, bq, colors, samples[-1])
+        run_steps(steps, bq, trial, samples[-1])
     origin, units = samples[0], samples[1:]
     # each row: sum(coef * seed) + const == 0
     rows = [[(unit[r] - const) % p for unit in units] + [const % p]
@@ -363,10 +360,10 @@ def _solve_seeds(d: OrientedDiagram, bq: Biquandle, levels: Sequence[Level]) -> 
             factor = row[col]
             if factor:
                 row = [(g - factor * h) % p for g, h in zip(row, other)]
-        col = next((j for j in range(k) if row[j]), None)
+        col = next((j for j in reversed(range(k)) if row[j]), None)
         if col is None:
             if row[k]:
-                return []                   # 0 == nonzero constant: no colorings
+                return lambda _depth, _colors: ()   # 0 == nonzero constant
             continue
         inv = pow(row[col], -1, p)
         row = [g * inv % p for g in row]
@@ -376,22 +373,18 @@ def _solve_seeds(d: OrientedDiagram, bq: Biquandle, levels: Sequence[Level]) -> 
                 other[:] = [(g - factor * h) % p for g, h in zip(other, row)]
         pivots.append((col, row))
 
-    solved = dict(pivots)
-    free = [j for j in range(k) if j not in solved]
-    results: List[Coloring] = []
-    loops = (0,) * d.free_loops
-    for choice in itertools.product(range(p), repeat=len(free)):
-        # a seed is uncolored until its level, so every seed can be set
-        # before the steps of all levels run as one list
-        for j, value in zip(free, choice):
-            colors[seeds[j]] = value
-        for j, row in pivots:
-            colors[seeds[j]] = -(row[k] + sum(row[f] * colors[seeds[f]] for f in free)) % p
-        if run_steps(steps, bq, colors):
-            final = tuple(colors)
-            if validate_coloring(d, bq, final + loops):
-                results.append(final)
-    return results
+    # seed j = -(const + sum(coef * earlier seed)); no entry for a free seed
+    solved: List[Optional[Tuple[List[Tuple[int, int]], int]]] = [None] * k
+    for j, row in pivots:
+        solved[j] = ([(seeds[f], row[f]) for f in range(j) if row[f]], row[k])
+
+    def choices(depth: int, colors: Sequence[int]) -> Sequence[int]:
+        if solved[depth] is None:
+            return every
+        terms, const = solved[depth]
+        return (-(const + sum(coef * colors[seed] for seed, coef in terms)) % p,)
+
+    return choices
 
 
 def counting_invariant(d: OrientedDiagram, bq: Biquandle) -> int:

@@ -230,14 +230,6 @@ def replace_with_trace(td: TraceDiagram, cid: int, kind: str) -> TraceDiagram:
     return TraceDiagram({**td.nodes, cid: trace}, td.free_circles, td.links)
 
 
-def smooth_crossing(td: TraceDiagram, cid: int, kind: str, beta: BiquandleBracket):
-    """Return (coefficient, smoothed diagram) for one crossing: its A or B
-    entry, inverted at a negative crossing."""
-    node = td.nodes[cid]
-    coeff = beta.ring.wrap(beta.raw[raw_slot(beta.bq.n, kind, node.sign, node.pair)])
-    return coeff, replace_with_trace(td, cid, kind)
-
-
 def _node_choices(td: TraceDiagram, n: int) -> List[list]:
     """Each node's choices as (raw slots, joins), the slots those of a
     bracket on n colors whose product weighs the choice: a crossing offers
@@ -342,7 +334,7 @@ def evaluate_by_parity(td: TraceDiagram, beta: BiquandleBracket):
     Requires every crossing to be single-component and the trace-deleted
     diagram to reduce to zero crossings by kink removal alone.  With a, b
     the crossing's A and B entries, inverted at a negative crossing (the
-    raw slots that :func:`smooth_crossing` reads), its weight is a + delta b
+    raw slots ``raw_slot(n, kind, sign, pair)``), its weight is a + delta b
     at odd parity and delta a + b at even parity.
     """
     parities = []

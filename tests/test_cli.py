@@ -96,6 +96,19 @@ def test_eval_trace_methods(capsys):
     assert "parity[0]: odd" in out and "parity[1]: odd" in out
 
 
+def test_eval_trace_parity_refuses_knotted_trace_deleted_diagram(capsys, tmp_path):
+    # the traceless all-positive trefoil: kink removal leaves every crossing
+    tdg = tmp_path / "trefoil.tdg"
+    tdg.write_text(fixture_text("trefoil_pos.dgm")
+                   + "".join(f"color {e} 1\n" for e in range(1, 7)))
+    rc = main(["eval-trace", str(tdg), "trivial(1)", fixture_path("br_laurent.txt"),
+               "--method", "parity"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: trace-deleted diagram is not kink-reducible\n"
+
+
 def test_skein_check(capsys):
     rc, out = run(capsys, "skein-check", fixture_path("trefoil_pos.dgm"),
                   "trivial(1)", fixture_path("br_laurent.txt"))

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from tracebracket import coloring
-from tracebracket.biquandle import Biquandle, alexander_biquandle, trivial_biquandle
+from tracebracket.biquandle import (Biquandle, alexander_biquandle, trivial_biquandle,
+                                  verify_biquandle)
 from tracebracket.bracket import coefficient_pair
 from tracebracket.coloring import (_affine_form, _diagram_schedule, _extend_free_loops, _frames,
                                    _search_seeds, counting_invariant, crossing_outputs,
@@ -183,6 +184,20 @@ def test_riii_check_fixture_biquandles(bq1, bq2, bq3):
         assert report.ok, report.failures[:3]
 
 
+def test_riii_check_reports_failures():
+    # x -> 1 - x in both operations: bijective columns but not a biquandle;
+    # from color 1 the first strand keeps color 1 where it should reach 0
+    flip = [[0, 1], [1, 0]]
+    bq = Biquandle(flip, flip)
+    assert not verify_biquandle(bq).ok
+    report = monochromatic_riii_check(bq)
+    assert report.ok is False
+    assert len(report.failures) == 8
+    first = report.failures[0]
+    assert (first.color, first.pattern, first.strand) == (1, (-1, -1, -1), "A")
+    assert (first.expected, first.got) == ((1, 0, 0), (1, 1, 1))
+
+
 def test_riii_check_trivial():
     for n in (1, 3, 4):
         assert monochromatic_riii_check(trivial_biquandle(n)).ok
@@ -203,8 +218,11 @@ def test_affine_form_detection(bq1, bq2, bq3):
 
 
 def seed_search(d, bq):
-    """The seed search over the diagram's schedule, whatever the table."""
-    return _extend_free_loops(d, bq, _search_seeds(d, bq, _diagram_schedule(d)))
+    """The seed search over the diagram's schedule trying every color at
+    every seed, whatever the table: no elimination narrows it."""
+    every = range(bq.n)
+    return _extend_free_loops(d, bq, _search_seeds(d, bq, _diagram_schedule(d),
+                                                   lambda _depth, _colors: every))
 
 
 def test_linear_path_equals_dfs_on_random_codes(bq2):
@@ -218,6 +236,7 @@ def test_linear_path_equals_dfs_on_random_codes(bq2):
             assert _affine_form(bq) is not None
             cols = enumerate_colorings(d, bq)
             assert cols == seed_search(d, bq)
+            assert all(validate_coloring(d, bq, col) for col in cols)
             counts.append((len(cols), d.free_loops))
     assert any(n == 0 for n, _ in counts)                  # inconsistent systems
     assert any(n > 0 and loops for n, loops in counts)     # free-loop extension
@@ -226,17 +245,20 @@ def test_linear_path_equals_dfs_on_random_codes(bq2):
 
 def test_affine_table_with_zero_coefficient_takes_dfs(monkeypatch):
     # under(x, y) = y + 1 is affine over Z_3 but has a = 0: its columns are
-    # not bijections, so the search handles it and raises where it needs an
-    # inverse, as it always has
+    # not bijections, so the search tries every color at every seed and
+    # raises where it needs an inverse, as it always has
     n = 3
     bq = Biquandle([[(y + 1) % n for y in range(n)] for _x in range(n)],
                    [[x] * n for x in range(n)])
     assert _affine_form(bq) is None
+    search = coloring._search_seeds
 
-    def linear_path(*_args):
-        raise AssertionError("the linear path must not run")
+    def unnarrowed_search(d, bq, levels, choices):
+        colors = [0] * d.n_semiarcs
+        assert all(choices(depth, colors) == range(n) for depth in range(len(levels)))
+        return search(d, bq, levels, choices)
 
-    monkeypatch.setattr(coloring, "_solve_seeds", linear_path)
+    monkeypatch.setattr(coloring, "_search_seeds", unnarrowed_search)
     assert enumerate_colorings(hopf_pos(), bq) == [(0, 2, 0, 2), (1, 0, 1, 0), (2, 1, 2, 1)]
     assert enumerate_colorings(hopf_pos(), bq) == brute_force_colorings(hopf_pos(), bq)
     assert enumerate_colorings(unknot_kink(1), bq) == []
@@ -247,7 +269,7 @@ def test_affine_table_with_zero_coefficient_takes_dfs(monkeypatch):
 def test_random_codes_match_brute_force_and_seed_search(bq1, bq2, bq3):
     # a seeded oracle over random codes with 0-6 crossings and 0-2 free
     # loops: brute force where n^semiarcs is small, and on affine tables the
-    # seed search, which never solves for the seeds
+    # seed search that no elimination narrows; every coloring validates
     rng = random.Random(2017)
     bqs = [alexander_biquandle(5, 2, 3), alexander_biquandle(7, 3, 2),
            alexander_biquandle(4, 1, 3), alexander_biquandle(3, 1, 2),
@@ -257,6 +279,7 @@ def test_random_codes_match_brute_force_and_seed_search(bq1, bq2, bq3):
         d = random_code(rng, rng.randint(0, 6), rng.choice((0, 0, 1, 2)))
         for bq in bqs:
             cols = enumerate_colorings(d, bq)
+            assert all(validate_coloring(d, bq, col) for col in cols)
             if bq.n ** total_semiarcs(d) <= 5000:
                 assert cols == brute_force_colorings(d, bq)
                 seen.add("brute")

@@ -5,6 +5,7 @@ compares the names its imports bind with the names it reads.  A package's
 ``__init__.py`` is skipped: its imports are the package's public names.
 """
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,3 +43,44 @@ def test_no_unused_imports():
     found = [f"{p.relative_to(ROOT)}:{line}: {name}"
              for p in modules for line, name in unused_imports(p.read_text())]
     assert found == []
+
+
+def benchmark_surface():
+    """(module, name) of everything the benchmark under ``perfbench/`` reads
+    of the package: each traced function of ``tracing.SPECS``, each name
+    imported from a package module, and each attribute read through a
+    module alias such as ``from tracebracket import coloring as colmod``."""
+    scripts = sorted((ROOT / "perfbench").glob("*.py"))
+    trees = [ast.parse(p.read_text()) for p in scripts]
+    aliases, used = {}, set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("tracebracket"):
+                for alias in node.names:
+                    used.add((node.module, alias.name))
+                    if node.module == "tracebracket":
+                        aliases[alias.asname or alias.name] = f"tracebracket.{alias.name}"
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("tracebracket"):
+                        aliases[alias.asname or alias.name] = alias.name
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                # ``colmod.f`` and ``gen.dgmod.f`` both read through an alias
+                owner = getattr(node.value, "id", getattr(node.value, "attr", None))
+                if owner in aliases:
+                    used.add((aliases[owner], node.attr))
+    (specs,) = [node.value for tree in trees for node in ast.walk(tree)
+                if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", "") == "SPECS"]
+    traced = {(f"tracebracket.{spec.elts[0].value}", spec.elts[1].value) for spec in specs.elts}
+    return traced, used
+
+
+def test_benchmark_surface_resolves():
+    traced, used = benchmark_surface()
+    assert ("tracebracket.coloring", "enumerate_colorings") in traced
+    assert ("tracebracket.trace", "parse_trace_diagram") in used
+    missing = [f"{module}.{name}" for module, name in sorted(traced | used)
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []

@@ -6,16 +6,18 @@ import random
 import pytest
 
 from tracebracket import fixture_text
+from tracebracket.biquandle import trivial_biquandle
 from tracebracket.bracket import (_crossings_plan, classify_adequacy,
                                   constant_bracket, crossing_coefficient_pair,
-                                  make_bracket, state_sum)
+                                  make_bracket, parse_bracket, raw_slot, state_sum)
 from tracebracket.coloring import enumerate_colorings
 from tracebracket.diagram import (OrientedDiagram, diagram, hopf_pos, join_ends,
                                   switch_crossing, trefoil_pos, trefoil_rii, unknot0,
                                   unknot_kink, writhe_counts)
 from tracebracket.rings import ModRing
 from tracebracket.search import search_brackets
-from tracebracket.trace import (MultiComponentCrossingError, TraceDiagram, all_moves,
+from tracebracket.trace import (MultiComponentCrossingError, NotRIReducibleError,
+                                TraceDiagram, all_moves,
                                 circles_trace_deleted, diagrammatic_adequacy,
                                 diagrammatic_passthrough, evaluate_by_parity,
                                 evaluate_open, evaluate_recursive,
@@ -23,7 +25,7 @@ from tracebracket.trace import (MultiComponentCrossingError, TraceDiagram, all_m
                                 magnetic_parity, move_by_id, parse_trace_diagram,
                                 parity_applicable, passthrough_moves,
                                 replace_with_trace, ri_reducible, slide_moves,
-                                smooth_crossing, trace_move_fixture_check,
+                                trace_move_fixture_check,
                                 _compiled_move, _seed_identities, _tangle_trace_diagram)
 
 
@@ -158,13 +160,16 @@ def test_state_sum_plan_cache_serves_each_diagram_its_own_plan(bq1, bq2, br_gen,
 
 
 def expand_open(td, beta):
-    """Boundary resolution of an open trace diagram by smooth_crossing
-    expansion, each crossingless leaf resolved by walking its strands."""
+    """Boundary resolution of an open trace diagram by expanding its first
+    crossing into both smoothings, each weighted by its raw coefficient, and
+    each crossingless leaf resolved by walking its strands."""
     xs = td.crossings()
     if xs:
         out = {}
+        node = td.nodes[xs[0]]
         for kind in "AB":
-            coeff, child = smooth_crossing(td, xs[0], kind, beta)
+            coeff = beta.ring.wrap(beta.raw[raw_slot(beta.bq.n, kind, node.sign, node.pair)])
+            child = replace_with_trace(td, xs[0], kind)
             for pairing, value in expand_open(child, beta).items():
                 out[pairing] = out[pairing] + coeff * value if pairing in out else coeff * value
         return out
@@ -220,9 +225,11 @@ def test_expansion_order_independence(bq2, br_z7, bq1, br_gen):
 def test_smooth_coefficients(bq2, br_z7):
     col = enumerate_colorings(hopf_pos(), bq2)[0]
     td = from_colored_diagram(hopf_pos(), bq2, col)
-    x, y = td.nodes[0].pair
-    coeff_a, td_a = smooth_crossing(td, 0, "A", br_z7)
-    coeff_b, _ = smooth_crossing(td, 0, "B", br_z7)
+    node = td.nodes[0]
+    x, y = node.pair
+    coeff_a = br_z7.ring.wrap(br_z7.raw[raw_slot(bq2.n, "A", node.sign, node.pair)])
+    coeff_b = br_z7.ring.wrap(br_z7.raw[raw_slot(bq2.n, "B", node.sign, node.pair)])
+    td_a = replace_with_trace(td, 0, "A")
     assert coeff_a == br_z7.a(x, y)
     assert coeff_b == br_z7.b(x, y)
     assert len(td_a.crossings()) == 1
@@ -232,8 +239,9 @@ def test_smooth_coefficients(bq2, br_z7):
 def test_negative_crossing_coefficient_inverted(bq1, br_gen):
     col = (0, 0)
     td = from_colored_diagram(unknot_kink(-1), bq1, col)
-    coeff_a, _ = smooth_crossing(td, 0, "A", br_gen)
-    coeff_b, _ = smooth_crossing(td, 0, "B", br_gen)
+    node = td.nodes[0]
+    coeff_a = br_gen.ring.wrap(br_gen.raw[raw_slot(bq1.n, "A", node.sign, node.pair)])
+    coeff_b = br_gen.ring.wrap(br_gen.raw[raw_slot(bq1.n, "B", node.sign, node.pair)])
     assert coeff_a == br_gen.a(0, 0).inverse()
     assert coeff_b == br_gen.b(0, 0).inverse()
 
@@ -325,6 +333,23 @@ def test_parity_stop_recursion_matches(bq1, bq2, bq3, br_gen, br_z7, br_z5):
                 td = from_colored_diagram(d, bq, col)
                 assert (evaluate_recursive_parity(td, beta)
                         == evaluate_recursive(td, beta))
+
+
+def traceless_trefoil_text():
+    """The all-positive trefoil as a trace-diagram file, every edge colored 1."""
+    return fixture_text("trefoil_pos.dgm") + "".join(f"color {e} 1\n" for e in range(1, 7))
+
+
+def test_parity_refuses_what_kink_removal_leaves_knotted():
+    # kink removal leaves all three crossings of the trefoil, so the parity
+    # evaluator refuses it and the recursion expands it instead
+    bq = trivial_biquandle(1)
+    beta = parse_bracket(fixture_text("br_laurent.txt"), bq)
+    td, _colors = parse_trace_diagram(traceless_trefoil_text(), bq)
+    assert not ri_reducible(td)
+    with pytest.raises(NotRIReducibleError, match="not kink-reducible"):
+        evaluate_by_parity(td, beta)
+    assert evaluate_recursive_parity(td, beta) == evaluate_recursive(td, beta)
 
 
 def reversals_per_component(td):
