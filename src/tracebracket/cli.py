@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Iterable, List, Optional
@@ -68,12 +69,25 @@ def _load_diagram(path: str) -> dgmod.OrientedDiagram:
 
 def _emit(args, payload: dict, text_lines: Callable[[], Iterable[str]]) -> None:
     """Print the payload as JSON, or else the lines ``text_lines()`` gives,
-    which are built only in text mode."""
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in text_lines():
-            print(line)
+    which are built only in text mode.  A closed stdout (the reader of a
+    pipe stopped) ends the output quietly: the rest is dropped, and stdout
+    is pointed at devnull, where it has a file descriptor, so that the
+    flush at exit writes nowhere."""
+    try:
+        if args.json:
+            print(json.dumps(payload, sort_keys=True))
+        else:
+            for line in text_lines():
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError):
+            return
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
 
 
 def cmd_verify_biquandle(args) -> int:

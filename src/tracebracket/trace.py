@@ -2,7 +2,8 @@
 diagonal-pair crossing, magnetic parity and kink reducibility, the parity
 fast evaluator, and diagrammatic verification of the trace moves on fixed
 three-strand tangles, each move compiled once per biquandle into identities
-in the bracket's coefficient entries.
+in the bracket's coefficient entries, and each family of eight moves checked
+on one table of those identities with their unit factors divided out.
 
 A trace diagram is a set of rows over edge labels, one row per node, with
 the roles of ``diagram.Crossing``: (u_in, o_in, o_out, u_out).  Nodes are
@@ -543,6 +544,19 @@ def evaluate_open(td: TraceDiagram, beta: BiquandleBracket) -> Dict[object, obje
 # stored as a tuple of monomials, each a flat int tuple (count, *slots),
 # the slots into the bracket's raw vector (``BiquandleBracket.raw``).  A
 # bracket passes the move when every identity sums to zero.
+#
+# The verdicts check a family of eight moves at once (over, under or
+# pass-through, the first word of the move ids) on one table per biquandle:
+# the union of the moves' identities, each divided by the largest monomial
+# in the unit keys (the A, B and w entries) that divides all of its terms,
+# its first monomial made to count up, and repeats dropped.  A unit factor
+# does not change whether an identity vanishes, and once it is divided out
+# the identities of different seeds and moves coincide.  delta is never
+# divided out, as it may be a zero divisor over Z_n.  One evaluator checks
+# the family tables and single moves: it sums each identity over the raw
+# values (plain ints over Z_n), compares the sum with zero through
+# ``ring.same``, which over Z_n reduces it once, and stops at the first
+# identity that fails.
 # ---------------------------------------------------------------------------
 
 class _Monomials:
@@ -584,9 +598,10 @@ Identity = Tuple[Tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=8)
-def _raw_symbols(n: int) -> Tuple[List[_Monomials], Dict[Tuple[int, int], int]]:
-    """The raw vector of a bracket on n colors as symbols, each slot its
-    factor's (key, +-1), and the slot of each (key, +-1)."""
+def _raw_symbols(n: int) -> Tuple[List[_Monomials], List[Tuple[int, int]],
+                                  Dict[Tuple[int, int], int]]:
+    """The raw vector of a bracket on n colors as symbols, each slot's
+    factor as (key, +-1), and the slot of each (key, +-1)."""
     delta = raw_slot(n, "delta")
     powers = {delta: (delta, 1)}
     factors = [("w", (0, 0))] + [(k, pair) for k in SMOOTHINGS
@@ -594,8 +609,9 @@ def _raw_symbols(n: int) -> Tuple[List[_Monomials], Dict[Tuple[int, int], int]]:
     for factor, pair in factors:
         for sign in (1, -1):
             powers[raw_slot(n, factor, sign, pair)] = (raw_slot(n, factor, 1, pair), sign)
-    symbols = [_Monomials({(powers[slot],): 1}) for slot in range(len(powers))]
-    return symbols, {power: slot for slot, power in powers.items()}
+    by_slot = [powers[slot] for slot in range(len(powers))]
+    symbols = [_Monomials({(power,): 1}) for power in by_slot]
+    return symbols, by_slot, {power: slot for slot, power in enumerate(by_slot)}
 
 
 def _seed_identities(bq: Biquandle, move: TraceMove,
@@ -609,7 +625,7 @@ def _seed_identities(bq: Biquandle, move: TraceMove,
         if x != y:
             return []
     after = _tangle_trace_diagram(move.after, bq, seed_map, move.kind)
-    symbols, slot_of = _raw_symbols(bq.n)
+    symbols, _powers, slot_of = _raw_symbols(bq.n)
     b_sums, a_sums = (_state_sum(td, bq.n, symbols) for td in (before, after))
     out = []
     for pairing in b_sums.keys() | a_sums.keys():
@@ -631,10 +647,54 @@ def _compiled_move(under_table, over_table, move_id: str) -> Tuple[Identity, ...
     repeats."""
     bq = Biquandle(under_table, over_table)
     move = move_by_id(move_id)
-    identities = dict.fromkeys(identity for seeds in itertools.product(range(bq.n), repeat=3)
-                               for identity in _seed_identities(bq, move, seeds))
+    return _without_repeats(identity for seeds in itertools.product(range(bq.n), repeat=3)
+                            for identity in _seed_identities(bq, move, seeds))
+
+
+def _without_repeats(identities) -> Tuple[Identity, ...]:
+    """The identities in first-seen order without repeats, each distinct
+    monomial stored once."""
     shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-    return tuple(tuple(shared.setdefault(m, m) for m in identity) for identity in identities)
+    return tuple(tuple(shared.setdefault(m, m) for m in identity)
+                 for identity in dict.fromkeys(identities))
+
+
+def _cancel(identity: Identity, n: int) -> Tuple[Identity, int, Tuple[int, ...]]:
+    """(cancelled, sign, removed) with identity = sign * removed * cancelled:
+    ``removed`` is the largest monomial in the unit keys that divides every
+    term, as raw slots, and ``sign`` makes the first monomial of the
+    cancelled identity count up.  delta is never divided out.  Every key is
+    left at exponent 0 or more, so the cancelled identity names base slots
+    only."""
+    _symbols, powers, slot_of = _raw_symbols(n)
+    delta = raw_slot(n, "delta")
+    terms = []
+    for count, *slots in identity:
+        exps: Dict[int, int] = {}
+        for slot in slots:
+            key, e = powers[slot]
+            exps[key] = exps.get(key, 0) + e
+        terms.append((count, exps))
+    low = {key: min(exps.get(key, 0) for _, exps in terms)
+           for key in {key for _, exps in terms for key in exps} - {delta}}
+    cancelled = sorted((sorted(slot_of[key, 1] for key in exps.keys() | low.keys()
+                               for _ in range(exps.get(key, 0) - low.get(key, 0))), count)
+                       for count, exps in terms)
+    removed = tuple(sorted(slot_of[key, 1 if e > 0 else -1]
+                           for key, e in low.items() for _ in range(abs(e))))
+    sign = 1 if cancelled[0][1] > 0 else -1
+    return tuple((sign * c, *slots) for slots, c in cancelled), sign, removed
+
+
+@lru_cache(maxsize=16)      # every family on five biquandles
+def _family_table(under_table, over_table, family: str) -> Tuple[Identity, ...]:
+    """The cancelled identities of the family's eight moves on this
+    biquandle, without repeats: "over", "under" or "through", the first
+    word of the move ids."""
+    n = len(under_table)
+    return _without_repeats(
+        _cancel(identity, n)[0] for move in all_moves() if move.move_id.split("_")[0] == family
+        for identity in _compiled_move(under_table, over_table, move.move_id))
 
 
 def _multiple(one, count: int):
@@ -645,19 +705,15 @@ def _multiple(one, count: int):
     return total if count > 0 else -total
 
 
-def trace_move_fixture_check(bq: Biquandle, beta: BiquandleBracket, move_id: str) -> bool:
-    """True iff [before] == [after] boundary-resolved, for all color seeds.
-
-    A pass-through move is checked only on seeds that color its trace
-    monochromatically, read at the trace's own pair.  Each of the move's
-    compiled identities is summed over the bracket's raw values.
-    """
+def _identities_hold(identities: Sequence[Identity], beta: BiquandleBracket) -> bool:
+    """Does every identity sum to zero over the bracket's raw values?  Stops
+    at the first that does not."""
     ring = beta.ring
     factor = beta.raw.__getitem__
     one = ring.raw(ring.one())
     zero = one - one
     multiples: Dict[int, object] = {}
-    for identity in _compiled_move(bq.under_table, bq.over_table, move_id):
+    for identity in identities:
         total = zero
         for monomial in identity:
             scale = multiples.get(monomial[0])
@@ -669,18 +725,28 @@ def trace_move_fixture_check(bq: Biquandle, beta: BiquandleBracket, move_id: str
     return True
 
 
+def trace_move_fixture_check(bq: Biquandle, beta: BiquandleBracket, move_id: str) -> bool:
+    """True iff [before] == [after] boundary-resolved, for all color seeds.
+
+    A pass-through move is checked only on seeds that color its trace
+    monochromatically, read at the trace's own pair.  Each of the move's
+    compiled identities is summed over the bracket's raw values.
+    """
+    return _identities_hold(_compiled_move(bq.under_table, bq.over_table, move_id), beta)
+
+
+def _family_holds(bq: Biquandle, beta: BiquandleBracket, family: str) -> bool:
+    return _identities_hold(_family_table(bq.under_table, bq.over_table, family), beta)
+
+
 def diagrammatic_adequacy(bq: Biquandle, beta: BiquandleBracket) -> Tuple[bool, bool]:
-    """(over, under) verdicts aggregated over the eight moves of each kind."""
-    over = all(trace_move_fixture_check(bq, beta, m.move_id)
-               for m in slide_moves() if m.move_id.startswith("over"))
-    under = all(trace_move_fixture_check(bq, beta, m.move_id)
-                for m in slide_moves() if m.move_id.startswith("under"))
-    return over, under
+    """(over, under) verdicts, each over the eight moves of its kind."""
+    return _family_holds(bq, beta, "over"), _family_holds(bq, beta, "under")
 
 
 def diagrammatic_passthrough(bq: Biquandle, beta: BiquandleBracket) -> bool:
-    return all(trace_move_fixture_check(bq, beta, m.move_id)
-               for m in passthrough_moves())
+    """The verdict over the eight pass-through moves."""
+    return _family_holds(bq, beta, "through")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import gc
 import io
 import json
+import os
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import given, settings
@@ -370,6 +372,52 @@ def test_search_limit(capsys):
     assert rc == 0 and out.strip() == "found: 0"
     assert_input_error(capsys, ["search", fixture_path("bq2.txt"), "--mod", "7",
                                 "--limit", "-1"], "--limit -1 is negative")
+
+
+class ClosedStdout(io.StringIO):
+    """A stdout whose reader stops after ``keep`` writes: every later write
+    raises BrokenPipeError.  It has no file descriptor."""
+
+    def __init__(self, keep: int):
+        super().__init__()
+        self.keep = keep
+
+    def write(self, text):
+        if self.keep <= 0:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.keep -= 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+@pytest.mark.parametrize("keep", [0, 1])
+def test_closed_stdout_ends_output_quietly(capsys, monkeypatch, tmp_path, mode, keep):
+    broken = tmp_path / "broken.txt"
+    broken.write_text("2\n1 1 2 2\n2 2 1 1\n")
+    for argv, code in ((["search", "trivial(2)", "--mod", "7"], 0),
+                       (["verify-biquandle", str(broken)], 1)):
+        stdout = ClosedStdout(keep)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(mode + argv) == code
+        assert capsys.readouterr().err == ""
+        assert stdout.keep == 0
+
+
+def test_closed_pipe_is_pointed_at_devnull(capsys, monkeypatch):
+    # a pipe whose read end is closed, as when `head` has stopped reading
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    stdout = open(write_end, "w")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        assert main(["search", "trivial(2)", "--mod", "7"]) == 0
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+        # what is still buffered, and what comes later, flushes quietly
+        print("later", file=stdout)
+        stdout.flush()
+    finally:
+        stdout.close()
+    assert capsys.readouterr().err == ""
 
 
 def test_search_invalid_modulus_exit_2(capsys):

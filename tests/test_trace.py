@@ -1,9 +1,13 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracebracket import fixture_text
 from tracebracket.biquandle import trivial_biquandle
@@ -25,8 +29,8 @@ from tracebracket.trace import (MultiComponentCrossingError, NotRIReducibleError
                                 magnetic_parity, move_by_id, parse_trace_diagram,
                                 parity_applicable, passthrough_moves,
                                 replace_with_trace, ri_reducible, slide_moves,
-                                trace_move_fixture_check,
-                                _compiled_move, _seed_identities, _tangle_trace_diagram)
+                                trace_move_fixture_check, _cancel, _compiled_move,
+                                _family_table, _seed_identities, _tangle_trace_diagram)
 
 
 def fixture_diagrams():
@@ -653,6 +657,144 @@ def test_compiled_identities_are_pinned(request, name):
     text = "\n".join(repr(_compiled_move(bq.under_table, bq.over_table, m.move_id))
                      for m in all_moves())
     assert hashlib.sha256(text.encode()).hexdigest() == COMPILED_DIGESTS[name]
+
+
+def family_moves(family):
+    return [m.move_id for m in all_moves() if m.move_id.split("_")[0] == family]
+
+
+def assert_families_are_their_moves(cases):
+    """The family verdicts equal the AND of the per-move checks, which
+    test_compiled_moves_match_reference_* pin to reference_move_check;
+    returns the verdicts seen."""
+    verdicts = set()
+    for bq, beta in cases:
+        over, under, through = (all(trace_move_fixture_check(bq, beta, move_id)
+                                    for move_id in family_moves(family))
+                                for family in ("over", "under", "through"))
+        assert diagrammatic_adequacy(bq, beta) == (over, under)
+        assert diagrammatic_passthrough(bq, beta) == through
+        verdicts.add((over, under, through))
+    return verdicts
+
+
+def test_family_verdicts_on_shipped(bq1, bq2, bq3, br_gen, br_z7, br_z5):
+    cases = [(bq1, br_gen), (bq2, br_z7)] + [(bq3, beta) for beta in br_z5]
+    assert len(assert_families_are_their_moves(cases)) > 1
+
+
+# the biquandles and moduli whose searched brackets the trace benchmark checks
+@pytest.mark.parametrize("spec, n", [("bq2", 5), ("bq3", 3), ("a312", 3), ("bq3", 4)])
+def test_family_verdicts_on_searched(request, spec, n):
+    bq = request.getfixturevalue(spec)
+    cases = [(bq, beta) for beta, _cls in search_brackets(bq, n)]
+    assert len(assert_families_are_their_moves(cases)) > 1
+
+
+# a prime, so every nonzero value is a unit
+CANCEL_PRIME = 1_000_003
+
+
+def identity_value(identity, raw):
+    return sum(count * math.prod(raw[slot] for slot in slots)
+               for count, *slots in identity) % CANCEL_PRIME
+
+
+@functools.lru_cache(maxsize=None)
+def cancel_cases(under_table, over_table):
+    """(source, cancelled, sign, removed) for every compiled identity of
+    every move."""
+    n = len(under_table)
+    return [(identity, *_cancel(identity, n)) for move in all_moves()
+            for identity in _compiled_move(under_table, over_table, move.move_id)]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_cancelled_identity_times_removed_unit_is_the_source(bq1, bq2, bq3, a312, data):
+    for bq in (bq1, bq2, bq3, a312):
+        n = bq.n
+        raw = [0] * (4 * n * n + 3)
+        raw[raw_slot(n, "delta")] = data.draw(st.integers(0, CANCEL_PRIME - 1))
+        factors = [("w", (0, 0))] + [(k, pair) for k in "AB"
+                                     for pair in itertools.product(range(n), repeat=2)]
+        for factor, pair in factors:
+            value = data.draw(st.integers(1, CANCEL_PRIME - 1))
+            raw[raw_slot(n, factor, 1, pair)] = value
+            raw[raw_slot(n, factor, -1, pair)] = pow(value, -1, CANCEL_PRIME)
+        for source, cancelled, sign, removed in cancel_cases(bq.under_table, bq.over_table):
+            unit = sign * math.prod(raw[slot] for slot in removed)
+            assert (identity_value(source, raw)
+                    == unit * identity_value(cancelled, raw) % CANCEL_PRIME)
+
+
+def test_family_table_is_the_union_of_its_eight_moves(bq1, bq2, bq3, a312):
+    # the moves come from slide_moves() and passthrough_moves(), not from
+    # the move-id rule _family_table uses
+    families = {"over": [m for m in slide_moves() if m.move_id.startswith("over")],
+                "under": [m for m in slide_moves() if m.move_id.startswith("under")],
+                "through": passthrough_moves()}
+    for bq in (bq1, bq2, bq3, a312):
+        for family, moves in families.items():
+            assert len(moves) == 8
+            union = {_cancel(identity, bq.n)[0] for move in moves
+                     for identity in _compiled_move(bq.under_table, bq.over_table,
+                                                    move.move_id)}
+            table = _family_table(bq.under_table, bq.over_table, family)
+            assert len(table) == len(set(table))
+            assert set(table) == union
+
+
+def test_cancel_keeps_delta_and_clears_inverses():
+    # on one color the raw slots are A 0, A^-1 1, B 2, B^-1 3, delta 4, w 5,
+    # w^-1 6: A delta - B^-1 delta w = B^-1 (A B delta - delta w)
+    assert _cancel(((1, 0, 4), (-1, 3, 4, 5)), 1) == (((1, 0, 2, 4), (-1, 4, 5)), 1, (3,))
+    # -w^-1 A + w^-1 delta A^2 = -(w^-1 A) (1 - delta A)
+    assert _cancel(((-1, 0, 6), (1, 0, 0, 4, 6)), 1) == (((1,), (-1, 0, 4)), -1, (0, 6))
+
+
+def test_cancelled_identities_keep_delta(bq1, bq2, bq3, a312):
+    for bq in (bq1, bq2, bq3, a312):
+        n = bq.n
+        delta = raw_slot(n, "delta")
+        bases = ({raw_slot(n, k, 1, pair) for k in "AB"
+                  for pair in itertools.product(range(n), repeat=2)}
+                 | {delta, raw_slot(n, "w")})
+        for source, cancelled, sign, removed in cancel_cases(bq.under_table, bq.over_table):
+            # delta is never divided out, and every term keeps its delta power
+            assert delta not in removed
+            assert (sorted(m[1:].count(delta) for m in cancelled)
+                    == sorted(m[1:].count(delta) for m in source))
+            # what is left reads base slots only, and no unit key divides
+            # every term any more
+            assert all(slot in bases for m in cancelled for slot in m[1:])
+            assert not set.intersection(*(set(m[1:]) for m in cancelled)) - {delta}
+            assert cancelled[0][0] > 0
+            assert len(cancelled) == len(source)
+
+
+def test_passthrough_tables_are_binomials(bq1, bq2, bq3, a312):
+    # every cancelled pass-through identity says that two A entries times
+    # two B entries equal w^4
+    for bq, count in ((bq1, 1), (bq2, 6), (bq3, 15), (a312, 19)):
+        n = bq.n
+        a_slots = range(raw_slot(n, "A"), raw_slot(n, "A") + n * n)
+        b_slots = range(raw_slot(n, "B"), raw_slot(n, "B") + n * n)
+        table = _family_table(bq.under_table, bq.over_table, "through")
+        assert len(table) == count
+        for (one, a1, a2, b1, b2), minus in table:
+            assert one == 1 and minus == (-1,) + (raw_slot(n, "w"),) * 4
+            assert {a1, a2} <= set(a_slots) and {b1, b2} <= set(b_slots)
+    # on bq2, with (p, q) running over ((0,0), (1,1)) and ((0,1), (1,0)):
+    # A_p A_q B_p B_q = A_p^2 B_q^2 = A_q^2 B_p^2 = w^4
+    conditions = set()
+    for p, q in (((0, 0), (1, 1)), ((0, 1), (1, 0))):
+        a = {pair: raw_slot(2, "A", 1, pair) for pair in (p, q)}
+        b = {pair: raw_slot(2, "B", 1, pair) for pair in (p, q)}
+        conditions |= {(a[p], a[q], b[p], b[q]), (a[p], a[p], b[q], b[q]),
+                       (a[q], a[q], b[p], b[p])}
+    table = _family_table(bq2.under_table, bq2.over_table, "through")
+    assert {plus[1:] for plus, _ in table} == {tuple(sorted(c)) for c in conditions}
 
 
 def test_passthrough_witness_reads_off_diagonal_entries(bq2):
