@@ -23,10 +23,14 @@ elements themselves over the Laurent ring.
 
 The state sum of a colored diagram smooths every crossing both ways,
 weights each state by its coefficients and by delta per resulting circle,
-and corrects by w^(negative crossings - positive crossings).  The
-smoothings' joins do not depend on the coloring, so each diagram's
-contraction plan (``diagram.plan_contraction``) is built once and run per
-coloring on the bracket's raw vector (``BiquandleBracket.raw``).  That
+and corrects by w^(negative crossings - positive crossings).  Only the
+colors depend on the coloring, so everything else is built once per
+diagram and color count (``_crossings_plan``): the contraction plan of the
+smoothings' joins (``diagram.plan_contraction``), each crossing's A and B
+slots and the semiarcs whose colors pick its coefficient pair, and the
+writhe exponent.  Per coloring the state sum reads two entries of the
+bracket's raw vector (``BiquandleBracket.raw``) per crossing and runs the
+plan on them.  That
 vector is the one layout of a bracket's coefficients that the evaluators
 read, here and in ``trace``, and :func:`raw_slot` is the one place that
 knows where each entry sits in it.
@@ -46,8 +50,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from .biquandle import Biquandle, content_lines, parse_int
 from .coloring import enumerate_colorings, positive_frame, validate_coloring
-from .diagram import (SMOOTHINGS, ContractionPlan, Crossing, OrientedDiagram, plan_contraction,
-                      run_plan, state_pairings, writhe_counts)
+from .diagram import (SMOOTHING_JOINS, ContractionPlan, Crossing, OrientedDiagram,
+                      plan_contraction, run_plan, writhe_counts)
 from .rings import LaurentRing, ModRing
 
 
@@ -378,10 +382,22 @@ def crossing_coefficient_pair(c: Crossing, coloring: Sequence[int]) -> Tuple[int
 
 
 @lru_cache(maxsize=8)
-def _crossings_plan(crossings: Tuple[Crossing, ...]) -> ContractionPlan:
-    """The contraction plan of a diagram's crossings, shared by its colorings."""
-    return plan_contraction([[state_pairings(c, choice) for choice in SMOOTHINGS]
+def _crossings_plan(crossings: Tuple[Crossing, ...], n: int
+                    ) -> Tuple[ContractionPlan, Tuple[Tuple[int, int, int, int], ...], int]:
+    """What a diagram's state sum on n colors reads that no coloring
+    changes: the contraction plan of its crossings; per crossing, the raw
+    slots of its A and B at the color pair (0, 0) and the 0-based semiarcs
+    (a, c) of its :func:`~tracebracket.coloring.positive_frame`, whose
+    colors x, y put the coefficients x*n + y slots further on; and the
+    writhe exponent, negative minus positive crossings."""
+    plan = plan_contraction([[joins(c) for joins in SMOOTHING_JOINS.values()]
                              for c in crossings])
+    slots = []
+    for c in crossings:
+        a, _, cc, _ = positive_frame(c.sign, c.u_in, c.o_in, c.o_out, c.u_out)
+        slots.append((raw_slot(n, "A", c.sign), raw_slot(n, "B", c.sign), a - 1, cc - 1))
+    p, neg = writhe_counts(OrientedDiagram(crossings))
+    return plan, tuple(slots), neg - p
 
 
 def state_sum(d: OrientedDiagram, coloring: Sequence[int], beta: BiquandleBracket):
@@ -390,16 +406,14 @@ def state_sum(d: OrientedDiagram, coloring: Sequence[int], beta: BiquandleBracke
     if not validate_coloring(d, beta.bq, coloring):
         raise ValueError("coloring is not valid for this diagram and biquandle")
     n, raw = beta.bq.n, beta.raw
+    plan, slots, writhe = _crossings_plan(d.crossings, n)
     coefficients = []
-    for c in d.crossings:
-        pair = crossing_coefficient_pair(c, coloring)
-        coefficients.append((raw[raw_slot(n, "A", c.sign, pair)],
-                             raw[raw_slot(n, "B", c.sign, pair)]))
+    for a_slot, b_slot, a, c in slots:
+        pair = coloring[a] * n + coloring[c]
+        coefficients.append((raw[a_slot + pair], raw[b_slot + pair]))
     delta = raw[raw_slot(n, "delta")]
-    total = run_plan(_crossings_plan(d.crossings), coefficients, delta ** d.free_loops,
-                     delta)[frozenset()]
-    p, neg = writhe_counts(d)
-    return beta.w ** (neg - p) * beta.ring.wrap(total)
+    total = run_plan(plan, coefficients, delta ** d.free_loops, delta)[frozenset()]
+    return beta.w ** writhe * beta.ring.wrap(total)
 
 
 @dataclass

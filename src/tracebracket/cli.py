@@ -12,7 +12,6 @@ import functools
 import json
 import os
 import sys
-from pathlib import Path
 from typing import Callable, Iterable, List, Optional
 
 from . import biquandle as bqmod
@@ -29,7 +28,8 @@ class InputError(Exception):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        with open(path) as f:
+            return f.read()
     except FileNotFoundError:
         raise InputError(f"no such file: {path}") from None
     except OSError as e:

@@ -22,8 +22,10 @@ moves plan and run each trace diagram once, and the loop counts
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import AbstractSet, Dict, FrozenSet, Hashable, Iterable, List, Sequence, Tuple
+from functools import cache, cached_property
+from operator import attrgetter
+from typing import (AbstractSet, Callable, Dict, FrozenSet, Hashable, Iterable, List, Sequence,
+                    Tuple)
 
 from .biquandle import content_lines, parse_int
 
@@ -118,10 +120,30 @@ SMOOTHINGS = {"A": (("u_in", "o_out"), ("o_in", "u_out")),
               "B": (("u_in", "o_in"), ("u_out", "o_out"))}
 
 
+@cache
+def role_joins(pairs: Tuple[Tuple[str, str], Tuple[str, str]]
+               ) -> Callable[[object], Tuple[Tuple[Hashable, Hashable], ...]]:
+    """The labels that a pairing of the four crossing roles joins, as a
+    function of anything with those roles as attributes: one
+    ``operator.attrgetter`` over the roles, built once per pairing, however
+    many tables name it."""
+    (r, s), (t, u) = pairs
+    get = attrgetter(r, s, t, u)
+
+    def joins(node):
+        a, b, c, d = get(node)
+        return (a, b), (c, d)
+    return joins
+
+
+# the joins of each smoothing, in the order of SMOOTHINGS
+SMOOTHING_JOINS = {choice: role_joins(pairs) for choice, pairs in SMOOTHINGS.items()}
+
+
 def state_pairings(c: Crossing, choice: str) -> Tuple[Tuple[int, int], ...]:
     if choice not in SMOOTHINGS:
         raise ValueError(f"smoothing choice must be 'A' or 'B', got {choice!r}")
-    return tuple((getattr(c, a), getattr(c, b)) for a, b in SMOOTHINGS[choice])
+    return SMOOTHING_JOINS[choice](c)
 
 
 # ---------------------------------------------------------------------------

@@ -56,8 +56,8 @@ from .bracket import (BiquandleBracket, coefficient_pair, crossing_coefficient_p
                       homflypt_coefficients, raw_slot)
 from .coloring import (crossing_outputs, positive_frame, propagation_schedule, run_steps,
                        validate_coloring)
-from .diagram import (SMOOTHINGS, OrientedDiagram, plan_contraction, run_plan, switch_crossing,
-                      validate_diagram)
+from .diagram import (SMOOTHINGS, OrientedDiagram, plan_contraction, role_joins, run_plan,
+                      switch_crossing, validate_diagram)
 
 
 class MultiComponentCrossingError(ValueError):
@@ -82,6 +82,7 @@ def _partners(pairs) -> Tuple[int, ...]:
 
 
 _PARTNER = {kind: _partners(pairs) for kind, pairs in _PASS.items()}
+_JOINS = {kind: role_joins(pairs) for kind, pairs in _PASS.items()}
 
 
 @dataclass(frozen=True)
@@ -94,9 +95,10 @@ class Node:
     o_out: Hashable
     u_out: Hashable
 
-    def joins(self, pairs) -> Tuple[Tuple[Hashable, Hashable], ...]:
-        """The edge labels that a pairing of roles joins."""
-        return tuple((getattr(self, r), getattr(self, s)) for r, s in pairs)
+    def joins(self, kind: str) -> Tuple[Tuple[Hashable, Hashable], ...]:
+        """The edge labels that the pass-through pairing of a node of
+        ``kind`` joins (see ``_PASS``)."""
+        return _JOINS[kind](self)
 
 
 @dataclass(frozen=True)
@@ -240,10 +242,10 @@ def _node_choices(td: TraceDiagram, n: int) -> List[list]:
     for node in td.nodes.values():
         w = raw_slot(n, "w", -node.sign)
         if node.kind == "x":
-            nodes.append([((raw_slot(n, k, node.sign, node.pair), w), node.joins(SMOOTHINGS[k]))
+            nodes.append([((raw_slot(n, k, node.sign, node.pair), w), node.joins(k.lower()))
                           for k in SMOOTHINGS])
         else:
-            nodes.append([((w,), node.joins(_PASS[node.kind]))])
+            nodes.append([((w,), node.joins(node.kind))])
     return nodes
 
 

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import io
 import json
 import os
@@ -39,6 +40,29 @@ def test_invariant_json_round_trips(capsys):
     payload = json.loads(out)
     assert payload["result"]["multiset"] == {"1": 2, "3": 2}
     assert payload["result"]["polynomial"] == "2u + 2u^3"
+
+
+# sha256 of the JSON list of [diagram, bracket, exit code, "result"] of
+# ``--json invariant`` on every fixture diagram under every shipped bracket,
+# as the state sum gave it when each coloring still recomputed the
+# diagram's coefficient slots and writhe.
+FIXTURE_DIAGRAMS = ["hopf_pos", "trefoil_pos", "trefoil_rii", "unknot0", "unknot_kink_neg",
+                    "unknot_kink_pos"]
+SHIPPED_BRACKETS = [("bq1", "br_laurent"), ("bq2", "br_z7")] + [("bq3", f"br_z5_{i}")
+                                                                  for i in (1, 2, 3, 4)]
+PINNED_INVARIANT_SHA = "8d27a4b91c4acbce5d8a620bba0f7db8f46079a852ba60c75540e8f1bdccf8fc"
+
+
+def test_invariant_output_pinned(capsys):
+    rows = []
+    for dgm in FIXTURE_DIAGRAMS:
+        for bq, br in SHIPPED_BRACKETS:
+            rc, out = run(capsys, "--json", "invariant", fixture_path(f"{dgm}.dgm"),
+                          fixture_path(f"{bq}.txt"), fixture_path(f"{br}.txt"))
+            rows.append([dgm, br, rc, json.loads(out)["result"]])
+    assert len(rows) == 36
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_INVARIANT_SHA
 
 
 def test_colorings_counts(capsys):
@@ -505,6 +529,17 @@ def test_json_output_is_one_line(capsys):
 def test_directory_as_file_exit_2(capsys, tmp_path):
     assert_input_error(capsys, ["colorings", str(tmp_path), "trivial(2)"], "Is a directory")
     assert_input_error(capsys, ["verify-biquandle", str(tmp_path)], "Is a directory")
+
+
+def test_invalid_utf8_input_exit_2(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe+ 1 2 1 2\n")
+    inputs = [fixture_path("hopf_pos.dgm"), fixture_path("bq2.txt"), fixture_path("br_z7.txt")]
+    for i in range(3):
+        argv = ["invariant", *inputs[:i], str(bad), *inputs[i + 1:]]
+        rc, out, err = run_all(capsys, *argv)
+        assert (rc, out, err.count("\n")) == (2, "", 1)
+        assert err.startswith(f"error: {bad}: ") and "can't decode byte 0xff" in err
 
 
 def test_eval_trace_malformed_file_exit_2(capsys, tmp_path):

@@ -163,6 +163,51 @@ def test_state_sum_plan_cache_serves_each_diagram_its_own_plan(bq1, bq2, br_gen,
                 assert state_sum(d, col, beta) == expected[d, col]
 
 
+def test_state_sum_table_reads_each_crossings_coefficient_slots(bq1, bq2, bq3, a312,
+                                                                braid_closure):
+    # the plan table's A and B slots at the pair (0, 0), offset by the
+    # colors of the frame's (a, c), are raw_slot at the coefficient pair,
+    # at every crossing of every coloring; so coefficient_pair stays the one
+    # statement of where a crossing reads its coefficients
+    rng = random.Random(404)
+    signs, loops = set(), set()
+    for bq in (bq1, bq2, bq3, a312):
+        n = bq.n
+        for k, (strands, length) in enumerate(((2, 3), (3, 5), (3, 6), (4, 7))):
+            word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)]
+            d = OrientedDiagram(braid_closure(word, strands).crossings, free_loops=k % 3)
+            _plan, slots, writhe = _crossings_plan(d.crossings, n)
+            pos, neg = writhe_counts(d)
+            assert writhe == neg - pos
+            colorings = enumerate_colorings(d, bq)
+            assert colorings
+            for col in colorings:
+                for c, (a_slot, b_slot, a, cc) in zip(d.crossings, slots):
+                    pair = crossing_coefficient_pair(c, col)
+                    offset = col[a] * n + col[cc]
+                    assert a_slot + offset == raw_slot(n, "A", c.sign, pair)
+                    assert b_slot + offset == raw_slot(n, "B", c.sign, pair)
+            signs |= {c.sign for c in d.crossings}
+            loops.add(d.free_loops)
+    assert signs == {1, -1} and loops == {0, 1, 2}
+
+
+def test_state_sum_plan_cache_keys_by_color_count(bq1, bq2, bq3, br_gen, br_z7, br_z5,
+                                                  braid_closure):
+    # the same crossings under brackets on 2, 3 and 1 colors, in
+    # alternation: each is served the raw slots of its own color count.
+    # The shipped Z5 brackets have delta = 0, so every closed state sum
+    # over them is 0; the Laurent bracket's is not.
+    d = braid_closure([1, -2, 1, 2, -1, -2], 3)
+    _crossings_plan.cache_clear()
+    for _ in range(2):
+        for bq, beta in ((bq2, br_z7), (bq3, br_z5[0]), (bq1, br_gen)):
+            colorings = enumerate_colorings(d, bq)
+            assert colorings
+            for col in colorings:
+                assert state_sum(d, col, beta) == brute_force_state_sum(d, col, beta)
+
+
 def expand_open(td, beta):
     """Boundary resolution of an open trace diagram by expanding its first
     crossing into both smoothings, each weighted by its raw coefficient, and
