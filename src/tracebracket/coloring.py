@@ -36,7 +36,7 @@ from functools import lru_cache
 from typing import Callable, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .biquandle import Biquandle
-from .diagram import Crossing, OrientedDiagram, validate_diagram
+from .diagram import Crossing, OrientedDiagram, require_valid
 
 Coloring = Tuple[int, ...]  # colors[s - 1] is the color of semiarc s
 
@@ -235,15 +235,9 @@ def enumerate_colorings(d: OrientedDiagram, bq: Biquandle) -> List[Coloring]:
     search of :func:`_search_seeds` over the diagram's
     :func:`propagation_schedule`, trying the colors :func:`_solve_seeds`
     allows each seed."""
-    _require_valid(d)
+    require_valid(d)
     levels = _diagram_schedule(d)
     return _extend_free_loops(d, bq, _search_seeds(d, bq, levels, _solve_seeds(d, bq, levels)))
-
-
-def _require_valid(d: OrientedDiagram) -> None:
-    report = validate_diagram(d)
-    if not report.ok:
-        raise ValueError("invalid diagram: " + "; ".join(report.problems))
 
 
 def _search_seeds(d: OrientedDiagram, bq: Biquandle, levels: Sequence[Level],

@@ -82,6 +82,12 @@ def validate_diagram(d: OrientedDiagram) -> DiagramReport:
     return d.report
 
 
+def require_valid(d: OrientedDiagram) -> None:
+    """Raise ValueError naming the problems of an invalid diagram."""
+    if not d.report.ok:
+        raise ValueError("invalid diagram: " + "; ".join(d.report.problems))
+
+
 def _validation_report(d: OrientedDiagram) -> DiagramReport:
     m = d.n_semiarcs
     problems: List[str] = []

@@ -2,8 +2,9 @@
 diagonal-pair crossing, magnetic parity and kink reducibility, the parity
 fast evaluator, and diagrammatic verification of the trace moves on fixed
 three-strand tangles, each move compiled once per biquandle into identities
-in the bracket's coefficient entries, and each family of eight moves checked
-on one table of those identities with their unit factors divided out.
+lhs = rhs in the bracket's coefficient entries with their unit factors
+divided out, and each family of eight moves checked on the union of its
+moves' identities.
 
 A trace diagram is a set of rows over edge labels, one row per node, with
 the roles of ``diagram.Crossing``: (u_in, o_in, o_out, u_out).  Nodes are
@@ -56,8 +57,8 @@ from .bracket import (BiquandleBracket, coefficient_pair, crossing_coefficient_p
                       homflypt_coefficients, raw_slot)
 from .coloring import (crossing_outputs, positive_frame, propagation_schedule, run_steps,
                        validate_coloring)
-from .diagram import (SMOOTHINGS, OrientedDiagram, plan_contraction, role_joins, run_plan,
-                      switch_crossing, validate_diagram)
+from .diagram import (SMOOTHINGS, OrientedDiagram, plan_contraction, require_valid,
+                      role_joins, run_plan, switch_crossing)
 
 
 class MultiComponentCrossingError(ValueError):
@@ -212,9 +213,7 @@ class TraceDiagram:
 def from_colored_diagram(d: OrientedDiagram, bq: Biquandle,
                          coloring: Sequence[int]) -> TraceDiagram:
     """Build the trace diagram of a colored oriented diagram (no traces yet)."""
-    report = validate_diagram(d)
-    if not report.ok:
-        raise ValueError("invalid diagram: " + "; ".join(report.problems))
+    require_valid(d)
     nodes = {i: Node("x", c.sign, crossing_coefficient_pair(c, coloring),
                      c.u_in, c.o_in, c.o_out, c.u_out)
              for i, c in enumerate(d.crossings)}
@@ -540,34 +539,39 @@ def evaluate_open(td: TraceDiagram, beta: BiquandleBracket) -> Dict[object, obje
 # monomials in the factor keys A[x][y], B[x][y], delta and w, each key the
 # raw slot of its factor, and the slot of A[x][y]^-1 standing for key
 # A[x][y] at exponent -1 (likewise B and w).  Per boundary pairing, before -
-# after must vanish; the monomials the two sides share cancel, and the
-# non-zero differences left over all seeds, without repeats, are the move's
-# identities, each scaled so its first monomial counts up.  An identity is
-# stored as a tuple of monomials, each a flat int tuple (count, *slots),
-# the slots into the bracket's raw vector (``BiquandleBracket.raw``).  A
-# bracket passes the move when every identity sums to zero.
+# after must vanish; the monomials the two sides share cancel, and each
+# non-zero difference is divided by the largest monomial in the unit keys
+# (the A, B and w entries) that divides all of its terms.  A unit factor
+# does not change whether a sum vanishes, and once it is divided out the
+# identities of different seeds and moves coincide.  delta is never divided
+# out, as it may be a zero divisor over Z_n.  What is left is stored as an
+# identity lhs = rhs: the terms that count up on the left and those that
+# count down on the right, a count c as c copies, each monomial a sorted
+# tuple of base raw slots (``BiquandleBracket.raw``), each side sorted and
+# the two sides sorted, so an identity and its negation coincide.  A move's
+# identities are those of all its seeds, without repeats, and a bracket
+# passes the move when every identity holds.
 #
 # The verdicts check a family of eight moves at once (over, under or
 # pass-through, the first word of the move ids) on one table per biquandle:
-# the union of the moves' identities, each divided by the largest monomial
-# in the unit keys (the A, B and w entries) that divides all of its terms,
-# its first monomial made to count up, and repeats dropped.  A unit factor
-# does not change whether an identity vanishes, and once it is divided out
-# the identities of different seeds and moves coincide.  delta is never
-# divided out, as it may be a zero divisor over Z_n.  One evaluator checks
-# the family tables and single moves: it sums each identity over the raw
-# values (plain ints over Z_n), compares the sum with zero through
-# ``ring.same``, which over Z_n reduces it once, and stops at the first
-# identity that fails.
+# the union of the moves' identities, without repeats.  One evaluator checks
+# the family tables and single moves: it sums each side over the raw values
+# (plain ints over Z_n), compares the two sums through ``ring.same``, which
+# over Z_n reduces their difference once, and stops at the first identity
+# that fails.
 # ---------------------------------------------------------------------------
 
+# a monomial over factor keys: a sorted tuple of (key, exponent) pairs
+Monomial = Tuple[Tuple[int, int], ...]
+
+
 class _Monomials:
-    """A sum of monomials over factor keys: ``terms`` maps each monomial, a
-    sorted tuple of (key, exponent) pairs, to its integer count."""
+    """A sum of monomials over factor keys: ``terms`` maps each monomial to
+    its integer count."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Dict[Tuple[Tuple[int, int], ...], int]):
+    def __init__(self, terms: Dict[Monomial, int]):
         self.terms = terms
 
     def __add__(self, other: "_Monomials") -> "_Monomials":
@@ -577,7 +581,7 @@ class _Monomials:
         return _Monomials({m: c for m, c in out.items() if c})
 
     def __mul__(self, other: "_Monomials") -> "_Monomials":
-        out: Dict[Tuple[Tuple[int, int], ...], int] = {}
+        out: Dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 exps = dict(m1)
@@ -594,16 +598,15 @@ class _Monomials:
         return out
 
 
-# one identity: its monomials as flat int tuples (count, *indices into the
-# raw vector)
-Identity = Tuple[Tuple[int, ...], ...]
+# one identity lhs = rhs, each side a sorted tuple of monomials, each
+# monomial a sorted tuple of indices into the raw vector
+Identity = Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]
 
 
 @lru_cache(maxsize=8)
-def _raw_symbols(n: int) -> Tuple[List[_Monomials], List[Tuple[int, int]],
-                                  Dict[Tuple[int, int], int]]:
-    """The raw vector of a bracket on n colors as symbols, each slot's
-    factor as (key, +-1), and the slot of each (key, +-1)."""
+def _raw_symbols(n: int) -> List[_Monomials]:
+    """The raw vector of a bracket on n colors as symbols, each slot the
+    key of its factor (the factor's slot at sign +1) to the power +-1."""
     delta = raw_slot(n, "delta")
     powers = {delta: (delta, 1)}
     factors = [("w", (0, 0))] + [(k, pair) for k in SMOOTHINGS
@@ -611,9 +614,22 @@ def _raw_symbols(n: int) -> Tuple[List[_Monomials], List[Tuple[int, int]],
     for factor, pair in factors:
         for sign in (1, -1):
             powers[raw_slot(n, factor, sign, pair)] = (raw_slot(n, factor, 1, pair), sign)
-    by_slot = [powers[slot] for slot in range(len(powers))]
-    symbols = [_Monomials({(power,): 1}) for power in by_slot]
-    return symbols, by_slot, {power: slot for slot, power in enumerate(by_slot)}
+    return [_Monomials({(powers[slot],): 1}) for slot in range(len(powers))]
+
+
+def _cancel_units(terms: Dict[Monomial, int], delta: int) -> Identity:
+    """The identity sum(terms) = 0 divided by the largest monomial in the
+    keys other than ``delta`` that divides every term, as lhs = rhs (see
+    the compiled move checks).  Every key is left at exponent 0 or more."""
+    low = {key: min(dict(m).get(key, 0) for m in terms)
+           for key in {key for m in terms for key, _ in m} - {delta}}
+    sides: Tuple[list, list] = ([], [])
+    for m, count in terms.items():
+        exps = dict(m)
+        monomial = tuple(sorted(key for key in exps.keys() | low.keys()
+                                for _ in range(exps.get(key, 0) - low.get(key, 0))))
+        sides[count < 0].extend([monomial] * abs(count))
+    return tuple(sorted(tuple(sorted(side)) for side in sides))
 
 
 def _seed_identities(bq: Biquandle, move: TraceMove,
@@ -627,19 +643,16 @@ def _seed_identities(bq: Biquandle, move: TraceMove,
         if x != y:
             return []
     after = _tangle_trace_diagram(move.after, bq, seed_map, move.kind)
-    symbols, _powers, slot_of = _raw_symbols(bq.n)
-    b_sums, a_sums = (_state_sum(td, bq.n, symbols) for td in (before, after))
+    b_sums, a_sums = (_state_sum(td, bq.n, _raw_symbols(bq.n)) for td in (before, after))
+    delta = raw_slot(bq.n, "delta")
     out = []
     for pairing in b_sums.keys() | a_sums.keys():
         diff = dict(b_sums[pairing].terms) if pairing in b_sums else {}
         for m, c in (a_sums[pairing].terms.items() if pairing in a_sums else ()):
             diff[m] = diff.get(m, 0) - c
-        identity = sorted((sorted(slot_of[key, 1 if e > 0 else -1]
-                                  for key, e in m for _ in range(abs(e))), c)
-                          for m, c in diff.items() if c)
-        if identity:
-            sign = 1 if identity[0][1] > 0 else -1
-            out.append(tuple((sign * c, *idx) for idx, c in identity))
+        diff = {m: c for m, c in diff.items() if c}
+        if diff:
+            out.append(_cancel_units(diff, delta))
     return sorted(out)
 
 
@@ -649,80 +662,33 @@ def _compiled_move(under_table, over_table, move_id: str) -> Tuple[Identity, ...
     repeats."""
     bq = Biquandle(under_table, over_table)
     move = move_by_id(move_id)
-    return _without_repeats(identity for seeds in itertools.product(range(bq.n), repeat=3)
-                            for identity in _seed_identities(bq, move, seeds))
-
-
-def _without_repeats(identities) -> Tuple[Identity, ...]:
-    """The identities in first-seen order without repeats, each distinct
-    monomial stored once."""
-    shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-    return tuple(tuple(shared.setdefault(m, m) for m in identity)
-                 for identity in dict.fromkeys(identities))
-
-
-def _cancel(identity: Identity, n: int) -> Tuple[Identity, int, Tuple[int, ...]]:
-    """(cancelled, sign, removed) with identity = sign * removed * cancelled:
-    ``removed`` is the largest monomial in the unit keys that divides every
-    term, as raw slots, and ``sign`` makes the first monomial of the
-    cancelled identity count up.  delta is never divided out.  Every key is
-    left at exponent 0 or more, so the cancelled identity names base slots
-    only."""
-    _symbols, powers, slot_of = _raw_symbols(n)
-    delta = raw_slot(n, "delta")
-    terms = []
-    for count, *slots in identity:
-        exps: Dict[int, int] = {}
-        for slot in slots:
-            key, e = powers[slot]
-            exps[key] = exps.get(key, 0) + e
-        terms.append((count, exps))
-    low = {key: min(exps.get(key, 0) for _, exps in terms)
-           for key in {key for _, exps in terms for key in exps} - {delta}}
-    cancelled = sorted((sorted(slot_of[key, 1] for key in exps.keys() | low.keys()
-                               for _ in range(exps.get(key, 0) - low.get(key, 0))), count)
-                       for count, exps in terms)
-    removed = tuple(sorted(slot_of[key, 1 if e > 0 else -1]
-                           for key, e in low.items() for _ in range(abs(e))))
-    sign = 1 if cancelled[0][1] > 0 else -1
-    return tuple((sign * c, *slots) for slots, c in cancelled), sign, removed
+    return tuple(dict.fromkeys(identity for seeds in itertools.product(range(bq.n), repeat=3)
+                               for identity in _seed_identities(bq, move, seeds)))
 
 
 @lru_cache(maxsize=16)      # every family on five biquandles
 def _family_table(under_table, over_table, family: str) -> Tuple[Identity, ...]:
-    """The cancelled identities of the family's eight moves on this
-    biquandle, without repeats: "over", "under" or "through", the first
-    word of the move ids."""
-    n = len(under_table)
-    return _without_repeats(
-        _cancel(identity, n)[0] for move in all_moves() if move.move_id.split("_")[0] == family
-        for identity in _compiled_move(under_table, over_table, move.move_id))
-
-
-def _multiple(one, count: int):
-    """``count`` times ``one`` by addition; raw Laurent values take no int factor."""
-    total = one - one
-    for _ in range(abs(count)):
-        total = total + one
-    return total if count > 0 else -total
+    """The identities of the family's eight moves on this biquandle, without
+    repeats: "over", "under" or "through", the first word of the move ids."""
+    return tuple(dict.fromkeys(
+        identity for move in all_moves() if move.move_id.split("_")[0] == family
+        for identity in _compiled_move(under_table, over_table, move.move_id)))
 
 
 def _identities_hold(identities: Sequence[Identity], beta: BiquandleBracket) -> bool:
-    """Does every identity sum to zero over the bracket's raw values?  Stops
-    at the first that does not."""
+    """Do both sides of every identity sum to the same value over the
+    bracket's raw values?  Stops at the first identity that fails."""
     ring = beta.ring
     factor = beta.raw.__getitem__
     one = ring.raw(ring.one())
     zero = one - one
-    multiples: Dict[int, object] = {}
-    for identity in identities:
-        total = zero
-        for monomial in identity:
-            scale = multiples.get(monomial[0])
-            if scale is None:
-                scale = multiples[monomial[0]] = _multiple(one, monomial[0])
-            total = total + prod(map(factor, monomial[1:]), start=scale)
-        if not ring.same(total, zero):
+    for lhs, rhs in identities:
+        left = right = zero
+        for monomial in lhs:
+            left = left + prod(map(factor, monomial), start=one)
+        for monomial in rhs:
+            right = right + prod(map(factor, monomial), start=one)
+        if not ring.same(left, right):
             return False
     return True
 
@@ -788,7 +754,7 @@ def parse_trace_diagram(text: str, bq: Biquandle) -> Tuple[TraceDiagram, Dict[in
     (u_out, o_out) = (e3, e4).  (x, y) is the trace's recorded color pair,
     1-indexed: the pair ``bracket.coefficient_pair`` reads at that crossing,
     so (in1, out1) at + and (out2, in2) at - for traceA, and (e1, e4) at +
-    and (e3, e2) at - for traceB.  Every edge must be colored by a
+    and (e3, e2) at - for traceB.  Every edge must be colored by one
     ``color <edge> <value>`` line with a value in 1..n, every color line
     must name an edge in use, each edge must leave one port and enter one,
     and the colors must satisfy the crossing rules at every crossing and
@@ -811,6 +777,8 @@ def parse_trace_diagram(text: str, bq: Biquandle) -> Tuple[TraceDiagram, Dict[in
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 'color <edge> <value>'")
             edge, value = _line_ints(lineno, parts[1:])
+            if edge in colors:
+                raise ValueError(f"line {lineno}: edge {edge} is colored more than once")
             if not 1 <= value <= bq.n:
                 raise ValueError(f"line {lineno}: color {value} is out of range 1..{bq.n}")
             colors[edge] = value - 1

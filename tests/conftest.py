@@ -64,3 +64,12 @@ def br_z5(bq3):
 @pytest.fixture(scope="session")
 def br_gen(bq1):
     return parse_bracket(fixture_text("br_laurent.txt"), bq1)
+
+
+@pytest.fixture(scope="session")
+def br_z7_bq3(bq3):
+    """A bq3 bracket over Z7 with delta = 1 and w = 3: every shipped Z5
+    bracket has delta = 0, which hides any error a state sum makes in its
+    circle counts.  Its B is not symmetric, so it tells the pair (x, y) from
+    (y, x)."""
+    return parse_bracket("ring mod 7\n1 1 1 2 2 2\n1 1 1 4 2 4\n1 1 1 2 2 2\n", bq3)

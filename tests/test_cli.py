@@ -553,6 +553,8 @@ def test_eval_trace_malformed_file_exit_2(capsys, tmp_path):
         ("color 1 1\n", "bq2", "no crossing or trace uses: [1]"),
         (fixture + "color 7 1\n", "bq2", "no crossing or trace uses: [7]"),
         (fixture.replace("color 6 2", "color 6 3"), "bq2", "color 3 is out of range 1..2"),
+        # edge 6 colored three times: the first repeat, line 13, is refused
+        (fixture + "color 6 1\ncolor 6 2\n", "bq2", "line 13: edge 6 is colored more than once"),
         (kink + kink.splitlines()[0], "bq1", "edge 1 is used as an input more than once"),
         (LOOSE_EDGE_TRACE, "bq2", "edges with a loose end: [4, 7]"),
     ]

@@ -1,8 +1,12 @@
-"""Every name a module imports is used in it.
+"""Every name a module imports is used in it, and every private name the
+package defines is read in the package.
 
-The scan reads each module of ``src/`` and ``tests/`` as an AST and
+The import scan reads each module of ``src/`` and ``tests/`` as an AST and
 compares the names its imports bind with the names it reads.  A package's
 ``__init__.py`` is skipped: its imports are the package's public names.
+The private-name scan collects the names with one leading underscore that
+each module of ``src/`` binds at its top level, and looks for a read of
+each in ``src/``, so a helper that nothing calls any more shows up.
 """
 import ast
 import importlib
@@ -44,6 +48,46 @@ def test_no_unused_imports():
              for p in modules for line, name in unused_imports(p.read_text())]
     assert found == []
 
+
+
+def private_definitions(source: str):
+    """The names with one leading underscore that a module binds at its top
+    level: functions, classes and assignment targets."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def names_read(source: str):
+    """The names a module reads, directly or as an attribute."""
+    nodes = list(ast.walk(ast.parse(source)))
+    return ({n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+
+
+def test_scan_finds_unread_private_names():
+    source = ("_A = 1\n"
+              "_b: int = _A\n"
+              "__all__ = []\n"
+              "def _used(): return _b\n"
+              "def _unused(): return _used()\n"
+              "class _Kept: pass\n"
+              "x = mod._Kept\n")
+    assert private_definitions(source) == {"_A", "_b", "_used", "_unused", "_Kept"}
+    assert private_definitions(source) - names_read(source) == {"_unused"}
+
+
+def test_private_names_are_read():
+    sources = [p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))]
+    assert len(sources) > 8
+    defined = set().union(*map(private_definitions, sources))
+    assert len(defined) > 20
+    assert sorted(defined - set().union(*map(names_read, sources))) == []
 
 def benchmark_surface():
     """(module, name) of everything the benchmark under ``perfbench/`` reads

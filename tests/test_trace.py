@@ -1,12 +1,10 @@
 import dataclasses
-import functools
 import hashlib
 import itertools
-import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tracebracket import fixture_text
@@ -29,7 +27,7 @@ from tracebracket.trace import (MultiComponentCrossingError, NotRIReducibleError
                                 magnetic_parity, move_by_id, parse_trace_diagram,
                                 parity_applicable, passthrough_moves,
                                 replace_with_trace, ri_reducible, slide_moves,
-                                trace_move_fixture_check, _cancel, _compiled_move,
+                                trace_move_fixture_check, _cancel_units, _compiled_move,
                                 _family_table, _seed_identities, _tangle_trace_diagram)
 
 
@@ -103,11 +101,11 @@ def brute_force_state_sum(d, coloring, beta):
     return beta.w ** (neg - pos) * total
 
 
-def test_recursive_equals_state_sum(bq1, bq2, bq3, br_gen, br_z7, br_z5):
+def test_recursive_equals_state_sum(bq1, bq2, bq3, br_gen, br_z7, br_z5, br_z7_bq3):
     # both run the contraction engine; the oracle enumerates every state
     rng = random.Random(2718)
     codes = [random_code(rng, rng.randint(1, 8)) for _ in range(30)]
-    cases = [(bq1, br_gen), (bq2, br_z7)] + [(bq3, b) for b in br_z5]
+    cases = [(bq1, br_gen), (bq2, br_z7)] + [(bq3, b) for b in br_z5 + [br_z7_bq3]]
     for bq, beta in cases:
         colored = [(d, col) for d in fixture_diagrams() for col in enumerate_colorings(d, bq)]
         random_colored = [(d, col) for d in codes for col in enumerate_colorings(d, bq)[:2]]
@@ -690,9 +688,9 @@ def test_compiled_moves_match_reference_on_searched(request, spec, n):
 # newlines in all_moves() order: a change to how the moves compile, or to
 # the raw-vector slots their monomials name, shows here
 COMPILED_DIGESTS = {
-    "bq1": "bb79f0f6279b46dabeb4e766471052aa04165decafcdd62baf00dedcc5facc00",
-    "bq2": "92ab80348bd2ebd68e68211108c3b47fc91170d7105e5038e539e7daf8907ea7",
-    "bq3": "def760b16521379c2bb2170fd9c3acedec23073775362151070da150efad8dff",
+    "bq1": "28979f219975918b31036fc49b847ee521ba4dae765bc7336f096cfe8f63d973",
+    "bq2": "8eb5e132e9ab7c80eb0fff6e230852ed6de939624461d0e365a2d818ec795965",
+    "bq3": "6c1db35f1740250a17f7c104460447bb3eeef368056045315d98196396f188d6",
 }
 
 
@@ -736,43 +734,6 @@ def test_family_verdicts_on_searched(request, spec, n):
     assert len(assert_families_are_their_moves(cases)) > 1
 
 
-# a prime, so every nonzero value is a unit
-CANCEL_PRIME = 1_000_003
-
-
-def identity_value(identity, raw):
-    return sum(count * math.prod(raw[slot] for slot in slots)
-               for count, *slots in identity) % CANCEL_PRIME
-
-
-@functools.lru_cache(maxsize=None)
-def cancel_cases(under_table, over_table):
-    """(source, cancelled, sign, removed) for every compiled identity of
-    every move."""
-    n = len(under_table)
-    return [(identity, *_cancel(identity, n)) for move in all_moves()
-            for identity in _compiled_move(under_table, over_table, move.move_id)]
-
-
-@settings(derandomize=True, max_examples=30, deadline=None)
-@given(data=st.data())
-def test_cancelled_identity_times_removed_unit_is_the_source(bq1, bq2, bq3, a312, data):
-    for bq in (bq1, bq2, bq3, a312):
-        n = bq.n
-        raw = [0] * (4 * n * n + 3)
-        raw[raw_slot(n, "delta")] = data.draw(st.integers(0, CANCEL_PRIME - 1))
-        factors = [("w", (0, 0))] + [(k, pair) for k in "AB"
-                                     for pair in itertools.product(range(n), repeat=2)]
-        for factor, pair in factors:
-            value = data.draw(st.integers(1, CANCEL_PRIME - 1))
-            raw[raw_slot(n, factor, 1, pair)] = value
-            raw[raw_slot(n, factor, -1, pair)] = pow(value, -1, CANCEL_PRIME)
-        for source, cancelled, sign, removed in cancel_cases(bq.under_table, bq.over_table):
-            unit = sign * math.prod(raw[slot] for slot in removed)
-            assert (identity_value(source, raw)
-                    == unit * identity_value(cancelled, raw) % CANCEL_PRIME)
-
-
 def test_family_table_is_the_union_of_its_eight_moves(bq1, bq2, bq3, a312):
     # the moves come from slide_moves() and passthrough_moves(), not from
     # the move-id rule _family_table uses
@@ -782,7 +743,7 @@ def test_family_table_is_the_union_of_its_eight_moves(bq1, bq2, bq3, a312):
     for bq in (bq1, bq2, bq3, a312):
         for family, moves in families.items():
             assert len(moves) == 8
-            union = {_cancel(identity, bq.n)[0] for move in moves
+            union = {identity for move in moves
                      for identity in _compiled_move(bq.under_table, bq.over_table,
                                                     move.move_id)}
             table = _family_table(bq.under_table, bq.over_table, family)
@@ -790,45 +751,73 @@ def test_family_table_is_the_union_of_its_eight_moves(bq1, bq2, bq3, a312):
             assert set(table) == union
 
 
-def test_cancel_keeps_delta_and_clears_inverses():
-    # on one color the raw slots are A 0, A^-1 1, B 2, B^-1 3, delta 4, w 5,
-    # w^-1 6: A delta - B^-1 delta w = B^-1 (A B delta - delta w)
-    assert _cancel(((1, 0, 4), (-1, 3, 4, 5)), 1) == (((1, 0, 2, 4), (-1, 4, 5)), 1, (3,))
-    # -w^-1 A + w^-1 delta A^2 = -(w^-1 A) (1 - delta A)
-    assert _cancel(((-1, 0, 6), (1, 0, 0, 4, 6)), 1) == (((1,), (-1, 0, 4)), -1, (0, 6))
-
-
-def test_cancelled_identities_keep_delta(bq1, bq2, bq3, a312):
+def test_compiled_identities_are_cancelled(bq1, bq2, bq3, a312):
+    # every compiled identity reads base slots only, its sides and monomials
+    # are sorted, and no unit key divides all of its monomials
     for bq in (bq1, bq2, bq3, a312):
         n = bq.n
         delta = raw_slot(n, "delta")
         bases = ({raw_slot(n, k, 1, pair) for k in "AB"
                   for pair in itertools.product(range(n), repeat=2)}
                  | {delta, raw_slot(n, "w")})
-        for source, cancelled, sign, removed in cancel_cases(bq.under_table, bq.over_table):
-            # delta is never divided out, and every term keeps its delta power
-            assert delta not in removed
-            assert (sorted(m[1:].count(delta) for m in cancelled)
-                    == sorted(m[1:].count(delta) for m in source))
-            # what is left reads base slots only, and no unit key divides
-            # every term any more
-            assert all(slot in bases for m in cancelled for slot in m[1:])
-            assert not set.intersection(*(set(m[1:]) for m in cancelled)) - {delta}
-            assert cancelled[0][0] > 0
-            assert len(cancelled) == len(source)
+        for move in all_moves():
+            for lhs, rhs in _compiled_move(bq.under_table, bq.over_table, move.move_id):
+                monomials = lhs + rhs
+                assert lhs <= rhs and list(lhs) == sorted(lhs) and list(rhs) == sorted(rhs)
+                assert all(list(m) == sorted(m) and set(m) <= bases for m in monomials)
+                assert not set.intersection(*(set(m) for m in monomials)) - {delta}
+
+
+def test_cancel_keeps_delta_and_clears_inverses():
+    # on one color the keys are A 0, B 2, delta 4 and w 5:
+    # A delta - B^-1 delta w = B^-1 (A B delta - delta w)
+    assert (_cancel_units({((0, 1), (4, 1)): 1, ((2, -1), (4, 1), (5, 1)): -1}, 4)
+            == (((0, 2, 4),), ((4, 5),)))
+    # -w^-1 A + w^-1 delta A^2 = -(w^-1 A) (1 - delta A)
+    assert (_cancel_units({((0, 1), (5, -1)): -1, ((0, 2), (4, 1), (5, -1)): 1}, 4)
+            == (((),), ((0, 4),)))
+    # delta divides both terms and stays; a count of 2 is two copies
+    assert (_cancel_units({((0, 1), (4, 1)): 2, ((2, 1), (4, 1)): -1}, 4)
+            == (((0, 4), (0, 4)), ((2, 4),)))
+
+
+# (key, exponent) pairs over the one-color keys A 0, B 2, delta 4 and w 5
+EXPONENTS = st.tuples(*(st.integers(0, 2),) * 4).map(
+    lambda exps: tuple((key, e) for key, e in zip((0, 2, 4, 5), exps) if e))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(reduced=st.dictionaries(EXPONENTS, st.sampled_from((-2, -1, 1, 2)), min_size=1,
+                               max_size=4),
+       unit=st.tuples(*(st.integers(-2, 2),) * 3), sign=st.sampled_from((1, -1)))
+def test_cancelled_identities_keep_delta(reduced, unit, sign):
+    # a sum with no unit key common to all of its terms, times any unit
+    # monomial and either sign, cancels to that sum: delta is kept in every
+    # term, and the terms counting up and down land on opposite sides
+    assume(not set.intersection(*({key for key, _ in m} for m in reduced)) - {4})
+    scaled = {}
+    for m, count in reduced.items():
+        exps = dict(m)
+        for key, e in zip((0, 2, 5), unit):
+            exps[key] = exps.get(key, 0) + e
+        scaled[tuple(sorted((key, e) for key, e in exps.items() if e))] = sign * count
+    sides = ([], [])
+    for m, count in reduced.items():
+        sides[count < 0].extend([tuple(key for key, e in m for _ in range(e))] * abs(count))
+    assert _cancel_units(scaled, 4) == tuple(sorted(tuple(sorted(side)) for side in sides))
 
 
 def test_passthrough_tables_are_binomials(bq1, bq2, bq3, a312):
-    # every cancelled pass-through identity says that two A entries times
-    # two B entries equal w^4
+    # every pass-through identity says that two A entries times two B
+    # entries equal w^4
     for bq, count in ((bq1, 1), (bq2, 6), (bq3, 15), (a312, 19)):
         n = bq.n
         a_slots = range(raw_slot(n, "A"), raw_slot(n, "A") + n * n)
         b_slots = range(raw_slot(n, "B"), raw_slot(n, "B") + n * n)
         table = _family_table(bq.under_table, bq.over_table, "through")
         assert len(table) == count
-        for (one, a1, a2, b1, b2), minus in table:
-            assert one == 1 and minus == (-1,) + (raw_slot(n, "w"),) * 4
+        for ((a1, a2, b1, b2),), rhs in table:
+            assert rhs == ((raw_slot(n, "w"),) * 4,)
             assert {a1, a2} <= set(a_slots) and {b1, b2} <= set(b_slots)
     # on bq2, with (p, q) running over ((0,0), (1,1)) and ((0,1), (1,0)):
     # A_p A_q B_p B_q = A_p^2 B_q^2 = A_q^2 B_p^2 = w^4
@@ -839,7 +828,7 @@ def test_passthrough_tables_are_binomials(bq1, bq2, bq3, a312):
         conditions |= {(a[p], a[q], b[p], b[q]), (a[p], a[p], b[q], b[q]),
                        (a[q], a[q], b[p], b[p])}
     table = _family_table(bq2.under_table, bq2.over_table, "through")
-    assert {plus[1:] for plus, _ in table} == {tuple(sorted(c)) for c in conditions}
+    assert {lhs for (lhs,), _ in table} == {tuple(sorted(c)) for c in conditions}
 
 
 def test_passthrough_witness_reads_off_diagonal_entries(bq2):
@@ -856,8 +845,8 @@ def test_passthrough_witness_reads_off_diagonal_entries(bq2):
         identities = _seed_identities(bq2, move, seeds)
         assert len(identities) == 4
         # raw-vector indices below 16 are the A, A^-1, B, B^-1 tables
-        assert {i % 4 for identity in identities for _count, *idx in identity
-                for i in idx if i < 16} == {1, 2}
+        assert {i % 4 for identity in identities for side in identity for monomial in side
+                for i in monomial if i < 16} == {1, 2}
 
 
 def test_move_catalog_counts():
