@@ -66,19 +66,36 @@ class BracketViolation:
         w = ",".join(str(v + 1) for v in self.witness)
         if self.lhs is None:
             return f"{self.condition} fails at ({w})"
-        return f"{self.condition} fails at ({w}): {self.lhs} != {self.rhs}"
+        relation = "is not a unit" if self.condition == "unit" else f"!= {self.rhs}"
+        return f"{self.condition} fails at ({w}): {self.lhs} {relation}"
 
 
 class BiquandleBracket:
-    """A verified bracket; construct through :func:`verify_bracket`."""
+    """A verified bracket, stored as raw values (see ``ring.raw``; over Z_n,
+    ints in [0, n)): the flat tables ``A[x*n + y]`` and ``B[x*n + y]``
+    (``raw_tables``), ``raw_delta`` and ``raw_w``.  These are what
+    :func:`check_tables` reads and the search finds, so building one copies
+    nothing.  The element views ``A``, ``B`` (rows of ring elements),
+    ``delta`` and ``w``, and the evaluators' vector ``raw`` with its
+    inverses, are built on first read.  Construct through
+    :func:`verify_bracket`, unless the tables are known to pass."""
 
     def __init__(self, bq: Biquandle, ring, A, B, delta, w):
         self.bq = bq
         self.ring = ring
-        self.A = tuple(map(tuple, A))
-        self.B = tuple(map(tuple, B))
-        self.delta = delta
-        self.w = w
+        self.raw_tables = (A, B)
+        self.raw_delta = delta
+        self.raw_w = w
+
+    def _rows(self, flat) -> tuple:
+        n, wrap = self.bq.n, self.ring.wrap
+        return tuple(tuple(map(wrap, flat[x:x + n])) for x in range(0, n * n, n))
+
+    # the element views: A and B as rows of ring elements, delta and w
+    A = cached_property(lambda self: self._rows(self.raw_tables[0]))
+    B = cached_property(lambda self: self._rows(self.raw_tables[1]))
+    delta = cached_property(lambda self: self.ring.wrap(self.raw_delta))
+    w = cached_property(lambda self: self.ring.wrap(self.raw_w))
 
     def a(self, x: int, y: int):
         return self.A[x][y]
@@ -88,13 +105,12 @@ class BiquandleBracket:
 
     @cached_property
     def raw(self) -> List[object]:
-        """The raw values (see ``ring.raw``) [A, A^-1, B, B^-1, delta, w,
-        w^-1], each table flat at x*n + y; :func:`raw_slot` indexes it.  A
-        list, whose bound ``__getitem__`` is quicker to call than a tuple's."""
-        ring = self.ring
-        A, B = ([ring.raw(e) for row in table for e in row] for table in (self.A, self.B))
-        w = ring.raw(self.w)
-        return [*A, *map(ring.inv, A), *B, *map(ring.inv, B), ring.raw(self.delta), w, ring.inv(w)]
+        """The raw values [A, A^-1, B, B^-1, delta, w, w^-1], each table
+        flat at x*n + y; :func:`raw_slot` indexes it.  A list, whose bound
+        ``__getitem__`` is quicker to call than a tuple's."""
+        inv = self.ring.inv
+        A, B = self.raw_tables
+        return [*A, *map(inv, A), *B, *map(inv, B), self.raw_delta, self.raw_w, inv(self.raw_w)]
 
     def __repr__(self) -> str:
         return f"BiquandleBracket(n={self.bq.n}, ring={self.ring!r})"
@@ -324,18 +340,19 @@ def check_tables(bq: Biquandle, ring, A, B, triples):
 
 
 def verify_bracket(bq: Biquandle, ring, A_table, B_table) -> BracketVerification:
-    """Check bracket conditions; on success return the bracket with cached
-    delta and w, otherwise collect violations with witnesses."""
+    """Check bracket conditions on tables of ring elements; on success
+    return the bracket, built from the flat raw tables that were checked
+    and the reduced delta and w, otherwise collect violations with
+    witnesses."""
     n = bq.n
-    A = [list(row) for row in A_table]
-    B = [list(row) for row in B_table]
-    if len(A) != n or len(B) != n or any(len(r) != n for r in A + B):
+    if len(A_table) != n or len(B_table) != n or any(len(r) != n for r in [*A_table, *B_table]):
         raise ValueError(f"coefficient tables must be {n}x{n}")
-    bad, delta, w = check_tables(bq, ring, [ring.raw(e) for row in A for e in row],
-                                 [ring.raw(e) for row in B for e in row], triple_slots(bq))
+    A, B = ([ring.raw(e) for row in table for e in row] for table in (A_table, B_table))
+    bad, delta, w = check_tables(bq, ring, A, B, triple_slots(bq))
     if bad:
         return BracketVerification(None, tuple(bad))
-    return BracketVerification(BiquandleBracket(bq, ring, A, B, ring.wrap(delta), ring.wrap(w)))
+    delta, w = (ring.raw(ring.wrap(v)) for v in (delta, w))      # reduced
+    return BracketVerification(BiquandleBracket(bq, ring, A, B, delta, w))
 
 
 def make_bracket(bq: Biquandle, ring, A_table, B_table) -> BiquandleBracket:
@@ -413,7 +430,8 @@ def state_sum(d: OrientedDiagram, coloring: Sequence[int], beta: BiquandleBracke
         coefficients.append((raw[a_slot + pair], raw[b_slot + pair]))
     delta = raw[raw_slot(n, "delta")]
     total = run_plan(plan, coefficients, delta ** d.free_loops, delta)[frozenset()]
-    return beta.w ** writhe * beta.ring.wrap(total)
+    # w^writhe as w or w^-1 to the power |writhe|
+    return beta.ring.wrap(raw[raw_slot(n, "w", writhe)] ** abs(writhe) * total)
 
 
 @dataclass
@@ -496,10 +514,7 @@ class AdequacyClass:
 
 def classify_adequacy(beta: BiquandleBracket) -> AdequacyClass:
     """Check the over-, under- and pass-through conditions for all triples."""
-    n, raw = beta.bq.n, beta.raw
-    a, b = raw_slot(n, "A"), raw_slot(n, "B")
-    return classify_tables(beta.bq, beta.ring, raw[a:a + n * n], raw[b:b + n * n],
-                           triple_slots(beta.bq))
+    return classify_tables(beta.bq, beta.ring, *beta.raw_tables, triple_slots(beta.bq))
 
 
 def classify_tables(bq: Biquandle, ring, A, B, triples) -> AdequacyClass:
@@ -621,9 +636,6 @@ def parse_bracket(text: str, bq: Biquandle) -> BiquandleBracket:
 def serialize_bracket(beta: BiquandleBracket) -> str:
     ring = beta.ring
     head = f"ring mod {ring.modulus}" if isinstance(ring, ModRing) else "ring laurent"
-    lines = [head]
-    for x in range(beta.bq.n):
-        row = [str(beta.A[x][y]) for y in range(beta.bq.n)]
-        row += [str(beta.B[x][y]) for y in range(beta.bq.n)]
-        lines.append(" ".join(row))
-    return "\n".join(lines) + "\n"
+    n, (A, B) = beta.bq.n, beta.raw_tables
+    rows = (" ".join(map(str, [*A[x:x + n], *B[x:x + n]])) for x in range(0, n * n, n))
+    return "\n".join([head, *rows]) + "\n"

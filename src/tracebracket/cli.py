@@ -19,7 +19,7 @@ from . import bracket as brmod
 from . import coloring as colmod
 from . import diagram as dgmod
 from . import trace as trmod
-from .search import search_brackets
+from .search import CLASSIFICATIONS, search_brackets
 
 
 class InputError(Exception):
@@ -175,11 +175,17 @@ def cmd_search(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise InputError(f"--limit {args.limit} is negative")
     bq = _load_biquandle(args.biquandle)
-    # an entry's text by its value, one string per residue; none is needed
-    # at --limit 0, where the modulus may be too large to list
-    names = [str(v) for v in range(args.mod)] if args.limit != 0 else []
-    results = [{"A": [[names[e.value] for e in row] for row in beta.A],
-                "B": [[names[e.value] for e in row] for row in beta.B],
+    n = bq.n
+    texts = {}                  # an int table -> its rows of text, made once
+
+    def rows(flat) -> list:
+        key = tuple(flat)
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = [[str(v) for v in key[x:x + n]] for x in range(0, n * n, n)]
+        return text
+
+    results = [{"A": rows(beta.raw_tables[0]), "B": rows(beta.raw_tables[1]),
                 "class": cls.label(), "passthrough": cls.passthrough}
                for beta, cls in search_brackets(bq, args.mod,
                                                 classification=args.classification,
@@ -299,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("biquandle")
     p.add_argument("--mod", type=_int_option("--mod"), required=True)
     p.add_argument("--class", dest="classification",
-                   choices=["adequate", "over", "under", "neither", "any"],
+                   choices=CLASSIFICATIONS,
                    default="any")
     p.add_argument("--limit", type=_int_option("--limit"), default=None)
     p.set_defaults(func=cmd_search)

@@ -24,12 +24,12 @@ the orbit's over/under verdicts.  The pass-through condition A[x][x]^2
 B[y][y]^2 = 1 scales by l^4, so it is checked once per value of l^4 in
 each orbit, until a scale-invariant pass-through condition replaces it.
 
-Members are built cheaply: every entry is one shared element per residue,
-every row a tuple of them shared by all members with that row of ints, and
-every class one object per set of witnesses.  The tests check every
-emitted member against :func:`verify_bracket` and :func:`classify_adequacy`,
-and a brute-force enumerator over all unit tables doubles as the
-correctness oracle.
+Members are int tables: each is a ``BiquandleBracket`` built from its
+scaled flat lists with delta and w, and no ring element is made for it
+(its element views are built only if read), and every class is one object
+per set of witnesses.  The tests check every emitted member against
+:func:`verify_bracket` and :func:`classify_adequacy`, and a brute-force
+enumerator over all unit tables doubles as the correctness oracle.
 """
 from __future__ import annotations
 
@@ -42,6 +42,10 @@ from .bracket import (AdequacyClass, BiquandleBracket, check_tables, compiled_tr
                       conditions_hold, equations_hold, over_under_witnesses, pair_delta,
                       pair_w, passthrough_witness, triple_slots, verify_bracket)
 from .rings import ModRing
+
+# The values of ``search_brackets``'s classification filter: a class label
+# (``AdequacyClass.label``), or "any".
+CLASSIFICATIONS = ("adequate", "over", "under", "neither", "any")
 
 
 def _delta_candidates(ring: ModRing, units: List[int]):
@@ -132,11 +136,17 @@ def search_brackets(bq: Biquandle, modulus: int,
     """Yield every bracket over Z_modulus for the biquandle, classified.
 
     Emission order is lexicographic in (delta, flattened A table, flattened
-    B table).  ``classification`` filters on the adequacy label
-    (adequate/over/under/neither); ``limit`` caps the number of results.
-    A modulus below 2 raises ValueError, whatever the limit.
+    B table).  Each member is built from its int tables (see
+    ``BiquandleBracket``).  ``classification`` filters on the adequacy
+    label, one of :data:`CLASSIFICATIONS` ("any" or None keeps every
+    class); ``limit`` caps the number of results.  A modulus below 2 or an
+    unknown classification raises ValueError, whatever the limit.
     """
     ring = ModRing(modulus)
+    if classification not in (None, *CLASSIFICATIONS):
+        raise ValueError(f"unknown classification {classification!r}: "
+                         f"expected one of {', '.join(CLASSIFICATIONS)}")
+    wanted = None if classification == "any" else classification
     if limit is not None and limit <= 0:
         return
     n = bq.n
@@ -148,19 +158,7 @@ def search_brackets(bq: Biquandle, modulus: int,
     ready_at = _ready_at(equations, slots)
     by_delta = _delta_candidates(ring, units)
     emitted = 0
-    elements = [ring.wrap(v) for v in range(modulus)]   # immutable, so shared
-    element_rows = {}                   # int row -> its row of shared elements
     classes = {}                        # witnesses -> their AdequacyClass
-
-    def rows(flat) -> tuple:
-        out = []
-        for x in range(0, cells, n):
-            key = tuple(flat[x:x + n])
-            row = element_rows.get(key)
-            if row is None:
-                row = element_rows[key] = tuple([elements[v] for v in key])
-            out.append(row)
-        return tuple(out)
 
     for delta in sorted(by_delta):
         batch = []
@@ -185,10 +183,9 @@ def search_brackets(bq: Biquandle, modulus: int,
                 batch.append((A_l, B_l, lam * w % modulus, cls))
         batch.sort(key=lambda member: member[:2])
         for A_l, B_l, w, cls in batch:
-            if classification and classification != "any" and cls.label() != classification:
+            if wanted and cls.label() != wanted:
                 continue
-            yield (BiquandleBracket(bq, ring, rows(A_l), rows(B_l), elements[delta], elements[w]),
-                   cls)
+            yield BiquandleBracket(bq, ring, A_l, B_l, delta, w), cls
             emitted += 1
             if limit is not None and emitted >= limit:
                 return
@@ -216,6 +213,8 @@ def brute_force_brackets(bq: Biquandle, modulus: int,
 
 
 def bracket_key(beta: BiquandleBracket) -> tuple:
-    """Hashable identity of a mod-ring bracket, for set comparisons."""
-    return (tuple(tuple(e.value for e in row) for row in beta.A),
-            tuple(tuple(e.value for e in row) for row in beta.B))
+    """Hashable identity of a mod-ring bracket, for set comparisons: its
+    int tables as rows."""
+    n = beta.bq.n
+    return tuple(tuple(tuple(flat[x:x + n]) for x in range(0, n * n, n))
+                 for flat in beta.raw_tables)

@@ -16,6 +16,7 @@ from tracebracket import (fixture_path, fixture_text, parse_biquandle, parse_bra
                           verify_biquandle)
 from tracebracket import diagram as dgmod
 from tracebracket.cli import build_parser, main
+from tracebracket.rings import ModElement
 from tracebracket.search import search_brackets
 
 
@@ -101,6 +102,46 @@ def test_verify_bracket(capsys, tmp_path):
     bad.write_text("ring mod 7\n1 1 2 2\n1 1 2 3\n")
     rc, out = run(capsys, "verify-bracket", fixture_path("bq2.txt"), str(bad))
     assert rc == 1
+
+
+def test_verify_bracket_names_a_non_unit_entry(capsys, tmp_path):
+    zero = tmp_path / "zero.txt"
+    zero.write_text("ring mod 7\n0 6 2 5\n4 1 1 2\n")
+    rc, out = run(capsys, "verify-bracket", fixture_path("bq2.txt"), str(zero))
+    assert (rc, out) == (1, "unit fails at (1,1): A=0 is not a unit\n")
+
+
+# sha256 of the stdout of ``search <bq>.txt --mod <n>``, text and --json, run
+# in the fixture directory, as the search gave it when each member was still
+# built from rows of ring elements.
+PINNED_SEARCH_STDOUT = [
+    ("bq2", 7, [], "5e285bf99ea932257ddd3dc7b645f9e63a5e27ee273481303cf7eb5f6497c93c"),
+    ("bq2", 7, ["--json"], "7024a149482ceb0d83b28074c4caf929bd489f688eec274c0291a46f4e9185b8"),
+    ("bq3", 4, [], "f919568eea942e0a90ffe8ee7d17608088a8f760303a74ca1f73aefd39cf57a9"),
+    ("bq3", 4, ["--json"], "b7933beff882b28e0af543deb12b12b58d8b3e8c1a1f58cf8be7b5c177cba996"),
+]
+
+
+@pytest.mark.parametrize("spec, n, mode, digest", PINNED_SEARCH_STDOUT,
+                         ids=[f"{spec}-Z{n}{''.join(mode)}" for spec, n, mode, _ in
+                              PINNED_SEARCH_STDOUT])
+def test_search_stdout_pinned(capsys, monkeypatch, spec, n, mode, digest):
+    monkeypatch.chdir(os.path.dirname(fixture_path(f"{spec}.txt")))
+    rc, out = run(capsys, *mode, "search", f"{spec}.txt", "--mod", str(n))
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_search_builds_no_ring_element_per_member(capsys, monkeypatch):
+    """The search and its printing read int tables: bq2/Z7 has 1296
+    members, and fewer ring elements than that are made for all of them."""
+    made = []
+    init = ModElement.__init__
+    monkeypatch.setattr(ModElement, "__init__",
+                        lambda self, ring, value: made.append(value) or init(self, ring, value))
+    rc, out = run(capsys, "--json", "search", fixture_path("bq2.txt"), "--mod", "7")
+    assert rc == 0 and json.loads(out)["result"]["count"] == 1296
+    assert len(made) < 1296
 
 
 def test_search_finds_bundled_bracket(capsys):

@@ -13,8 +13,8 @@ from tracebracket import search as searchmod
 from tracebracket.biquandle import biquandle_from_spec, trivial_biquandle
 from tracebracket.bracket import (TRIPLE_EQUATIONS, check_tables, classify_adequacy,
                                   classify_tables, compiled_triples, conditions_hold,
-                                  equations_hold, passthrough_witness, triple_slots,
-                                  verify_bracket)
+                                  equations_hold, parse_bracket, passthrough_witness,
+                                  serialize_bracket, triple_slots, verify_bracket)
 from tracebracket.rings import ModRing
 from tracebracket.search import (bracket_key, brute_force_brackets,
                                  search_brackets)
@@ -104,6 +104,29 @@ def test_invalid_modulus_raises_whatever_the_limit(bq2):
         for limit in (None, 0, 3):
             with pytest.raises(ValueError, match="^modulus must be at least 2$"):
                 list(search_brackets(bq2, modulus, limit=limit))
+
+
+def test_unknown_classification_raises():
+    bq = trivial_biquandle(2)
+    assert len(list(search_brackets(bq, 5, "adequate"))) == 256
+    for limit in (None, 0):
+        with pytest.raises(ValueError, match="^unknown classification 'adequat': expected "
+                                             "one of adequate, over, under, neither, any$"):
+            list(search_brackets(bq, 5, "adequat", limit))
+
+
+@pytest.mark.parametrize("spec, n", [("bq2", 7), ("bq3", 4)])
+def test_members_equal_their_verified_twins(request, spec, n):
+    """A member built from the search's int tables is the bracket that
+    verify_bracket builds from its element rows: the same element views,
+    raw vector, key and file text, and the text parses back to it."""
+    bq = request.getfixturevalue(spec)
+    for beta, _cls in search_brackets(bq, n):
+        twin = verify_bracket(bq, beta.ring, beta.A, beta.B).bracket
+        for b in (twin, parse_bracket(serialize_bracket(beta), bq)):
+            assert (b.A, b.B, b.delta, b.w) == (beta.A, beta.B, beta.delta, beta.w)
+            assert b.raw == beta.raw and bracket_key(b) == bracket_key(beta)
+            assert serialize_bracket(b) == serialize_bracket(beta)
 
 
 def test_brute_force_cap():
