@@ -19,7 +19,10 @@ plain ints.  Conditions (i)-(iii), the adequacy chains and the
 pass-through condition have one body each (``check_tables``,
 ``over_under_witnesses``, ``passthrough_witness``), run on flat tables of
 raw ring values: plain ints over Z_n, reduced only when compared, and the
-elements themselves over the Laurent ring.
+elements themselves over the Laurent ring.  The pass-through condition is
+stated nowhere else: it is the identities lhs = rhs that the eight
+pass-through trace moves compile to (``passthrough_identities``, from
+``trace``), checked in order until the first one fails.
 
 The state sum of a colored diagram smooths every crossing both ways,
 weights each state by its coefficients and by delta per resulting circle,
@@ -45,7 +48,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import isqrt
+from math import isqrt, prod
 from typing import List, Optional, Sequence, Tuple
 
 from .biquandle import Biquandle, content_lines, parse_int
@@ -279,21 +282,24 @@ def conditions_hold(ring: ModRing, A, B, equations) -> Optional[Tuple[int, int]]
     compiled set's cancelled factors sound.  :func:`check_tables` says
     which condition fails."""
     m = ring.modulus
-    if not all(ring.is_unit(v) for v in itertools.chain(A, B)):
+    if not all(map(ring.is_unit, itertools.chain(A, B))):
         return None
+    # over units, delta = pair_delta(a, b) iff a^2 + delta*a*b + b^2 = 0, and
+    # w = pair_w(a, b) iff a^2 + w*b = 0
     delta = pair_delta(ring, A[0], B[0]) % m
-    if any((pair_delta(ring, a, b) - delta) % m for a, b in zip(A, B)):
+    if any((a * (a + delta * b) + b * b) % m for a, b in zip(A, B)):
         return None
     n = isqrt(len(A))
     w = pair_w(ring, A[0], B[0]) % m
-    if any((pair_w(ring, A[i], B[i]) - w) % m for i in range(n + 1, n * n, n + 1)):
+    if any((A[i] * A[i] + w * B[i]) % m for i in range(n + 1, n * n, n + 1)):
         return None
     return (delta, w) if equations_hold([*A, *B, delta, 1], m, equations) else None
 
 
 def pair_delta(ring, a, b):
-    """-a^(-1)*b - a*b^(-1): condition (ii)'s value at one pair."""
-    return -(ring.inv(a) * b) - a * ring.inv(b)
+    """-a^(-1)*b - a*b^(-1): condition (ii)'s value at one pair, with one
+    inverse, as -(a^2 + b^2)*(a*b)^(-1)."""
+    return -(a * a + b * b) * ring.inv(a * b)
 
 
 def pair_w(ring, a, b):
@@ -485,43 +491,33 @@ def bracket_invariant(d: OrientedDiagram, bq: Biquandle, beta: BiquandleBracket)
 
 @dataclass(frozen=True)
 class AdequacyClass:
-    over_adequate: bool
-    under_adequate: bool
-    passthrough: bool
-    over_witness: Optional[Tuple[int, ...]] = None
-    under_witness: Optional[Tuple[int, ...]] = None
-    passthrough_witness: Optional[Tuple[int, ...]] = None
+    """Where each adequacy condition first fails, None where it holds: a
+    triple for the over and under chains, an identity of
+    :func:`passthrough_identities` for pass-through."""
+    over_witness: Optional[Tuple[int, ...]]
+    under_witness: Optional[Tuple[int, ...]]
+    passthrough_witness: Optional[Identity]
 
-    @property
-    def adequate(self) -> bool:
-        return self.over_adequate and self.under_adequate
-
-    @classmethod
-    def from_witnesses(cls, over_witness, under_witness, passthrough_witness) -> "AdequacyClass":
-        """The class whose conditions fail exactly where a witness is given."""
-        return cls(over_witness is None, under_witness is None, passthrough_witness is None,
-                   over_witness, under_witness, passthrough_witness)
+    over_adequate = property(lambda self: self.over_witness is None)
+    under_adequate = property(lambda self: self.under_witness is None)
+    passthrough = property(lambda self: self.passthrough_witness is None)
+    adequate = property(lambda self: self.over_adequate and self.under_adequate)
 
     def label(self) -> str:
-        if self.adequate:
-            return "adequate"
-        if self.over_adequate:
-            return "over"
-        if self.under_adequate:
-            return "under"
-        return "neither"
+        return ("neither", "under", "over", "adequate")[
+            2 * (self.over_witness is None) + (self.under_witness is None)]
 
 
 def classify_adequacy(beta: BiquandleBracket) -> AdequacyClass:
-    """Check the over-, under- and pass-through conditions for all triples."""
+    """Check the over- and under-adequacy chains for all triples and the
+    pass-through condition."""
     return classify_tables(beta.bq, beta.ring, *beta.raw_tables, triple_slots(beta.bq))
 
 
 def classify_tables(bq: Biquandle, ring, A, B, triples) -> AdequacyClass:
     """:func:`classify_adequacy` on flat raw tables, as in :func:`check_tables`."""
-    over_witness, under_witness = over_under_witnesses(ring, A, B, triples)
-    return AdequacyClass.from_witnesses(over_witness, under_witness,
-                                        passthrough_witness(bq, ring, A, B))
+    return AdequacyClass(*over_under_witnesses(ring, A, B, triples),
+                         passthrough_witness(bq, ring, A, B))
 
 
 def over_under_witnesses(ring, A, B, triples):
@@ -553,19 +549,54 @@ def over_under_witnesses(ring, A, B, triples):
     return over_witness, under_witness
 
 
-def passthrough_witness(bq: Biquandle, ring, A, B) -> Optional[Tuple[int, int]]:
-    """The first pair (x, diag(x)) at which the pass-through condition
-    A[x][x]^2 B[y][y]^2 = A[y][y]^2 B[x][x]^2 = 1, y = diag(x), fails on
-    flat raw tables, or None.  Scaling by a unit l multiplies both
-    products by l^4, so the verdict can differ along a scaling orbit."""
-    same, n = ring.same, bq.n
-    one = ring.raw(ring.one())
-    for x in range(n):
-        y = bq.diag(x)
-        xx, yy = x * (n + 1), y * (n + 1)
-        if not (same(A[xx] ** 2 * B[yy] ** 2, one) and same(A[yy] ** 2 * B[xx] ** 2, one)):
-            return x, y
+# one identity lhs = rhs: each side a sum of monomials, each monomial a
+# tuple of indices into the values [*A, *B, delta, w] of flat tables
+Identity = Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]
+
+
+@lru_cache(maxsize=64)
+def passthrough_identities(bq: Biquandle) -> Tuple[Identity, ...]:
+    """The pass-through condition: the identities that the eight
+    pass-through trace moves compile to on this biquandle (the ``trace``
+    family table "through"), each raw slot re-indexed into
+    [*A, *B, delta, w].  Scaling (A, B) by a unit l sends w to l*w and
+    scales both sides of every identity alike, so the verdict and the
+    witness are constant on a scaling orbit."""
+    from .trace import _family_table    # trace imports this module
+    n = bq.n
+    slots = [raw_slot(n, t, 1, divmod(i, n)) for t in "AB" for i in range(n * n)]
+    flat = {s: i for i, s in enumerate(slots + [raw_slot(n, "delta"), raw_slot(n, "w")])}
+    return tuple(tuple(tuple(tuple(flat[s] for s in m) for m in side) for side in identity)
+                 for identity in _family_table(bq.under_table, bq.over_table, "through"))
+
+
+def passthrough_witness(bq: Biquandle, ring, A, B) -> Optional[Identity]:
+    """The first identity of :func:`passthrough_identities` whose two sides
+    sum to different values on flat raw tables, w and delta read off
+    conditions (i) and (ii) at the pair (0, 0), or None."""
+    w = pair_w(ring, A[0], B[0])
+    get = [*A, *B, pair_delta(ring, A[0], B[0]), w].__getitem__
+    one = w ** 0                                # 1 as a raw value
+    zero, same = one - one, ring.same
+    for lhs, rhs in passthrough_identities(bq):
+        left = right = zero
+        for m in lhs:
+            left += prod(map(get, m), start=one)
+        for m in rhs:
+            right += prod(map(get, m), start=one)
+        if not same(left, right):
+            return lhs, rhs
     return None
+
+
+def identity_text(n: int, identity: Identity) -> str:
+    """An identity over [*A, *B, delta, w] of tables on n colors as text,
+    with 1-based entries: ``A[1,2] A[2,1] B[1,2] B[2,1] = w^4``."""
+    names = [f"{t}[{x + 1},{y + 1}]" for t in "AB" for x in range(n) for y in range(n)]
+    names += ["delta", "w"]
+    return " = ".join(" + ".join(" ".join(f if k == 1 else f"{f}^{k}"
+                                          for f, k in Counter(names[i] for i in m).items())
+                                 or "1" for m in side) or "0" for side in identity)
 
 
 def homflypt_coefficients(beta: BiquandleBracket, x: int):

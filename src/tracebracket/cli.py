@@ -156,11 +156,12 @@ def cmd_classify(args) -> int:
     bq = _load_biquandle(args.biquandle)
     beta = _parse_file(args.bracket, brmod.parse_bracket, bq)
     cls = brmod.classify_adequacy(beta)
-    witnesses = []
-    for name, w in (("over", cls.over_witness), ("under", cls.under_witness),
-                    ("passthrough", cls.passthrough_witness)):
-        if w is not None:
-            witnesses.append(f"{name} fails at ({','.join(str(v + 1) for v in w)})")
+    witnesses = [f"{name} fails at ({','.join(str(v + 1) for v in w)})"
+                 for name, w in (("over", cls.over_witness), ("under", cls.under_witness))
+                 if w is not None]
+    if cls.passthrough_witness is not None:
+        witnesses.append("passthrough fails at "
+                         + brmod.identity_text(bq.n, cls.passthrough_witness))
     _emit(args, {"command": "classify",
                  "inputs": {"biquandle": args.biquandle, "bracket": args.bracket},
                  "result": {"class": cls.label(),

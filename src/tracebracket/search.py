@@ -19,28 +19,30 @@ The search fixes A = 1 at the first slot it places.  Each table it finds,
 one per orbit, is verified on the full compiled set, after its units, delta
 and w (``bracket.conditions_hold``, which never reads the pruning
 schedule); a failure raises, naming the violation ``check_tables`` finds.
-The orbit is classified over/under once, and each member gets w scaled and
-the orbit's over/under verdicts.  The pass-through condition A[x][x]^2
-B[y][y]^2 = 1 scales by l^4, so it is checked once per value of l^4 in
-each orbit, until a scale-invariant pass-through condition replaces it.
+Both sides of every over/under chain equation and of every pass-through
+identity scale alike (w counting as one degree), so each verdict and
+witness is constant on an orbit: its representative is classified once,
+by ``bracket.classify_adequacy``, and each member gets w scaled and the
+orbit's class.
 
 Members are int tables: each is a ``BiquandleBracket`` built from its
 scaled flat lists with delta and w, and no ring element is made for it
-(its element views are built only if read), and every class is one object
-per set of witnesses.  The tests check every emitted member against
-:func:`verify_bracket` and :func:`classify_adequacy`, and a brute-force
-enumerator over all unit tables doubles as the correctness oracle.
+(its element views are built only if read).  The tests check every
+emitted member against :func:`verify_bracket` and
+:func:`classify_adequacy`, and a brute-force enumerator over all unit
+tables doubles as the correctness oracle.
 """
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from operator import itemgetter
 from typing import Iterator, List, Optional, Tuple
 
 from .biquandle import Biquandle
-from .bracket import (AdequacyClass, BiquandleBracket, check_tables, compiled_triples,
-                      conditions_hold, equations_hold, over_under_witnesses, pair_delta,
-                      pair_w, passthrough_witness, triple_slots, verify_bracket)
+from .bracket import (AdequacyClass, BiquandleBracket, check_tables, classify_adequacy,
+                      compiled_triples, conditions_hold, equations_hold, pair_delta, pair_w,
+                      triple_slots, verify_bracket)
 from .rings import ModRing
 
 # The values of ``search_brackets``'s classification filter: a class label
@@ -146,7 +148,6 @@ def search_brackets(bq: Biquandle, modulus: int,
     if classification not in (None, *CLASSIFICATIONS):
         raise ValueError(f"unknown classification {classification!r}: "
                          f"expected one of {', '.join(CLASSIFICATIONS)}")
-    wanted = None if classification == "any" else classification
     if limit is not None and limit <= 0:
         return
     n = bq.n
@@ -158,7 +159,6 @@ def search_brackets(bq: Biquandle, modulus: int,
     ready_at = _ready_at(equations, slots)
     by_delta = _delta_candidates(ring, units)
     emitted = 0
-    classes = {}                        # witnesses -> their AdequacyClass
 
     for delta in sorted(by_delta):
         batch = []
@@ -169,22 +169,13 @@ def search_brackets(bq: Biquandle, modulus: int,
             if verdict is None:             # unreachable while the pruning is sound
                 raise _unsound(bq, ring, A, B, triples)
             w = verdict[1]
-            over, under = over_under_witnesses(ring, A, B, triples)
-            passthrough = {}            # l^4 -> witness: its products scale by l^4
-            for lam in units:
-                A_l, B_l = [lam * a % modulus for a in A], [lam * b % modulus for b in B]
-                q = pow(lam, 4, modulus)
-                if q not in passthrough:
-                    passthrough[q] = passthrough_witness(bq, ring, A_l, B_l)
-                witnesses = (over, under, passthrough[q])
-                cls = classes.get(witnesses)
-                if cls is None:
-                    cls = classes[witnesses] = AdequacyClass.from_witnesses(*witnesses)
-                batch.append((A_l, B_l, lam * w % modulus, cls))
-        batch.sort(key=lambda member: member[:2])
-        for A_l, B_l, w, cls in batch:
-            if wanted and cls.label() != wanted:
+            cls = classify_adequacy(BiquandleBracket(bq, ring, A, B, delta, w))
+            if classification not in (None, "any") and cls.label() != classification:
                 continue
+            batch.extend(([lam * a % modulus for a in A], [lam * b % modulus for b in B],
+                          lam * w % modulus, cls) for lam in units)
+        batch.sort(key=itemgetter(0, 1))
+        for A_l, B_l, w, cls in batch:
             yield BiquandleBracket(bq, ring, A_l, B_l, delta, w), cls
             emitted += 1
             if limit is not None and emitted >= limit:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from tracebracket import bracket as brmod
 from tracebracket import fixture_text
 from tracebracket.biquandle import trivial_biquandle
 from tracebracket.bracket import (bracket_invariant, classify_adequacy,
@@ -257,6 +258,24 @@ def test_constant_brackets_are_adequate(br_gen):
     c = constant_bracket(ring, ring.element(2), ring.element(3))
     cls = classify_adequacy(c)
     assert cls.adequate and cls.passthrough     # (2*3)^2 = 36 = 1 mod 5
+
+
+def test_passthrough_evaluator_reads_any_identity(br_gen, monkeypatch):
+    # the evaluator sums any monomials over [A, B, delta, w], not only the
+    # binomials the tangles give: on bq1, condition (ii) as A^2 + AB delta +
+    # B^2 = 0 holds symbolically, and A^2 B^2 = w^4 does not
+    ring, A, B = br_gen.ring, *br_gen.raw_tables
+    delta_relation = (((0, 0), (0, 1, 2), (1, 1)), ())
+    binomial = (((0, 0, 1, 1),), ((3, 3, 3, 3),))
+    swapped = delta_relation[::-1]
+    for table, witness in (([delta_relation, swapped], None),
+                           ([delta_relation, binomial], binomial),
+                           ([binomial, delta_relation], binomial)):
+        monkeypatch.setattr(brmod, "passthrough_identities", lambda bq, table=table: table)
+        assert brmod.passthrough_witness(br_gen.bq, ring, A, B) == witness
+    assert brmod.identity_text(1, delta_relation) == \
+        "A[1,1]^2 + A[1,1] B[1,1] delta + B[1,1]^2 = 0"
+    assert brmod.identity_text(1, binomial) == "A[1,1]^2 B[1,1]^2 = w^4"
 
 
 def test_adequacy_invariant_under_automorphism(bq3, br_z5):

@@ -832,14 +832,15 @@ def test_passthrough_tables_are_binomials(bq1, bq2, bq3, a312):
 
 
 def test_passthrough_witness_reads_off_diagonal_entries(bq2):
-    # a bq2/Z5 bracket that the algebraic pass-through test accepts and the
-    # tangles reject: at the monochromatic seeds of its failing move, the
-    # compiled identities read only the off-diagonal entries (0, 1), (1, 0)
+    # a bq2/Z5 bracket whose diagonal entries satisfy A[x][x]^2 B[y][y]^2 = 1
+    # and that the tangles reject: at the monochromatic seeds of its failing
+    # move, the compiled identities read only the off-diagonal entries
+    # (0, 1), (1, 0)
     ring = ModRing(5)
     beta = make_bracket(bq2, ring, [[ring.element(v) for v in row] for row in ((1, 1), (2, 1))],
                         [[ring.element(v) for v in row] for row in ((4, 4), (3, 4))])
     move = move_by_id("through_B_pos_over_F")
-    assert classify_adequacy(beta).passthrough
+    assert not classify_adequacy(beta).passthrough
     assert not trace_move_fixture_check(bq2, beta, move.move_id)
     for seeds in ((0, 0, 0), (1, 1, 1)):
         identities = _seed_identities(bq2, move, seeds)
@@ -953,10 +954,12 @@ def test_diagrammatic_passthrough_matches_algebraic(bq1, bq3, br_gen, br_z5):
         assert diagrammatic_passthrough(bq, beta) == classify_adequacy(beta).passthrough
 
 
-def test_passthrough_agrees_on_searched_brackets(bq3, a312):
-    # the pass-through moves are filtered on their trace's own pair
-    for bq in (bq3, a312):
-        emitted = list(search_brackets(bq, 3))
+def test_passthrough_agrees_on_searched_brackets(bq2, bq3, a312):
+    # the pass-through moves are filtered on their trace's own pair; on
+    # bq2/Z5, Z7, Z10 and bq3/Z5 a test of the diagonal entries alone,
+    # A[x][x]^2 B[y][y]^2 = 1, disagrees with them
+    for bq, n in ((bq3, 3), (a312, 3), (bq2, 5), (bq2, 7), (bq2, 10), (bq3, 5)):
+        emitted = list(search_brackets(bq, n))
         assert emitted
         for beta, cls in emitted:
             assert diagrammatic_passthrough(bq, beta) == cls.passthrough
