@@ -70,10 +70,6 @@ class Biquandle:
     def over(self, x: int, y: int) -> int:
         return self.over_table[x][y]
 
-    def diag(self, x: int) -> int:
-        """The common value under(x, x) == over(x, x)."""
-        return self.under_table[x][x]
-
     def beta_inv(self, y: int, a: int) -> int:
         """The unique x with under(x, y) == a."""
         x = self._beta_inv[y][a]

@@ -22,7 +22,11 @@ raw ring values: plain ints over Z_n, reduced only when compared, and the
 elements themselves over the Laurent ring.  The pass-through condition is
 stated nowhere else: it is the identities lhs = rhs that the eight
 pass-through trace moves compile to (``passthrough_identities``, from
-``trace``), checked in order until the first one fails.
+``trace``), checked in order until the first one fails.  Every compiled
+identity (type ``Identity``) indexes the base entries [*A, *B, delta, w],
+which begin a bracket's raw vector, and one evaluator,
+:func:`failing_identity`, checks them all: on [*A, *B, delta, w] of flat
+tables here, and on the raw vector in ``trace``.
 
 The state sum of a colored diagram smooths every crossing both ways,
 weights each state by its coefficients and by delta per resulting circle,
@@ -35,8 +39,9 @@ writhe exponent.  Per coloring the state sum reads two entries of the
 bracket's raw vector (``BiquandleBracket.raw``) per crossing and runs the
 plan on them.  That
 vector is the one layout of a bracket's coefficients that the evaluators
-read, here and in ``trace``, and :func:`raw_slot` is the one place that
-knows where each entry sits in it.
+read, here and in ``trace``: the base entries [*A, *B, delta, w] first,
+then the inverses [*A^-1, *B^-1, w^-1].  :func:`raw_slot` is the one place
+that knows where each entry sits in it.
 
 A ``BiquandleBracket`` is never changed after construction, so
 :func:`parse_bracket` is memoized by (text, biquandle): a bracket file is
@@ -108,12 +113,14 @@ class BiquandleBracket:
 
     @cached_property
     def raw(self) -> List[object]:
-        """The raw values [A, A^-1, B, B^-1, delta, w, w^-1], each table
-        flat at x*n + y; :func:`raw_slot` indexes it.  A list, whose bound
-        ``__getitem__`` is quicker to call than a tuple's."""
+        """The raw values [A, B, delta, w, A^-1, B^-1, w^-1], each table
+        flat at x*n + y; :func:`raw_slot` indexes it.  Its first 2n^2 + 2
+        entries are the base entries [*A, *B, delta, w], which every
+        compiled identity reads.  A list, whose bound ``__getitem__`` is
+        quicker to call than a tuple's."""
         inv = self.ring.inv
         A, B = self.raw_tables
-        return [*A, *map(inv, A), *B, *map(inv, B), self.raw_delta, self.raw_w, inv(self.raw_w)]
+        return [*A, *B, self.raw_delta, self.raw_w, *map(inv, A), *map(inv, B), inv(self.raw_w)]
 
     def __repr__(self) -> str:
         return f"BiquandleBracket(n={self.bq.n}, ring={self.ring!r})"
@@ -125,10 +132,10 @@ def raw_slot(n: int, factor: str, sign: int = 1, pair: Tuple[int, int] = (0, 0))
     ``pair``, "w", or "delta" (at sign 1 only)."""
     n2 = n * n
     if factor == "delta":
-        return 4 * n2
+        return 2 * n2
     if factor == "w":
-        return 4 * n2 + (1 if sign > 0 else 2)
-    return (0 if factor == "A" else 2 * n2) + (0 if sign > 0 else n2) + pair[0] * n + pair[1]
+        return 2 * n2 + 1 if sign > 0 else 4 * n2 + 2
+    return (0 if factor == "A" else n2) + (0 if sign > 0 else 2 * n2 + 2) + pair[0] * n + pair[1]
 
 
 @dataclass
@@ -549,36 +556,22 @@ def over_under_witnesses(ring, A, B, triples):
     return over_witness, under_witness
 
 
-# one identity lhs = rhs: each side a sum of monomials, each monomial a
-# tuple of indices into the values [*A, *B, delta, w] of flat tables
+# one identity lhs = rhs: each side a sorted tuple of monomials, each
+# monomial a sorted tuple of indices into the base entries [*A, *B, delta, w]
+# of a bracket, which begin its raw vector
 Identity = Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]
 
 
-@lru_cache(maxsize=64)
-def passthrough_identities(bq: Biquandle) -> Tuple[Identity, ...]:
-    """The pass-through condition: the identities that the eight
-    pass-through trace moves compile to on this biquandle (the ``trace``
-    family table "through"), each raw slot re-indexed into
-    [*A, *B, delta, w].  Scaling (A, B) by a unit l sends w to l*w and
-    scales both sides of every identity alike, so the verdict and the
-    witness are constant on a scaling orbit."""
-    from .trace import _family_table    # trace imports this module
-    n = bq.n
-    slots = [raw_slot(n, t, 1, divmod(i, n)) for t in "AB" for i in range(n * n)]
-    flat = {s: i for i, s in enumerate(slots + [raw_slot(n, "delta"), raw_slot(n, "w")])}
-    return tuple(tuple(tuple(tuple(flat[s] for s in m) for m in side) for side in identity)
-                 for identity in _family_table(bq.under_table, bq.over_table, "through"))
-
-
-def passthrough_witness(bq: Biquandle, ring, A, B) -> Optional[Identity]:
-    """The first identity of :func:`passthrough_identities` whose two sides
-    sum to different values on flat raw tables, w and delta read off
-    conditions (i) and (ii) at the pair (0, 0), or None."""
-    w = pair_w(ring, A[0], B[0])
-    get = [*A, *B, pair_delta(ring, A[0], B[0]), w].__getitem__
-    one = w ** 0                                # 1 as a raw value
+def failing_identity(identities: Sequence[Identity], values: Sequence,
+                     ring) -> Optional[Identity]:
+    """The first identity whose two sides sum to different values, each
+    monomial the product of ``values`` at its indices, or None.  ``values``
+    holds raw ring values and begins with the base entries: a bracket's raw
+    vector, or [*A, *B, delta, w] of flat tables."""
+    get = values.__getitem__
+    one = values[0] ** 0                        # 1 as a raw value
     zero, same = one - one, ring.same
-    for lhs, rhs in passthrough_identities(bq):
+    for lhs, rhs in identities:
         left = right = zero
         for m in lhs:
             left += prod(map(get, m), start=one)
@@ -587,6 +580,25 @@ def passthrough_witness(bq: Biquandle, ring, A, B) -> Optional[Identity]:
         if not same(left, right):
             return lhs, rhs
     return None
+
+
+@lru_cache(maxsize=64)
+def passthrough_identities(bq: Biquandle) -> Tuple[Identity, ...]:
+    """The pass-through condition: the identities that the eight
+    pass-through trace moves compile to on this biquandle (the ``trace``
+    family table "through").  Scaling (A, B) by a unit l sends w to l*w and
+    scales both sides of every identity alike, so the verdict and the
+    witness are constant on a scaling orbit."""
+    from .trace import _family_table    # trace imports this module
+    return _family_table(bq.under_table, bq.over_table, "through")
+
+
+def passthrough_witness(bq: Biquandle, ring, A, B) -> Optional[Identity]:
+    """The first identity of :func:`passthrough_identities` that fails on
+    flat raw tables, w and delta read off conditions (i) and (ii) at the
+    pair (0, 0), or None."""
+    values = [*A, *B, pair_delta(ring, A[0], B[0]), pair_w(ring, A[0], B[0])]
+    return failing_identity(passthrough_identities(bq), values, ring)
 
 
 def identity_text(n: int, identity: Identity) -> str:

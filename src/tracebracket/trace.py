@@ -2,9 +2,10 @@
 diagonal-pair crossing, magnetic parity and kink reducibility, the parity
 fast evaluator, and diagrammatic verification of the trace moves on fixed
 three-strand tangles, each move compiled once per biquandle into identities
-lhs = rhs in the bracket's coefficient entries with their unit factors
-divided out, and each family of eight moves checked on the union of its
-moves' identities.
+lhs = rhs in the bracket's base entries [*A, *B, delta, w] with their unit
+factors divided out, and each family of eight moves checked on the union of
+its moves' identities by the one identity evaluator,
+``bracket.failing_identity``.
 
 A trace diagram is a set of rows over edge labels, one row per node, with
 the roles of ``diagram.Crossing``: (u_in, o_in, o_out, u_out).  Nodes are
@@ -48,13 +49,12 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
-from math import prod
 from operator import mul
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
 from .biquandle import Biquandle, content_lines, parse_int
-from .bracket import (BiquandleBracket, coefficient_pair, crossing_coefficient_pair,
-                      homflypt_coefficients, raw_slot)
+from .bracket import (BiquandleBracket, Identity, coefficient_pair, crossing_coefficient_pair,
+                      failing_identity, homflypt_coefficients, raw_slot)
 from .coloring import (crossing_outputs, positive_frame, propagation_schedule, run_steps,
                        validate_coloring)
 from .diagram import (SMOOTHINGS, OrientedDiagram, plan_contraction, require_valid,
@@ -547,18 +547,21 @@ def evaluate_open(td: TraceDiagram, beta: BiquandleBracket) -> Dict[object, obje
 # out, as it may be a zero divisor over Z_n.  What is left is stored as an
 # identity lhs = rhs: the terms that count up on the left and those that
 # count down on the right, a count c as c copies, each monomial a sorted
-# tuple of base raw slots (``BiquandleBracket.raw``), each side sorted and
-# the two sides sorted, so an identity and its negation coincide.  A move's
+# tuple of base raw slots, each side sorted and the two sides sorted, so an
+# identity and its negation coincide: a ``bracket.Identity``.  The base slots
+# begin the raw vector and are the indices of [*A, *B, delta, w], so an
+# identity reads the same on the raw vector and on flat tables.  A move's
 # identities are those of all its seeds, without repeats, and a bracket
 # passes the move when every identity holds.
 #
 # The verdicts check a family of eight moves at once (over, under or
 # pass-through, the first word of the move ids) on one table per biquandle:
-# the union of the moves' identities, without repeats.  One evaluator checks
-# the family tables and single moves: it sums each side over the raw values
-# (plain ints over Z_n), compares the two sums through ``ring.same``, which
-# over Z_n reduces their difference once, and stops at the first identity
-# that fails.
+# the union of the moves' identities, without repeats.  The family tables
+# and single moves are checked by the one identity evaluator,
+# ``bracket.failing_identity``, on the raw vector: it sums each side over
+# the raw values (plain ints over Z_n), compares the two sums through
+# ``ring.same``, which over Z_n reduces their difference once, and stops at
+# the first identity that fails.
 # ---------------------------------------------------------------------------
 
 # a monomial over factor keys: a sorted tuple of (key, exponent) pairs
@@ -596,11 +599,6 @@ class _Monomials:
         for _ in range(k):
             out = out * self
         return out
-
-
-# one identity lhs = rhs, each side a sorted tuple of monomials, each
-# monomial a sorted tuple of indices into the raw vector
-Identity = Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]
 
 
 @lru_cache(maxsize=8)
@@ -675,24 +673,6 @@ def _family_table(under_table, over_table, family: str) -> Tuple[Identity, ...]:
         for identity in _compiled_move(under_table, over_table, move.move_id)))
 
 
-def _identities_hold(identities: Sequence[Identity], beta: BiquandleBracket) -> bool:
-    """Do both sides of every identity sum to the same value over the
-    bracket's raw values?  Stops at the first identity that fails."""
-    ring = beta.ring
-    factor = beta.raw.__getitem__
-    one = ring.raw(ring.one())
-    zero = one - one
-    for lhs, rhs in identities:
-        left = right = zero
-        for monomial in lhs:
-            left = left + prod(map(factor, monomial), start=one)
-        for monomial in rhs:
-            right = right + prod(map(factor, monomial), start=one)
-        if not ring.same(left, right):
-            return False
-    return True
-
-
 def trace_move_fixture_check(bq: Biquandle, beta: BiquandleBracket, move_id: str) -> bool:
     """True iff [before] == [after] boundary-resolved, for all color seeds.
 
@@ -700,11 +680,13 @@ def trace_move_fixture_check(bq: Biquandle, beta: BiquandleBracket, move_id: str
     monochromatically, read at the trace's own pair.  Each of the move's
     compiled identities is summed over the bracket's raw values.
     """
-    return _identities_hold(_compiled_move(bq.under_table, bq.over_table, move_id), beta)
+    return failing_identity(_compiled_move(bq.under_table, bq.over_table, move_id),
+                            beta.raw, beta.ring) is None
 
 
 def _family_holds(bq: Biquandle, beta: BiquandleBracket, family: str) -> bool:
-    return _identities_hold(_family_table(bq.under_table, bq.over_table, family), beta)
+    return failing_identity(_family_table(bq.under_table, bq.over_table, family),
+                            beta.raw, beta.ring) is None
 
 
 def diagrammatic_adequacy(bq: Biquandle, beta: BiquandleBracket) -> Tuple[bool, bool]:

@@ -50,15 +50,19 @@ def test_z5_brackets_verify(br_z5):
 
 
 def test_raw_vector_layout(br_gen, br_z7, br_z5):
-    # raw is [A, A^-1, B, B^-1, delta, w, w^-1], each table flat at x*n + y,
-    # and raw_slot names every slot once
+    # raw is [A, B, delta, w, A^-1, B^-1, w^-1], each table flat at x*n + y,
+    # so it begins with the base entries [*A, *B, delta, w] that compiled
+    # identities read, and raw_slot names every slot once
     for beta in [br_gen, br_z7, *br_z5]:
         n, ring = beta.bq.n, beta.ring
         pairs = list(itertools.product(range(n), repeat=2))
-        expected = ([beta.a(*p) for p in pairs] + [beta.a(*p).inverse() for p in pairs]
-                    + [beta.b(*p) for p in pairs] + [beta.b(*p).inverse() for p in pairs]
-                    + [beta.delta, beta.w, beta.w.inverse()])
+        expected = ([beta.a(*p) for p in pairs] + [beta.b(*p) for p in pairs]
+                    + [beta.delta, beta.w]
+                    + [beta.a(*p).inverse() for p in pairs] + [beta.b(*p).inverse() for p in pairs]
+                    + [beta.w.inverse()])
         assert [ring.wrap(v) for v in beta.raw] == expected
+        A, B = beta.raw_tables
+        assert beta.raw[:2 * n * n + 2] == [*A, *B, beta.raw_delta, beta.raw_w]
         named = {raw_slot(n, "delta"): beta.delta, raw_slot(n, "w", 1): beta.w,
                  raw_slot(n, "w", -1): beta.w.inverse()}
         for pair, sign in itertools.product(pairs, (1, -1)):
@@ -260,19 +264,23 @@ def test_constant_brackets_are_adequate(br_gen):
     assert cls.adequate and cls.passthrough     # (2*3)^2 = 36 = 1 mod 5
 
 
-def test_passthrough_evaluator_reads_any_identity(br_gen, monkeypatch):
-    # the evaluator sums any monomials over [A, B, delta, w], not only the
-    # binomials the tangles give: on bq1, condition (ii) as A^2 + AB delta +
-    # B^2 = 0 holds symbolically, and A^2 B^2 = w^4 does not
+def test_passthrough_evaluator_reads_any_identity(br_gen):
+    # the one evaluator sums any monomials over [A, B, delta, w], not only
+    # the binomials the tangles give: on bq1, condition (ii) as A^2 + AB delta
+    # + B^2 = 0 holds symbolically, and A^2 B^2 = w^4 does not.  It reads the
+    # same on the raw vector, which begins with those entries
     ring, A, B = br_gen.ring, *br_gen.raw_tables
+    base = [*A, *B, br_gen.raw_delta, br_gen.raw_w]
     delta_relation = (((0, 0), (0, 1, 2), (1, 1)), ())
     binomial = (((0, 0, 1, 1),), ((3, 3, 3, 3),))
     swapped = delta_relation[::-1]
     for table, witness in (([delta_relation, swapped], None),
                            ([delta_relation, binomial], binomial),
                            ([binomial, delta_relation], binomial)):
-        monkeypatch.setattr(brmod, "passthrough_identities", lambda bq, table=table: table)
-        assert brmod.passthrough_witness(br_gen.bq, ring, A, B) == witness
+        assert brmod.failing_identity(table, base, ring) == witness
+        assert brmod.failing_identity(table, br_gen.raw, ring) == witness
+    assert brmod.passthrough_witness(br_gen.bq, ring, A, B) == brmod.failing_identity(
+        brmod.passthrough_identities(br_gen.bq), base, ring)
     assert brmod.identity_text(1, delta_relation) == \
         "A[1,1]^2 + A[1,1] B[1,1] delta + B[1,1]^2 = 0"
     assert brmod.identity_text(1, binomial) == "A[1,1]^2 B[1,1]^2 = w^4"

@@ -364,6 +364,38 @@ def test_compiled_equations_hold_where_the_statement_does(spec):
                                  or equations_hold([*A, *B, delta, 1], 7, [equation]))
 
 
+@pytest.mark.parametrize("spec, modulus", [("bq2", 7), ("bq3", 4), ("bq3", 5)])
+def test_compiled_triples_are_identities_over_the_base_entries(spec, modulus):
+    """The key of each compiled triple equation is an identity lhs = rhs
+    over the base entries [*A, *B, delta, w] that begin a bracket's raw
+    vector, and the one identity evaluator agrees with equations_hold on
+    it, equation by equation: on every searched bracket, and on seeded
+    random unit tables with delta any residue."""
+    bq = _spec_biquandle(spec)
+    n, N = bq.n, bq.n * bq.n
+    base = [brmod.raw_slot(n, t, 1, divmod(i, n)) for t in "AB" for i in range(N)]
+    assert base + [brmod.raw_slot(n, "delta"), brmod.raw_slot(n, "w")] == list(range(2 * N + 2))
+    keyed = {}
+    for _witness, slots in triple_slots(bq):
+        for tag, *_sides in TRIPLE_EQUATIONS:
+            key, equation = brmod._compile_equation(N, slots, tag)
+            if equation is not None:
+                keyed.setdefault(key, equation)
+    assert list(keyed.values()) == list(compiled_triples(bq))
+    ring = ModRing(modulus)
+    units = [u for u in range(1, modulus) if gcd(u, modulus) == 1]
+    rng = random.Random(f"{spec}/Z{modulus}")
+    tables = [(*beta.raw_tables, beta.raw_delta) for beta, _cls in search_brackets(bq, modulus)]
+    tables += [([rng.choice(units) for _ in range(N)], [rng.choice(units) for _ in range(N)],
+                rng.randrange(modulus)) for _ in range(1000)]
+    for A, B, delta in tables:
+        values = [*A, *B, delta, rng.choice(units)]      # no triple reads w
+        T = [*A, *B, delta, 1]
+        for key, equation in keyed.items():
+            assert ((brmod.failing_identity([key], values, ring) is None)
+                    == equations_hold(T, modulus, [equation]))
+
+
 @functools.cache
 def _compiled_case(spec: str, modulus: int):
     """(biquandle, units, delta -> unit pairs, flat tables of every bracket)."""

@@ -16,7 +16,7 @@ from tracebracket.coloring import enumerate_colorings
 from tracebracket.diagram import (OrientedDiagram, diagram, hopf_pos, join_ends,
                                   switch_crossing, trefoil_pos, trefoil_rii, unknot0,
                                   unknot_kink, writhe_counts)
-from tracebracket.rings import ModRing
+from tracebracket.rings import ModElement, ModRing
 from tracebracket.search import search_brackets
 from tracebracket.trace import (MultiComponentCrossingError, NotRIReducibleError,
                                 TraceDiagram, all_moves,
@@ -688,9 +688,9 @@ def test_compiled_moves_match_reference_on_searched(request, spec, n):
 # newlines in all_moves() order: a change to how the moves compile, or to
 # the raw-vector slots their monomials name, shows here
 COMPILED_DIGESTS = {
-    "bq1": "28979f219975918b31036fc49b847ee521ba4dae765bc7336f096cfe8f63d973",
-    "bq2": "8eb5e132e9ab7c80eb0fff6e230852ed6de939624461d0e365a2d818ec795965",
-    "bq3": "6c1db35f1740250a17f7c104460447bb3eeef368056045315d98196396f188d6",
+    "bq1": "0d51a22ac48c60566b1820b30fad8672ce0655f885daa4310cd77b1ec3d41e4d",
+    "bq2": "e7f706d5c16b04b1e4d9ac87e629370c9a86378ca8188f58e92410f20dbdd6b6",
+    "bq3": "8efa3294b8aff2cc1194758dadacf72d6ebb3c72d15513d91fb4d82c1380200a",
 }
 
 
@@ -734,6 +734,22 @@ def test_family_verdicts_on_searched(request, spec, n):
     assert len(assert_families_are_their_moves(cases)) > 1
 
 
+def test_move_checks_build_no_ring_element(bq2, monkeypatch):
+    # the family verdicts and single-move checks sum the raw ints of each
+    # searched bq2/Z5 bracket and build no ring element for it
+    cases = [beta for beta, _cls in search_brackets(bq2, 5)]
+    made = []
+    init = ModElement.__init__
+    monkeypatch.setattr(ModElement, "__init__",
+                        lambda self, ring, value: made.append(value) or init(self, ring, value))
+    for beta in cases:
+        diagrammatic_adequacy(bq2, beta)
+        diagrammatic_passthrough(bq2, beta)
+        for move in all_moves():
+            trace_move_fixture_check(bq2, beta, move.move_id)
+    assert len(cases) == 256 and made == []
+
+
 def test_family_table_is_the_union_of_its_eight_moves(bq1, bq2, bq3, a312):
     # the moves come from slide_moves() and passthrough_moves(), not from
     # the move-id rule _family_table uses
@@ -769,21 +785,21 @@ def test_compiled_identities_are_cancelled(bq1, bq2, bq3, a312):
 
 
 def test_cancel_keeps_delta_and_clears_inverses():
-    # on one color the keys are A 0, B 2, delta 4 and w 5:
+    # on one color the keys are A 0, B 1, delta 2 and w 3:
     # A delta - B^-1 delta w = B^-1 (A B delta - delta w)
-    assert (_cancel_units({((0, 1), (4, 1)): 1, ((2, -1), (4, 1), (5, 1)): -1}, 4)
-            == (((0, 2, 4),), ((4, 5),)))
+    assert (_cancel_units({((0, 1), (2, 1)): 1, ((1, -1), (2, 1), (3, 1)): -1}, 2)
+            == (((0, 1, 2),), ((2, 3),)))
     # -w^-1 A + w^-1 delta A^2 = -(w^-1 A) (1 - delta A)
-    assert (_cancel_units({((0, 1), (5, -1)): -1, ((0, 2), (4, 1), (5, -1)): 1}, 4)
-            == (((),), ((0, 4),)))
+    assert (_cancel_units({((0, 1), (3, -1)): -1, ((0, 2), (2, 1), (3, -1)): 1}, 2)
+            == (((),), ((0, 2),)))
     # delta divides both terms and stays; a count of 2 is two copies
-    assert (_cancel_units({((0, 1), (4, 1)): 2, ((2, 1), (4, 1)): -1}, 4)
-            == (((0, 4), (0, 4)), ((2, 4),)))
+    assert (_cancel_units({((0, 1), (2, 1)): 2, ((1, 1), (2, 1)): -1}, 2)
+            == (((0, 2), (0, 2)), ((1, 2),)))
 
 
-# (key, exponent) pairs over the one-color keys A 0, B 2, delta 4 and w 5
+# (key, exponent) pairs over the one-color keys A 0, B 1, delta 2 and w 3
 EXPONENTS = st.tuples(*(st.integers(0, 2),) * 4).map(
-    lambda exps: tuple((key, e) for key, e in zip((0, 2, 4, 5), exps) if e))
+    lambda exps: tuple((key, e) for key, e in zip((0, 1, 2, 3), exps) if e))
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -794,17 +810,17 @@ def test_cancelled_identities_keep_delta(reduced, unit, sign):
     # a sum with no unit key common to all of its terms, times any unit
     # monomial and either sign, cancels to that sum: delta is kept in every
     # term, and the terms counting up and down land on opposite sides
-    assume(not set.intersection(*({key for key, _ in m} for m in reduced)) - {4})
+    assume(not set.intersection(*({key for key, _ in m} for m in reduced)) - {2})
     scaled = {}
     for m, count in reduced.items():
         exps = dict(m)
-        for key, e in zip((0, 2, 5), unit):
+        for key, e in zip((0, 1, 3), unit):
             exps[key] = exps.get(key, 0) + e
         scaled[tuple(sorted((key, e) for key, e in exps.items() if e))] = sign * count
     sides = ([], [])
     for m, count in reduced.items():
         sides[count < 0].extend([tuple(key for key, e in m for _ in range(e))] * abs(count))
-    assert _cancel_units(scaled, 4) == tuple(sorted(tuple(sorted(side)) for side in sides))
+    assert _cancel_units(scaled, 2) == tuple(sorted(tuple(sorted(side)) for side in sides))
 
 
 def test_passthrough_tables_are_binomials(bq1, bq2, bq3, a312):
@@ -845,9 +861,10 @@ def test_passthrough_witness_reads_off_diagonal_entries(bq2):
     for seeds in ((0, 0, 0), (1, 1, 1)):
         identities = _seed_identities(bq2, move, seeds)
         assert len(identities) == 4
-        # raw-vector indices below 16 are the A, A^-1, B, B^-1 tables
-        assert {i % 4 for identity in identities for side in identity for monomial in side
-                for i in monomial if i < 16} == {1, 2}
+        read = {i for identity in identities for side in identity for monomial in side
+                for i in monomial}
+        assert {pair for k in "AB" for pair in itertools.product(range(2), repeat=2)
+                if raw_slot(2, k, 1, pair) in read} == {(0, 1), (1, 0)}
 
 
 def test_move_catalog_counts():
