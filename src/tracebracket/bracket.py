@@ -10,23 +10,26 @@ subject to three conditions:
   (iii) five product equations over all triples (x, y, z).
 
 The five equations of (iii) are stated once, as the table of monomials
-``TRIPLE_EQUATIONS``.  ``check_tables`` evaluates that table at every
-triple and reports each violation, and ``compiled_triples`` compiles it
-once per biquandle, for the search over Z_n: index tuples over
-T = A + B + [delta, 1], with identities and repeats dropped and the common
-unit factors of the binomials cancelled, which ``equations_hold`` checks on
-plain ints.  Conditions (i)-(iii), the adequacy chains and the
-pass-through condition have one body each (``check_tables``,
-``over_under_witnesses``, ``passthrough_witness``), run on flat tables of
-raw ring values: plain ints over Z_n, reduced only when compared, and the
-elements themselves over the Laurent ring.  The pass-through condition is
-stated nowhere else: it is the identities lhs = rhs that the eight
-pass-through trace moves compile to (``passthrough_identities``, from
-``trace``), checked in order until the first one fails.  Every compiled
+``TRIPLE_EQUATIONS``, and compiled once per biquandle into one table: an
+identity lhs = rhs per equation and triple, nothing cancelled
+(``_triple_table``).  ``check_tables`` sums both sides of every row and
+reports each that fails.  ``compiled_triples`` reads the search's index
+tuples over T = A + B + [delta, 1] off the same rows, with the common unit
+factors of the binomials cancelled and identities and repeats dropped, and
+``equations_hold`` checks those on plain ints.  Conditions (i)-(iii), the
+adequacy chains and the pass-through condition have one body each
+(``check_tables``, ``over_under_witnesses``, ``passthrough_witness``), run
+on flat tables of raw ring values: plain ints over Z_n, reduced only when
+compared, and the elements themselves over the Laurent ring.  The
+pass-through condition is stated nowhere else: it is the identities
+lhs = rhs that the eight pass-through trace moves compile to
+(``passthrough_identities``, from ``trace``), checked in order until the
+first one fails.  Every compiled
 identity (type ``Identity``) indexes the base entries [*A, *B, delta, w],
-which begin a bracket's raw vector, and one evaluator,
-:func:`failing_identity`, checks them all: on [*A, *B, delta, w] of flat
-tables here, and on the raw vector in ``trace``.
+which begin a bracket's raw vector, and one evaluator sums them all
+(``_failures``, behind :func:`failing_identity` and ``check_tables``): on
+[*A, *B, delta, w] of flat tables here, and on the raw vector in
+``trace``.
 
 The state sum of a colored diagram smooths every crossing both ways,
 weights each state by its coefficients and by delta per resulting circle,
@@ -53,8 +56,8 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import isqrt, prod
-from typing import List, Optional, Sequence, Tuple
+from math import isqrt
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .biquandle import Biquandle, content_lines, parse_int
 from .coloring import enumerate_colorings, positive_frame, validate_coloring
@@ -168,8 +171,8 @@ def triple_slots(bq: Biquandle) -> Tuple[Tuple[Tuple[int, int, int], Tuple[int, 
 # sum of monomials.  A monomial is a word naming the table, A or B, read at
 # each of its side's three slot roles from :func:`triple_slots` (l1 l2 l3
 # on the left, r1 r2 r3 on the right); a leading "d" multiplies it by delta.
-# ``check_tables`` evaluates this table and :func:`compiled_triples`
-# compiles it.
+# :func:`_triple_table` compiles it, once per biquandle, and
+# ``check_tables`` and :func:`compiled_triples` read that table.
 TRIPLE_EQUATIONS = (
     ("triple1", ("AAA",), ("AAA",)),
     ("triple2", ("ABB",), ("BBA",)),
@@ -179,90 +182,73 @@ TRIPLE_EQUATIONS = (
 )
 
 
-def _terms(words):
-    """A side of :data:`TRIPLE_EQUATIONS` as (delta divides it, table at
-    each of the three roles) per monomial, a table being 0 for A, 1 for B."""
-    return tuple((word[0] == "d", *("AB".index(t) for t in word[-3:])) for word in words)
+@lru_cache(maxsize=64)
+def _triple_table(bq: Biquandle) -> Tuple[Tuple[str, Tuple[int, int, int], Identity], ...]:
+    """Condition (iii) at every triple, in the order of :func:`triple_slots`
+    and of the statement: (tag, triple, identity), the identity over the
+    base entries [*A, *B, delta, w] with the statement's sides in order,
+    each a sorted tuple of sorted monomials, and nothing cancelled."""
+    N = bq.n * bq.n
 
+    def side(words, cells):
+        return tuple(sorted(tuple(sorted([2 * N] * (word[0] == "d")
+                                         + [N * "AB".index(t) + i
+                                            for t, i in zip(word[-3:], cells)]))
+                            for word in words))
 
-_TERMS = {tag: (_terms(lhs), _terms(rhs)) for tag, lhs, rhs in TRIPLE_EQUATIONS}
-
-
-def _side_value(tables, delta, x, y, z, terms):
-    total = None
-    for has_delta, p, q, r in terms:
-        value = tables[p][x] * tables[q][y] * tables[r][z]
-        if has_delta:
-            value = delta * value
-        total = value if total is None else total + value
-    return total
-
-
-def _triple_equations(A, B, delta, slots):
-    """The five equations of :data:`TRIPLE_EQUATIONS` at one triple over
-    flat tables, ``slots`` being its index tuple from
-    :func:`triple_slots`; yields (tag, lhs, rhs)."""
-    tables = (A, B)
-    l1, l2, l3, r1, r2, r3 = slots[:6]
-    for tag, (lhs, rhs) in _TERMS.items():
-        yield (tag, _side_value(tables, delta, l1, l2, l3, lhs),
-               _side_value(tables, delta, r1, r2, r3, rhs))
-
-
-# triple4 and triple5 both read A[m1]A[m2]B[m3] = P(p1, p2, p3), where
-# P(x, y, z) = A[x](B[y]A[z] + A[y]B[z] + delta B[y]B[z]) + B[x]B[y]B[z];
-# the slot roles (m1, m2, m3, p1, p2, p3) of each.  A test checks this
-# layout against the statement.
-_FOUR_TERM_ROLES = {"triple4": (0, 1, 2, 3, 4, 5), "triple5": (5, 4, 3, 2, 1, 0)}
+    return tuple((tag, witness, (side(lhs, slots[:3]), side(rhs, slots[3:6])))
+                 for witness, slots in triple_slots(bq) for tag, lhs, rhs in TRIPLE_EQUATIONS)
 
 
 @lru_cache(maxsize=64)
 def compiled_triples(bq: Biquandle) -> Tuple[Tuple[int, ...], ...]:
-    """The triple equations of :data:`TRIPLE_EQUATIONS` at every triple,
-    compiled for Z_n to index tuples over T = A + B + [delta, 1] (flat
-    tables, so B[i] is T[n*n + i]), as :func:`equations_hold` reads them;
-    see :func:`_compile_equation`.  Identities and exact repeats, of either
+    """The triple equations of :func:`_triple_table`, compiled for the
+    search over Z_n to index tuples over T = A + B + [delta, 1], as
+    :func:`equations_hold` reads them (see :func:`_search_tuple`).  A
+    binomial has the factors its sides share cancelled, which is sound only
+    when every entry is a unit.  Identities and exact repeats, of either
     side order, are dropped."""
-    seen = set()
-    out: List[Tuple[int, ...]] = []
-    for _witness, slots in triple_slots(bq):
-        for tag in _TERMS:
-            key, equation = _compile_equation(bq.n * bq.n, slots, tag)
-            if equation is not None and key not in seen:
-                seen.add(key)
-                out.append(equation)
-    return tuple(out)
+    first = {}
+    for _tag, _witness, identity in _triple_table(bq):
+        lhs, rhs = identity = _cancel_binomial(identity)
+        if lhs != rhs:
+            first.setdefault(tuple(sorted(identity)), identity)
+    one = 2 * bq.n * bq.n + 1
+    return tuple(_search_tuple(identity, one) for identity in first.values())
 
 
-def _compile_equation(N: int, slots, tag: str):
-    """The statement's equation ``tag`` at one triple's ``slots``, over
-    tables of N entries: (key, equation).  The key is its canonical form,
-    both sides as sorted monomials of T indices, in sorted order.
+def _cancel_binomial(identity: Identity) -> Identity:
+    """A binomial with the factors its two monomials share cancelled; any
+    other identity as it is."""
+    lhs, rhs = identity
+    if len(lhs) != 1 or len(rhs) != 1:
+        return identity
+    common = Counter(lhs[0]) & Counter(rhs[0])
+    return tuple((tuple(sorted((Counter(m) - common).elements())),) for (m,) in identity)
 
-    A binomial (triple1-3) has the factors its sides share cancelled, which
-    is sound only when every entry is a unit.  What is left of each side is
-    padded with the index of 1 to three factors, giving a 6-tuple
-    (a, b, c, x, y, z): T[a]T[b]T[c] = T[x]T[y]T[z].  It is None, an
-    identity, when nothing is left.  triple4 and triple5 become 9-tuples
-    (a, b, c, x1, y1, x2, y2, x3, y3):
-    T[a]T[b]T[c] = T[x1](T[y2]T[x3] + T[x2]T[y3] + delta T[y2]T[y3]) + T[y1]T[y2]T[y3].
-    """
-    lhs, rhs = _TERMS[tag]
-    sides = [tuple(sorted(tuple(sorted([2 * N] * has_delta
-                                       + [t * N + i for t, i in zip(tables, cells)]))
-                          for has_delta, *tables in terms))
-             for terms, cells in ((lhs, slots[:3]), (rhs, slots[3:6]))]
+
+def _search_tuple(identity: Identity, one: int) -> Tuple[int, ...]:
+    """A compiled triple equation as the tuple :func:`equations_hold`
+    reads, ``one`` being the index of 1 in T.  A binomial becomes the
+    6-tuple (a, b, c, x, y, z), T[a]T[b]T[c] = T[x]T[y]T[z], each side
+    padded with ``one`` to three factors.  A four-term equation m = P
+    becomes the 9-tuple (a, b, c, x1, y1, x2, y2, x3, y3),
+    T[a]T[b]T[c] = T[x1](T[y2]T[x3] + T[x2]T[y3] + delta T[y2]T[y3]) + T[y1]T[y2]T[y3],
+    read off P's monomials: the delta one gives x1, y2 and y3, the one that
+    lacks x1 (all B) gives y1, and of the other two, the one with y2 gives
+    x3 and the one with y3 gives x2."""
+    lhs, rhs = identity
     if len(lhs) == len(rhs) == 1:
-        common = Counter(sides[0][0]) & Counter(sides[1][0])
-        sides = [(tuple(sorted((Counter(m) - common).elements())),) for (m,) in sides]
-        key = tuple(sorted(sides))
-        if sides[0] == sides[1]:
-            return key, None
-        return key, tuple(itertools.chain.from_iterable(m + (2 * N + 1,) * (3 - len(m))
-                                                        for (m,) in sides))
-    m1, m2, m3, *p = (slots[role] for role in _FOUR_TERM_ROLES[tag])
-    return (tuple(sorted(sides)),
-            (m1, m2, N + m3, *itertools.chain.from_iterable((i, N + i) for i in p)))
+        return tuple(i for (m,) in identity for i in m + (one,) * (3 - len(m)))
+    (m,), p = sorted(identity, key=len)
+    [(x1, y2, y3, _delta)] = [t for t in p if len(t) == 4]
+    [all_b] = [t for t in p if len(t) == 3 and x1 not in t]
+    [y1] = (Counter(all_b) - Counter((y2, y3))).elements()
+    # the other two are x1 T[a] T[y], sorted with the A entries first: as
+    # (y, a), the one with y2 sorts first (y2 <= y3)
+    (_, x3), (_, x2) = sorted((t[2], t[1] if t[0] == x1 else t[0])
+                              for t in p if len(t) == 3 and x1 in t)
+    return (*m, x1, y1, x2, y2, x3, y3)
 
 
 def equations_hold(T, modulus: int, equations) -> bool:
@@ -314,9 +300,10 @@ def pair_w(ring, a, b):
     return -(a * a * ring.inv(b))
 
 
-def check_tables(bq: Biquandle, ring, A, B, triples):
+def check_tables(bq: Biquandle, ring, A, B):
     """Conditions (i)-(iii) on flat tables of raw ring values, A[x*n + y]
-    (see ``ModRing.raw``), with ``triples`` from :func:`triple_slots`.
+    (see ``ModRing.raw``), condition (iii) as the rows of
+    :func:`_triple_table`.
 
     Returns (violations, delta, w), delta and w raw; the violations hold
     ring elements.  This is the one body behind :func:`verify_bracket`, and
@@ -345,10 +332,11 @@ def check_tables(bq: Biquandle, ring, A, B, triples):
         if not same(wx, w):
             bad.append(BracketViolation("w", (x,), wrap(wx), wrap(w)))
 
-    for witness, slots in triples:
-        for tag, lhs, rhs in _triple_equations(A, B, delta, slots):
-            if not same(lhs, rhs):
-                bad.append(BracketViolation(tag, witness, wrap(lhs), wrap(rhs)))
+    table = _triple_table(bq)
+    for k, lhs, rhs in _failures((identity for _tag, _witness, identity in table),
+                                 [*A, *B, delta, w], ring):
+        tag, witness, _identity = table[k]
+        bad.append(BracketViolation(tag, witness, wrap(lhs), wrap(rhs)))
     return bad, delta, w
 
 
@@ -361,7 +349,7 @@ def verify_bracket(bq: Biquandle, ring, A_table, B_table) -> BracketVerification
     if len(A_table) != n or len(B_table) != n or any(len(r) != n for r in [*A_table, *B_table]):
         raise ValueError(f"coefficient tables must be {n}x{n}")
     A, B = ([ring.raw(e) for row in table for e in row] for table in (A_table, B_table))
-    bad, delta, w = check_tables(bq, ring, A, B, triple_slots(bq))
+    bad, delta, w = check_tables(bq, ring, A, B)
     if bad:
         return BracketVerification(None, tuple(bad))
     delta, w = (ring.raw(ring.wrap(v)) for v in (delta, w))      # reduced
@@ -517,13 +505,9 @@ class AdequacyClass:
 
 def classify_adequacy(beta: BiquandleBracket) -> AdequacyClass:
     """Check the over- and under-adequacy chains for all triples and the
-    pass-through condition."""
-    return classify_tables(beta.bq, beta.ring, *beta.raw_tables, triple_slots(beta.bq))
-
-
-def classify_tables(bq: Biquandle, ring, A, B, triples) -> AdequacyClass:
-    """:func:`classify_adequacy` on flat raw tables, as in :func:`check_tables`."""
-    return AdequacyClass(*over_under_witnesses(ring, A, B, triples),
+    pass-through condition, on the bracket's flat raw tables."""
+    bq, ring, (A, B) = beta.bq, beta.ring, beta.raw_tables
+    return AdequacyClass(*over_under_witnesses(ring, A, B, triple_slots(bq)),
                          passthrough_witness(bq, ring, A, B))
 
 
@@ -562,23 +546,38 @@ def over_under_witnesses(ring, A, B, triples):
 Identity = Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]
 
 
-def failing_identity(identities: Sequence[Identity], values: Sequence,
-                     ring) -> Optional[Identity]:
-    """The first identity whose two sides sum to different values, each
-    monomial the product of ``values`` at its indices, or None.  ``values``
-    holds raw ring values and begins with the base entries: a bracket's raw
-    vector, or [*A, *B, delta, w] of flat tables."""
-    get = values.__getitem__
+def _failures(identities: Iterable[Identity], values: Sequence, ring):
+    """Yield (k, lhs, rhs) for each identity, the k-th, whose two sides sum
+    to different values lhs and rhs, each monomial the product of
+    ``values`` at its indices.  ``values`` holds raw ring values and begins
+    with the base entries: a bracket's raw vector, or [*A, *B, delta, w] of
+    flat tables."""
     one = values[0] ** 0                        # 1 as a raw value
     zero, same = one - one, ring.same
-    for lhs, rhs in identities:
+    # every compiled monomial has one to four factors, which a plain loop
+    # multiplies faster than prod(map(...)) does
+    for k, (lhs, rhs) in enumerate(identities):
         left = right = zero
         for m in lhs:
-            left += prod(map(get, m), start=one)
+            term = one
+            for i in m:
+                term *= values[i]
+            left += term
         for m in rhs:
-            right += prod(map(get, m), start=one)
+            term = one
+            for i in m:
+                term *= values[i]
+            right += term
         if not same(left, right):
-            return lhs, rhs
+            yield k, left, right
+
+
+def failing_identity(identities: Sequence[Identity], values: Sequence,
+                     ring) -> Optional[Identity]:
+    """The first identity whose two sides sum to different values on
+    ``values`` (see :func:`_failures`), or None."""
+    for k, _lhs, _rhs in _failures(identities, values, ring):
+        return identities[k]
     return None
 
 

@@ -6,11 +6,13 @@ pair by pair.  For a fixed delta, the B entry over a chosen unit A is
 restricted to the unit roots of B^2 + delta*A*B + A^2 = 0 (equivalent to
 the delta condition for that pair).  Slots are placed greedily, each next
 the one that completes the most triples.  The pruning reads the triple
-equations as ``bracket.compiled_triples`` gives them, once per biquandle:
-identities and repeats dropped, and the common unit factors of the
-binomials cancelled (every value the walk places is a unit).  Each compiled
-equation is checked as soon as the last slot it reads is filled, so a
-cancelled binomial prunes before its whole triple is placed.
+equations as ``bracket.compiled_triples`` gives them: read off the one
+table of triple identities per biquandle that ``check_tables`` also
+evaluates, with identities and repeats dropped and the common unit
+factors of the binomials cancelled (every value the walk places is a
+unit).  Each compiled equation is checked as soon as the last slot it
+reads is filled, so a cancelled binomial prunes before its whole triple
+is placed.
 
 Scaling (A, B) -> (l*A, l*B) by a unit l keeps delta, the homogeneous
 triple equations and the homogeneous over/under chains, and sends w to l*w,
@@ -122,8 +124,8 @@ def _orbit_representatives(ring: ModRing, n: int, slots: List[int], ready_at,
             stack.extend((k + 1, a, b, w) for a, b in reversed(pair_choices))
 
 
-def _unsound(bq: Biquandle, ring: ModRing, A, B, triples) -> RuntimeError:
-    bad = check_tables(bq, ring, A, B, triples)[0]
+def _unsound(bq: Biquandle, ring: ModRing, A, B) -> RuntimeError:
+    bad = check_tables(bq, ring, A, B)[0]
     n = bq.n
     A_rows, B_rows = ([t[x * n:(x + 1) * n] for x in range(n)] for t in (A, B))
     return RuntimeError(f"search pruning let through A={A_rows} B={B_rows} "
@@ -167,7 +169,7 @@ def search_brackets(bq: Biquandle, modulus: int,
             A, B = T[:cells], T[cells:2 * cells]
             verdict = conditions_hold(ring, A, B, equations)
             if verdict is None:             # unreachable while the pruning is sound
-                raise _unsound(bq, ring, A, B, triples)
+                raise _unsound(bq, ring, A, B)
             w = verdict[1]
             cls = classify_adequacy(BiquandleBracket(bq, ring, A, B, delta, w))
             if classification not in (None, "any") and cls.label() != classification:

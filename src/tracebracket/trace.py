@@ -204,11 +204,6 @@ class TraceDiagram:
             left += stack[lo:hi + 1]
         return frozenset(left)
 
-    @property
-    def kink_reducible(self) -> bool:
-        """Can the trace-deleted diagram be unknotted by kink removal alone?"""
-        return not self.kink_leftover
-
 
 def from_colored_diagram(d: OrientedDiagram, bq: Biquandle,
                          coloring: Sequence[int]) -> TraceDiagram:
@@ -327,7 +322,7 @@ def ri_reducible(td: TraceDiagram) -> bool:
     """Can the trace-deleted diagram be unknotted by kink removal alone?
     True when kink removal leaves no crossing: ``TraceDiagram.kink_leftover``,
     computed once per diagram."""
-    return td.kink_reducible
+    return not td.kink_leftover
 
 
 def evaluate_by_parity(td: TraceDiagram, beta: BiquandleBracket):
@@ -345,7 +340,7 @@ def evaluate_by_parity(td: TraceDiagram, beta: BiquandleBracket):
         if par == "multi":
             raise MultiComponentCrossingError(f"crossing {cid} is multi-component")
         parities.append((td.nodes[cid], par))
-    if not td.kink_reducible:
+    if td.kink_leftover:
         raise NotRIReducibleError("trace-deleted diagram is not kink-reducible")
 
     n, raw = beta.bq.n, beta.raw
@@ -473,16 +468,6 @@ def _build_moves() -> Dict[str, TraceMove]:
 
 
 _MOVES = _build_moves()
-
-
-def slide_moves() -> List[TraceMove]:
-    """The 16 oriented over/under trace moves."""
-    return [m for m in _MOVES.values() if not m.monochromatic_only]
-
-
-def passthrough_moves() -> List[TraceMove]:
-    """The 8 oriented monochromatic pass-through moves."""
-    return [m for m in _MOVES.values() if m.monochromatic_only]
 
 
 def all_moves() -> List[TraceMove]:

@@ -6,7 +6,10 @@ compares the names its imports bind with the names it reads.  A package's
 ``__init__.py`` is skipped: its imports are the package's public names.
 The private-name scan collects the names with one leading underscore that
 each module of ``src/`` binds at its top level, and looks for a read of
-each in ``src/``, so a helper that nothing calls any more shows up.
+each in ``src/``, so a helper that nothing calls any more shows up.  The
+public-name scan does the same for the other top-level names, which may
+also be read by the benchmark under ``perfbench/`` or be the package's
+own names, bound in ``tracebracket/__init__``.
 """
 import ast
 import importlib
@@ -50,9 +53,9 @@ def test_no_unused_imports():
 
 
 
-def private_definitions(source: str):
-    """The names with one leading underscore that a module binds at its top
-    level: functions, classes and assignment targets."""
+def definitions(source: str):
+    """The names a module binds at its top level: functions, classes and
+    assignment targets."""
     names = set()
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -60,7 +63,14 @@ def private_definitions(source: str):
         elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
-    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+    return names
+
+
+def private_definitions(source: str):
+    """The names with one leading underscore that a module binds at its top
+    level."""
+    return {name for name in definitions(source)
+            if name.startswith("_") and not name.startswith("__")}
 
 
 def names_read(source: str):
@@ -88,6 +98,7 @@ def test_private_names_are_read():
     defined = set().union(*map(private_definitions, sources))
     assert len(defined) > 20
     assert sorted(defined - set().union(*map(names_read, sources))) == []
+
 
 def benchmark_surface():
     """(module, name) of everything the benchmark under ``perfbench/`` reads
@@ -128,3 +139,24 @@ def test_benchmark_surface_resolves():
     missing = [f"{module}.{name}" for module, name in sorted(traced | used)
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def package_names():
+    """The names ``tracebracket/__init__`` binds, by import or definition:
+    the package's public names."""
+    source = (ROOT / "src" / "tracebracket" / "__init__.py").read_text()
+    return definitions(source) | {alias.asname or alias.name for node in ast.parse(source).body
+                                  if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_public_names_are_read():
+    # trace.evaluate_open is a test oracle: the open-tangle value that the
+    # compiled move checks are compared against
+    sources = [p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))]
+    defined = {name for source in sources for name in definitions(source)
+               if not name.startswith("_")}
+    assert len(defined) > 100
+    traced, used = benchmark_surface()
+    reached = (set().union(*map(names_read, sources)) | package_names()
+               | {name for _module, name in traced | used})
+    assert sorted(defined - reached) == ["evaluate_open"]

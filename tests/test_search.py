@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -11,11 +12,11 @@ from tracebracket import bracket as brmod
 from tracebracket import fixture_text, parse_biquandle
 from tracebracket import search as searchmod
 from tracebracket.biquandle import biquandle_from_spec, trivial_biquandle
-from tracebracket.bracket import (TRIPLE_EQUATIONS, check_tables, classify_adequacy,
-                                  classify_tables, compiled_triples, conditions_hold,
+from tracebracket.bracket import (TRIPLE_EQUATIONS, BiquandleBracket, check_tables,
+                                  classify_adequacy, compiled_triples, conditions_hold,
                                   equations_hold, parse_bracket, passthrough_witness,
                                   serialize_bracket, triple_slots, verify_bracket)
-from tracebracket.rings import ModRing
+from tracebracket.rings import LaurentRing, ModRing
 from tracebracket.search import (bracket_key, brute_force_brackets,
                                  search_brackets)
 
@@ -204,12 +205,12 @@ def test_every_orbit_member_verifies_and_classifies(request, spec, n):
 
 @functools.cache
 def _scaling_case(spec: str, modulus: int):
-    """(biquandle, its triples, units, flat raw tables of every bracket)."""
+    """(biquandle, units, flat raw tables of every bracket)."""
     bq = parse_biquandle(fixture_text(f"{spec}.txt"))
     brackets = [tuple([e.value for row in table for e in row] for table in (b.A, b.B))
                 for b, _ in search_brackets(bq, modulus)]
     units = [u for u in range(1, modulus) if gcd(u, modulus) == 1]
-    return bq, triple_slots(bq), units, brackets
+    return bq, units, brackets
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -222,7 +223,7 @@ def test_unit_scaling_keeps_verdicts(data):
     few entries redrawn, so that violations and witnesses fall at varied
     triples."""
     spec, modulus = data.draw(st.sampled_from([("bq2", 7), ("bq3", 5)]))
-    bq, triples, units, brackets = _scaling_case(spec, modulus)
+    bq, units, brackets = _scaling_case(spec, modulus)
     ring, cells, unit = ModRing(modulus), bq.n * bq.n, st.sampled_from(units)
     if data.draw(st.booleans()):
         A, B = (list(t) for t in data.draw(st.sampled_from(brackets)))
@@ -234,15 +235,17 @@ def test_unit_scaling_keeps_verdicts(data):
     lam = data.draw(unit)
     A_l, B_l = [lam * a % modulus for a in A], [lam * b % modulus for b in B]
 
-    bad, delta, w = check_tables(bq, ring, A, B, triples)
-    bad_l, delta_l, w_l = check_tables(bq, ring, A_l, B_l, triples)
+    bad, delta, w = check_tables(bq, ring, A, B)
+    bad_l, delta_l, w_l = check_tables(bq, ring, A_l, B_l)
     assert [(v.condition, v.witness) for v in bad_l] == [(v.condition, v.witness) for v in bad]
     for v, v_l in zip(bad, bad_l):
         factor = ring.element(lam) ** {"delta": 0, "w": 1}.get(v.condition, 3)
         assert (v_l.lhs, v_l.rhs) == (v.lhs * factor, v.rhs * factor)
     assert ring.same(delta_l, delta) and ring.same(w_l, lam * w)
 
-    cls, cls_l = (classify_tables(bq, ring, *t, triples) for t in ((A, B), (A_l, B_l)))
+    # the tables need not be a bracket: classify_adequacy reads only them
+    cls, cls_l = (classify_adequacy(BiquandleBracket(bq, ring, *t))
+                  for t in ((A, B, delta, w), (A_l, B_l, delta_l, w_l)))
     assert (cls_l.over_witness, cls_l.under_witness) == (cls.over_witness, cls.under_witness)
     assert (cls_l.over_adequate, cls_l.under_adequate) == (cls.over_adequate,
                                                            cls.under_adequate)
@@ -279,6 +282,27 @@ def test_failing_table_violations(bq2):
         "triple4 fails at (2,2,2): 2 != 6", "triple5 fails at (2,2,2): 5 != 3"]
 
 
+def test_failing_laurent_table_violations(bq2):
+    # (A, B) -> (B, A) at the pair (1,2) keeps delta and w, and breaks
+    # triple equations on both sides: each violation reads lhs != rhs
+    ring = LaurentRing()
+    A = [[ring.parse(v) for v in row] for row in (("A", "B"), ("A", "A"))]
+    B = [[ring.parse(v) for v in row] for row in (("B", "A"), ("B", "B"))]
+    check = verify_bracket(bq2, ring, A, B)
+    assert [v.describe() for v in check.violations] == [
+        "triple3 fails at (1,1,2): B^3 != A^2*B",
+        "triple4 fails at (1,1,2): A*B^2 != 2*A*B^2 - A^-1*B^4",
+        "triple5 fails at (1,1,2): A*B^2 != A^3", "triple2 fails at (1,2,1): B^3 != A^2*B",
+        "triple3 fails at (1,2,1): A^2*B != B^3", "triple2 fails at (1,2,2): B^3 != A^2*B",
+        "triple4 fails at (1,2,2): A*B^2 != 2*A*B^2 - A^-1*B^4",
+        "triple5 fails at (1,2,2): A*B^2 != A^3", "triple2 fails at (2,1,1): A^2*B != B^3",
+        "triple4 fails at (2,1,1): A^3 != A*B^2",
+        "triple5 fails at (2,1,1): 2*A*B^2 - A^-1*B^4 != A*B^2",
+        "triple2 fails at (2,1,2): A^2*B != B^3", "triple3 fails at (2,1,2): B^3 != A^2*B",
+        "triple3 fails at (2,2,1): A^2*B != B^3", "triple4 fails at (2,2,1): A^3 != A*B^2",
+        "triple5 fails at (2,2,1): 2*A*B^2 - A^-1*B^4 != A*B^2"]
+
+
 @pytest.mark.parametrize("spec", ["bq2", "bq3", "a312"])
 def test_slot_order_is_greedy(request, spec):
     # each slot placed completes at least as many triples as any slot left
@@ -306,82 +330,101 @@ def _spec_biquandle(spec: str):
     return biquandle_from_spec(spec) or parse_biquandle(fixture_text(f"{spec}.txt"))
 
 
-def _polynomial(N: int, equation):
-    """A compiled equation read back as the layout ``equations_hold``
-    evaluates: both sides as sorted monomials of T indices (the index of 1
-    left out), in sorted order."""
-    one, delta = 2 * N + 1, 2 * N
-    if len(equation) == 6:
-        sides = [(tuple(sorted(i for i in side if i != one)),)
-                 for side in (equation[:3], equation[3:])]
-    else:
-        a, b, c, x1, y1, x2, y2, x3, y3 = equation
-        sides = [(tuple(sorted((a, b, c))),),
-                 tuple(sorted(tuple(sorted(m)) for m in ((x1, y2, x3), (x1, x2, y3),
-                                                         (delta, x1, y2, y3), (y1, y2, y3))))]
-    return tuple(sorted(sides))
+def _lowered(bq):
+    """Per row of the triple table, (identity, key, equation): the key is
+    the identity with the binomials' common factors cancelled and its sides
+    sorted, and the equation its search tuple, None where the cancelled
+    identity is trivial."""
+    one = 2 * bq.n * bq.n + 1
+    rows = []
+    for _tag, _witness, identity in brmod._triple_table(bq):
+        lhs, rhs = cancelled = brmod._cancel_binomial(identity)
+        rows.append((identity, tuple(sorted(cancelled)),
+                     None if lhs == rhs else brmod._search_tuple(cancelled, one)))
+    return rows
+
+
+def _keyed(bq):
+    """The first search tuple of each key that is not trivial, by key."""
+    keyed = {}
+    for _identity, key, equation in _lowered(bq):
+        if equation is not None:
+            keyed.setdefault(key, equation)
+    return keyed
+
+
+# per biquandle: how many triple equations compile, and the sha256 of the
+# repr of their keys (see _lowered), in order.  The keys are the equations
+# as polynomials, so these digests change with the statement, the table,
+# the cancelling or the order, and not with the search tuples' layout.
+COMPILED_KEYS = {
+    "bq1": (1, "5d99f99d93632145d909d9371c7c7dc67dc7687798a87c4a54a42bddb18ad920"),
+    "bq2": (11, "eb18b6dace0189861b5243cb29aa5ff1268c314ef90fc895a08b999db1f72f9a"),
+    "bq3": (63, "904b2060c2b4fdf0ca9fad4bb5e1fc539ec9e3fbffe14ee79748dc63b07f679f"),
+    "alexander(3,1,2)": (85, "daf7fa29d1390d0bdc51268854fc6e272ad9c1e7daf4aa91d00c71f46730b00f"),
+    "alexander(5,2,3)": (539, "ee9694ae0b59b87a43c85d3ee54d831a74f71ba7c8196b8d8e1a21d360c93858"),
+    "trivial(2)": (8, "ae66c0f3de0f3c0a6e65ad625c790f924d003871780549939d91cfdd4d3ffe0a"),
+    "trivial(3)": (27, "00786895640fcd58ce0f93d6e4df07dfe809c21b11efdecbcc37d2e09b0a8653"),
+}
 
 
 @pytest.mark.parametrize("spec", [spec for spec, _n in COMPILED_CASES])
 def test_compiled_triples_are_the_statement(spec):
-    """No compiled equation is an identity or a repeat, and each equation of
-    the statement at each triple is an identity or one of them."""
+    """The triple table holds each equation of the statement at each triple,
+    in order, over the base entries [*A, *B, delta]; compiled_triples is
+    its rows lowered, with the trivial ones and the repeats (of either side
+    order) dropped, in the order their keys first occur."""
     bq = _spec_biquandle(spec)
     N = bq.n * bq.n
-    compiled = [_polynomial(N, e) for e in compiled_triples(bq)]
-    assert all(lhs != rhs for lhs, rhs in compiled)
-    assert len(set(compiled)) == len(compiled)
-    reached = set()
-    for _witness, slots in triple_slots(bq):
-        for tag, *_sides in TRIPLE_EQUATIONS:
-            key, equation = brmod._compile_equation(N, slots, tag)
-            if equation is None:
-                assert key[0] == key[1]
-            else:
-                assert _polynomial(N, equation) == key
-                reached.add(key)
-    assert reached == set(compiled)
+    rows = brmod._triple_table(bq)
+    assert [(tag, witness) for tag, witness, _ in rows] == [
+        (tag, witness) for witness, _slots in triple_slots(bq) for tag, *_ in TRIPLE_EQUATIONS]
+    assert all(i <= 2 * N for _, _, identity in rows for side in identity
+               for m in side for i in m)
+    keyed = _keyed(bq)
+    assert list(keyed.values()) == list(compiled_triples(bq))
+    digest = hashlib.sha256(repr(list(keyed)).encode()).hexdigest()
+    assert (len(keyed), digest) == COMPILED_KEYS[spec]
 
 
 @pytest.mark.parametrize("spec", [spec for spec, _n in COMPILED_CASES])
 def test_compiled_equations_hold_where_the_statement_does(spec):
-    """On unit values over Z7 (delta any residue), each equation of the
-    statement holds exactly where its compiled form does, identities
-    everywhere: the cancelled binomials and the specialized triple4 and
-    triple5 layout evaluate the statement."""
+    """On seeded random units over Z7 and over the case's modulus, delta any
+    residue, each row of the triple table, uncancelled, holds under the one
+    identity evaluator exactly where its search tuple passes
+    equations_hold; a row dropped as trivial holds everywhere.  So the
+    cancelled binomials and the 9-tuples read off the four-term rows
+    evaluate the statement."""
     bq = _spec_biquandle(spec)
     N = bq.n * bq.n
     rng = random.Random(spec)
-    for _witness, slots in triple_slots(bq):
-        for tag, *_sides in TRIPLE_EQUATIONS:
-            equation = brmod._compile_equation(N, slots, tag)[1]
+    outcomes = Counter()
+    for m in sorted({7, dict(COMPILED_CASES)[spec]}):
+        ring = ModRing(m)
+        units = [u for u in range(1, m) if gcd(u, m) == 1]
+        for identity, _key, equation in _lowered(bq):
             for _ in range(12):
-                A, B = ([rng.randrange(1, 7) for _ in range(N)] for _table in "AB")
-                delta = rng.randrange(7)
-                holds = next((lhs - rhs) % 7 == 0 for t, lhs, rhs
-                             in brmod._triple_equations(A, B, delta, slots) if t == tag)
+                A, B = ([rng.choice(units) for _ in range(N)] for _table in "AB")
+                delta, w = rng.randrange(m), rng.choice(units)      # no triple reads w
+                holds = brmod.failing_identity([identity], [*A, *B, delta, w], ring) is None
                 assert holds == (equation is None
-                                 or equations_hold([*A, *B, delta, 1], 7, [equation]))
+                                 or equations_hold([*A, *B, delta, 1], m, [equation]))
+                outcomes[equation is None, holds] += 1
+    assert outcomes[False, True] and outcomes[False, False]
 
 
 @pytest.mark.parametrize("spec, modulus", [("bq2", 7), ("bq3", 4), ("bq3", 5)])
 def test_compiled_triples_are_identities_over_the_base_entries(spec, modulus):
-    """The key of each compiled triple equation is an identity lhs = rhs
-    over the base entries [*A, *B, delta, w] that begin a bracket's raw
-    vector, and the one identity evaluator agrees with equations_hold on
-    it, equation by equation: on every searched bracket, and on seeded
-    random unit tables with delta any residue."""
+    """The base entries [*A, *B, delta, w] begin a bracket's raw vector,
+    and the one identity evaluator agrees with equations_hold on each
+    compiled triple equation and its cancelled identity, equation by
+    equation: on every searched bracket, and on seeded random unit tables
+    with delta any residue."""
     bq = _spec_biquandle(spec)
     n, N = bq.n, bq.n * bq.n
     base = [brmod.raw_slot(n, t, 1, divmod(i, n)) for t in "AB" for i in range(N)]
     assert base + [brmod.raw_slot(n, "delta"), brmod.raw_slot(n, "w")] == list(range(2 * N + 2))
-    keyed = {}
-    for _witness, slots in triple_slots(bq):
-        for tag, *_sides in TRIPLE_EQUATIONS:
-            key, equation = brmod._compile_equation(N, slots, tag)
-            if equation is not None:
-                keyed.setdefault(key, equation)
-    assert list(keyed.values()) == list(compiled_triples(bq))
+    keyed = _keyed(bq)
     ring = ModRing(modulus)
     units = [u for u in range(1, modulus) if gcd(u, modulus) == 1]
     rng = random.Random(f"{spec}/Z{modulus}")
@@ -429,7 +472,7 @@ def test_compiled_conditions_agree_with_check_tables(data):
                 data.draw(st.sampled_from((A, B)))[i] = data.draw(unit)
             else:
                 A[i], B[i] = data.draw(st.sampled_from(by_delta[delta]))
-    bad, delta, w = check_tables(bq, ring, A, B, triple_slots(bq))
+    bad, delta, w = check_tables(bq, ring, A, B)
     verdict = conditions_hold(ring, A, B, compiled_triples(bq))
     assert (verdict is not None) == (not bad)
     if verdict is not None:

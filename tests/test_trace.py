@@ -25,8 +25,7 @@ from tracebracket.trace import (MultiComponentCrossingError, NotRIReducibleError
                                 evaluate_open, evaluate_recursive,
                                 evaluate_recursive_parity, from_colored_diagram,
                                 magnetic_parity, move_by_id, parse_trace_diagram,
-                                parity_applicable, passthrough_moves,
-                                replace_with_trace, ri_reducible, slide_moves,
+                                parity_applicable, replace_with_trace, ri_reducible,
                                 trace_move_fixture_check, _cancel_units, _compiled_move,
                                 _family_table, _seed_identities, _tangle_trace_diagram)
 
@@ -751,17 +750,12 @@ def test_move_checks_build_no_ring_element(bq2, monkeypatch):
 
 
 def test_family_table_is_the_union_of_its_eight_moves(bq1, bq2, bq3, a312):
-    # the moves come from slide_moves() and passthrough_moves(), not from
-    # the move-id rule _family_table uses
-    families = {"over": [m for m in slide_moves() if m.move_id.startswith("over")],
-                "under": [m for m in slide_moves() if m.move_id.startswith("under")],
-                "through": passthrough_moves()}
     for bq in (bq1, bq2, bq3, a312):
-        for family, moves in families.items():
+        for family in ("over", "under", "through"):
+            moves = family_moves(family)
             assert len(moves) == 8
-            union = {identity for move in moves
-                     for identity in _compiled_move(bq.under_table, bq.over_table,
-                                                    move.move_id)}
+            union = {identity for move_id in moves
+                     for identity in _compiled_move(bq.under_table, bq.over_table, move_id)}
             table = _family_table(bq.under_table, bq.over_table, family)
             assert len(table) == len(set(table))
             assert set(table) == union
@@ -870,10 +864,10 @@ def test_passthrough_witness_reads_off_diagonal_entries(bq2):
 def test_move_catalog_counts():
     moves = all_moves()
     assert len(moves) == 24
-    assert sum(1 for m in moves if m.move_id.startswith("over")) == 8
-    assert sum(1 for m in moves if m.move_id.startswith("under")) == 8
-    assert sum(1 for m in moves if m.move_id.startswith("through")) == 8
-    assert slide_moves() + passthrough_moves() == moves
+    families = [family_moves(family) for family in ("over", "under", "through")]
+    assert list(map(len, families)) == [8, 8, 8]
+    assert sorted(sum(families, [])) == sorted(m.move_id for m in moves)
+    assert [m.monochromatic_only for m in moves] == [m.move_id in families[2] for m in moves]
     for m in moves:
         assert move_by_id(m.move_id) is m
     with pytest.raises(KeyError, match="no_such_move"):
@@ -893,7 +887,8 @@ def test_slide_tangles_wiring():
     # S crosses c0's two output edges before the slide and its two input
     # edges after it, over both or under both; from the west it meets them in
     # the reverse order, and each of its crossings has the opposite sign
-    moves = {m.move_id: m for m in slide_moves()}
+    moves = {move_id: move_by_id(move_id) for family in ("over", "under")
+             for move_id in family_moves(family)}
     for move_id, east in moves.items():
         if not move_id.endswith("_E"):
             continue
@@ -912,7 +907,7 @@ def test_slide_tangles_wiring():
 def test_passthrough_tangles_wiring():
     # no bracket involved: c0 joined by the B smoothing, every other crossing
     # walked straight through
-    for move in passthrough_moves():
+    for move in map(move_by_id, family_moves("through")):
         pairings, s_over = [], set()
         for side in (move.before, move.after):
             rows = [dict(zip(ROLES, row[1:])) for row in side]
