@@ -21,17 +21,20 @@ crossing is walked through, an ``a`` trace continues the strand through
 u_in into o_out (and o_in into u_out), and a ``b`` trace joins its two
 inputs into a sink and its two outputs into a source.  Deleting a ``b``
 trace leaves a cap and a cup, so its ends reverse orientation along the
-curve; these are the vertices magnetic parity counts.  ``TraceDiagram.curves``
-walks each component of the trace-deleted curve once, and the circle count,
-magnetic parity and the crossings that kink removal leaves are all read off
-that walk.  The paper's stop condition, a magnetic parity at every crossing
+curve; these are the vertices magnetic parity counts.  One walker,
+``_walk``, walks each component of the trace-deleted curve once, and the
+circle count, magnetic parity and the crossings that kink removal leaves are
+all read off that walk.  The paper's stop condition, a magnetic parity at every crossing
 and kink reducibility, reduces to kink reducibility alone, so the
 parity-stop recursion expands the lowest-numbered crossing that kink
 removal leaves: expanding a kink that already comes off would leave both
 children blocked by the same crossings.  The walk follows the
 diagram's end links (``TraceDiagram.links``: each node role linked to the
-other end of its edge).  A smoothing keeps every edge, so the links are
-built once per diagram and shared by every diagram smoothed from it.
+other end of its edge) and leaves each node by the end that its kind pairs
+with the one it entered (``_leave``).  A smoothing keeps every edge and
+changes one node's kind, so the recursion keeps the root's links and, per
+expansion, patches the expanded node's four leave entries and walks again,
+building no diagram.
 
 The full state sum is one contraction (``diagram.plan_contraction`` then
 ``diagram.run_plan``) over the edge labels.  A crossing offers both
@@ -47,10 +50,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, reduce
 from operator import mul
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Sequence, Tuple
 
 from .biquandle import Biquandle, content_lines, parse_int
 from .bracket import (BiquandleBracket, Identity, coefficient_pair, crossing_coefficient_pair,
@@ -86,6 +89,76 @@ _PARTNER = {kind: _partners(pairs) for kind, pairs in _PASS.items()}
 _JOINS = {kind: role_joins(pairs) for kind, pairs in _PASS.items()}
 
 
+def _leave(kinds: Sequence[str]) -> List[int]:
+    """The end by which the walk leaves a node it entered at end e, for each
+    end e (see ``TraceDiagram.links``), of nodes of these kinds."""
+    return [4 * i + r for i, kind in enumerate(kinds) for r in _PARTNER[kind]]
+
+
+def _walk(ids: list, kinds: list, links: list, leave: list) -> List[List[Tuple[int, int]]]:
+    """Walk each component of a closed diagram's trace-deleted curve once,
+    the nodes given by their ids and kinds, their ends by ``links`` and
+    ``leave``: each component's crossing passes in walking order, each as
+    (node id, the sink/source visits made before it).  A component that
+    meets no crossing is an empty list."""
+    curves, seen = [], [False] * len(links)
+    for start in range(len(links)):
+        if not seen[start]:
+            passes, visits, here = [], 0, start
+            while not seen[here]:
+                there = links[here]
+                seen[here] = seen[there] = True
+                kind = kinds[there >> 2]
+                if kind == "x":
+                    passes.append((ids[there >> 2], visits))
+                visits += kind == "b"
+                here = leave[there]
+            curves.append(passes)
+    return curves
+
+
+def _parities(curves: list) -> Dict[int, str]:
+    """Every crossing's magnetic parity (see :func:`magnetic_parity`), from
+    one pass over the curves."""
+    parities: Dict[int, str] = {}
+    for curve in curves:
+        first: Dict[int, int] = {}
+        for cid, visits in curve:
+            if cid in first:
+                parities[cid] = "odd" if (visits - first[cid]) % 2 else "even"
+            else:
+                # "multi" stays if the crossing passes this curve only once
+                first[cid], parities[cid] = visits, "multi"
+    return parities
+
+
+def _kink_leftover(curves: list) -> FrozenSet[int]:
+    """The crossings that maximal kink removal leaves in the trace-deleted
+    diagram.
+
+    A kink is a crossing whose two passes are adjacent on a curve, and
+    removing it makes its neighbours adjacent.  So removal cancels adjacent
+    equal passes, and what is left does not depend on the order of removal:
+    push each crossing, and pop it when it comes back on top.  The walk
+    starts a curve at an arbitrary point, so the stack's two ends are
+    adjacent too, and they cancel while they are equal.  A multi-component
+    crossing passes its curve once and always stays.
+    """
+    left: List[int] = []
+    for curve in curves:
+        stack: List[int] = []
+        for cid, _ in curve:
+            if stack and stack[-1] == cid:
+                stack.pop()
+            else:
+                stack.append(cid)
+        lo, hi = 0, len(stack) - 1
+        while lo < hi and stack[lo] == stack[hi]:
+            lo, hi = lo + 1, hi - 1
+        left += stack[lo:hi + 1]
+    return frozenset(left)
+
+
 @dataclass(frozen=True)
 class Node:
     kind: str                 # "x", "a", "b"
@@ -106,8 +179,6 @@ class Node:
 class TraceDiagram:
     nodes: Dict[int, Node]
     free_circles: int = 0
-    # the links of the diagram this one was smoothed from (see ``links``)
-    given_links: Optional[List[int]] = field(default=None, compare=False, repr=False)
 
     def crossings(self) -> List[int]:
         return sorted(i for i, n in self.nodes.items() if n.kind == "x")
@@ -120,8 +191,6 @@ class TraceDiagram:
         """The end links of the edges: end 4*i + r is role ``_ROLES[r]`` of
         the i-th node in ``nodes`` order, and ``links[e]`` is the other end
         of e's edge, or -1 at a boundary edge, which only one node joins."""
-        if self.given_links is not None:
-            return self.given_links
         links = [-1] * (4 * len(self.nodes))
         first: Dict[Hashable, int] = {}
         for i, n in enumerate(self.nodes.values()):
@@ -134,75 +203,17 @@ class TraceDiagram:
 
     @cached_property
     def curves(self) -> List[List[Tuple[int, int]]]:
-        """The trace-deleted curve of a closed diagram, walked once: each
-        component's crossing passes in walking order, each with the number of
-        sink/source visits made before it.  A component that meets no
-        crossing is an empty list."""
-        links = self.links
-        if -1 in links:
+        """The trace-deleted curve of a closed diagram, walked once by
+        :func:`_walk`."""
+        if -1 in self.links:
             raise ValueError("an open tangle has no closed trace-deleted curve")
-        ids, kinds = list(self.nodes), [n.kind for n in self.nodes.values()]
-        # the end by which the walk leaves a node it entered at end e
-        leave = [4 * i + r for i, kind in enumerate(kinds) for r in _PARTNER[kind]]
-        curves, seen = [], [False] * len(links)
-        for start in range(len(links)):
-            if seen[start]:
-                continue
-            passes, visits, here = [], 0, start
-            while not seen[here]:
-                there = links[here]
-                seen[here] = seen[there] = True
-                kind = kinds[there >> 2]
-                if kind == "x":
-                    passes.append((ids[there >> 2], visits))
-                elif kind == "b":
-                    visits += 1
-                here = leave[there]
-            curves.append(passes)
-        return curves
+        kinds = [n.kind for n in self.nodes.values()]
+        return _walk(list(self.nodes), kinds, self.links, _leave(kinds))
 
-    @cached_property
-    def parities(self) -> Dict[int, str]:
-        """Every crossing's magnetic parity (see :func:`magnetic_parity`),
-        from one pass over the curves."""
-        parities: Dict[int, str] = {}
-        for curve in self.curves:
-            first: Dict[int, int] = {}
-            for cid, visits in curve:
-                if cid in first:
-                    parities[cid] = "odd" if (visits - first.pop(cid)) % 2 else "even"
-                else:
-                    first[cid] = visits
-            for cid in first:
-                parities.setdefault(cid, "multi")
-        return parities
-
-    @cached_property
-    def kink_leftover(self) -> FrozenSet[int]:
-        """The crossings that maximal kink removal leaves in the
-        trace-deleted diagram.
-
-        A kink is a crossing whose two passes are adjacent on a curve, and
-        removing it makes its neighbours adjacent.  So removal cancels
-        adjacent equal passes, and what is left does not depend on the order
-        of removal: push each crossing, and pop it when it comes back on
-        top.  The walk starts a curve at an arbitrary point, so the stack's
-        two ends are adjacent too, and they cancel while they are equal.  A
-        multi-component crossing passes its curve once and always stays.
-        """
-        left: List[int] = []
-        for curve in self.curves:
-            stack: List[int] = []
-            for cid, _ in curve:
-                if stack and stack[-1] == cid:
-                    stack.pop()
-                else:
-                    stack.append(cid)
-            lo, hi = 0, len(stack) - 1
-            while lo < hi and stack[lo] == stack[hi]:
-                lo, hi = lo + 1, hi - 1
-            left += stack[lo:hi + 1]
-        return frozenset(left)
+    # each crossing's magnetic parity, and the crossings that kink removal
+    # leaves, read off the curves (see ``_parities`` and ``_kink_leftover``)
+    parities = cached_property(lambda self: _parities(self.curves))
+    kink_leftover = cached_property(lambda self: _kink_leftover(self.curves))
 
 
 def from_colored_diagram(d: OrientedDiagram, bq: Biquandle,
@@ -222,9 +233,7 @@ def replace_with_trace(td: TraceDiagram, cid: int, kind: str) -> TraceDiagram:
         raise ValueError(f"node {cid} is not a crossing")
     if kind not in SMOOTHINGS:
         raise ValueError("kind must be 'A' or 'B'")
-    trace = Node(kind.lower(), node.sign, node.pair, node.u_in, node.o_in, node.o_out, node.u_out)
-    # a smoothing keeps every edge, so the derived diagram shares the links
-    return TraceDiagram({**td.nodes, cid: trace}, td.free_circles, td.links)
+    return TraceDiagram({**td.nodes, cid: replace(node, kind=kind.lower())}, td.free_circles)
 
 
 def _node_choices(td: TraceDiagram, n: int) -> List[list]:
@@ -255,11 +264,6 @@ def _state_sum(td: TraceDiagram, n: int, values: Sequence) -> Dict[frozenset, ob
                for choices in nodes]
     delta = values[raw_slot(n, "delta")]
     return run_plan(plan, weights, delta ** td.free_circles, delta)
-
-
-def circles_trace_deleted(td: TraceDiagram) -> int:
-    """Components of the curve system after deleting all traces."""
-    return td.free_circles + len(td.curves)
 
 
 def evaluate_recursive(td: TraceDiagram, beta: BiquandleBracket):
@@ -334,24 +338,37 @@ def evaluate_by_parity(td: TraceDiagram, beta: BiquandleBracket):
     raw slots ``raw_slot(n, kind, sign, pair)``), its weight is a + delta b
     at odd parity and delta a + b at even parity.
     """
-    parities = []
     for cid in td.crossings():
-        par = td.parities[cid]
-        if par == "multi":
+        if td.parities[cid] == "multi":
             raise MultiComponentCrossingError(f"crossing {cid} is multi-component")
-        parities.append((td.nodes[cid], par))
     if td.kink_leftover:
         raise NotRIReducibleError("trace-deleted diagram is not kink-reducible")
+    return beta.ring.wrap(_parity_value(td.parities, td.free_circles + len(td.curves),
+                                        *_parity_factors(td, beta)))
 
-    n, raw = beta.bq.n, beta.raw
-    writhe = sum(node.sign for node in td.nodes.values())
-    delta = raw[raw_slot(n, "delta")]
+
+def _parity_factors(td: TraceDiagram, beta: BiquandleBracket) -> tuple:
+    """(delta, w^(-writhe), each crossing's raw (a, b) by id): what the
+    parity weights read, the same at every diagram smoothed from ``td``, as
+    a trace keeps its crossing's sign and pair."""
+    n, raw, writhe = beta.bq.n, beta.raw, sum(node.sign for node in td.nodes.values())
+    # each crossing's (a, b), in the order of its trace kinds "a", "b"
+    ab = {cid: tuple(raw[raw_slot(n, k, node.sign, node.pair)] for k in "AB")
+          for cid, node in td.nodes.items() if node.kind == "x"}
     # w^(-writhe), a power of w or of w^-1 as raw values take no negative powers
-    value = delta ** circles_trace_deleted(td) * raw[raw_slot(n, "w", -writhe)] ** abs(writhe)
-    for node, par in parities:
-        a, b = (raw[raw_slot(n, k, node.sign, node.pair)] for k in SMOOTHINGS)
+    return raw[raw_slot(n, "delta")], raw[raw_slot(n, "w", -writhe)] ** abs(writhe), ab
+
+
+def _parity_value(parities: Dict[int, str], circles: int, delta, w_factor, ab):
+    """The unwrapped value of :func:`evaluate_by_parity` on a diagram with
+    these parities and trace-deleted circles, given its
+    :func:`_parity_factors`: the one parity weighing, which the parity-stop
+    recursion also applies at each leaf."""
+    value = delta ** circles * w_factor
+    for cid, par in parities.items():
+        a, b = ab[cid]
         value = value * (a + delta * b if par == "odd" else delta * a + b)
-    return beta.ring.wrap(value)
+    return value
 
 
 # every crossing of a kink-reducible diagram passes its own curve twice, so
@@ -361,24 +378,40 @@ parity_applicable = ri_reducible
 
 def evaluate_recursive_parity(td: TraceDiagram, beta: BiquandleBracket):
     """The recursive expansion with the parity stop: a diagram that kink
-    removal unknots is evaluated by :func:`evaluate_by_parity`, and any
-    other has its lowest-numbered crossing that kink removal leaves
+    removal unknots is weighed as :func:`evaluate_by_parity` weighs it, and
+    any other has its lowest-numbered crossing that kink removal leaves
     (``TraceDiagram.kink_leftover``) smoothed both ways.  Smoothing a kink
     that already comes off leaves its children blocked by the same
     crossings, so the expansion works on what blocks the stop; every order
-    gives the same value.  The expansion sums raw values and wraps once."""
-    return beta.ring.wrap(_expand_to_parity_stops(td, beta))
+    gives the same value.
+
+    A smoothed diagram is its parent's kind list and leave array (see
+    :func:`_leave`) with the expanded node's entries patched, walked on the
+    root's links, so no diagram is built per expansion, and the parity
+    factors are read once, at the root.  The expansion sums raw values and
+    wraps once."""
+    kinds = [node.kind for node in td.nodes.values()]
+    root = (list(td.nodes), td.links, td.free_circles, *_parity_factors(td, beta))
+    return beta.ring.wrap(_expand_to_parity_stops(root, kinds, _leave(kinds), td.curves))
 
 
-def _expand_to_parity_stops(td: TraceDiagram, beta: BiquandleBracket):
-    """The unwrapped value of :func:`evaluate_recursive_parity`."""
-    if not td.kink_leftover:
-        return beta.ring.raw(evaluate_by_parity(td, beta))
-    cid = min(td.kink_leftover)
-    node = td.nodes[cid]
-    a, b = (beta.raw[raw_slot(beta.bq.n, k, node.sign, node.pair)]
-            * _expand_to_parity_stops(replace_with_trace(td, cid, k), beta) for k in SMOOTHINGS)
-    return a + b
+def _expand_to_parity_stops(root: tuple, kinds: list, leave: list, curves: list):
+    """The unwrapped value of :func:`evaluate_recursive_parity` at the
+    diagram with these kinds, leave array and curves, smoothed from the root
+    diagram given as (ids, links, free circles, then its
+    :func:`_parity_factors`)."""
+    ids, links, free_circles, delta, w_factor, ab = root
+    left = _kink_leftover(curves)
+    if not left:
+        return _parity_value(_parities(curves), free_circles + len(curves), delta, w_factor, ab)
+    i, terms = ids.index(min(left)), []
+    # the second smoothing rewrites the entries that the first one patched
+    for kind, coefficient in zip("ab", ab[ids[i]]):
+        kinds = kinds[:i] + [kind] + kinds[i + 1:]
+        leave = leave[:4 * i] + [4 * i + r for r in _PARTNER[kind]] + leave[4 * i + 4:]
+        terms.append(coefficient * _expand_to_parity_stops(root, kinds, leave,
+                                                           _walk(ids, kinds, links, leave)))
+    return terms[0] + terms[1]
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +480,10 @@ class TraceMove:
     kind: str
     before: Tangle
     after: Tangle
-    monochromatic_only: bool = False
+    # "over", "under" or "through", the first word of the id; a pass-through
+    # ("through") move is checked only on seeds that color its trace
+    # monochromatically
+    family = property(lambda self: self.move_id.split("_")[0])
 
 
 def _build_moves() -> Dict[str, TraceMove]:
@@ -462,8 +498,7 @@ def _build_moves() -> Dict[str, TraceMove]:
     for s_over, c0_sign, s_reversed in itertools.product((True, False), (1, -1), (False, True)):
         move_id = (f"through_B_{'pos' if c0_sign > 0 else 'neg'}"
                    f"_{'over' if s_over else 'under'}_{'R' if s_reversed else 'F'}")
-        moves.append(TraceMove(move_id, "B", *_through_tangles(s_over, c0_sign, s_reversed),
-                               monochromatic_only=True))
+        moves.append(TraceMove(move_id, "B", *_through_tangles(s_over, c0_sign, s_reversed)))
     return {m.move_id: m for m in moves}
 
 
@@ -621,7 +656,7 @@ def _seed_identities(bq: Biquandle, move: TraceMove,
     sorted; [] when the two sides agree for every bracket."""
     seed_map = {"Sin": seeds[0], "Uin": seeds[1], "Vin": seeds[2]}
     before = _tangle_trace_diagram(move.before, bq, seed_map, move.kind)
-    if move.monochromatic_only:
+    if move.family == "through":
         x, y = before.nodes[0].pair
         if x != y:
             return []
@@ -652,9 +687,9 @@ def _compiled_move(under_table, over_table, move_id: str) -> Tuple[Identity, ...
 @lru_cache(maxsize=16)      # every family on five biquandles
 def _family_table(under_table, over_table, family: str) -> Tuple[Identity, ...]:
     """The identities of the family's eight moves on this biquandle, without
-    repeats: "over", "under" or "through", the first word of the move ids."""
+    repeats (see ``TraceMove.family``)."""
     return tuple(dict.fromkeys(
-        identity for move in all_moves() if move.move_id.split("_")[0] == family
+        identity for move in all_moves() if move.family == family
         for identity in _compiled_move(under_table, over_table, move.move_id)))
 
 

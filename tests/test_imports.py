@@ -9,10 +9,13 @@ each module of ``src/`` binds at its top level, and looks for a read of
 each in ``src/``, so a helper that nothing calls any more shows up.  The
 public-name scan does the same for the other top-level names, which may
 also be read by the benchmark under ``perfbench/`` or be the package's
-own names, bound in ``tracebracket/__init__``.
+own names, bound in ``tracebracket/__init__``.  The runtime-import scan
+checks that every absolute import in ``src/`` names a standard-library
+module or the package, as the package declares no runtime dependencies.
 """
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,6 +54,29 @@ def test_no_unused_imports():
              for p in modules for line, name in unused_imports(p.read_text())]
     assert found == []
 
+
+
+def absolute_imports(source: str):
+    """(line, top-level module) of each absolute import in a module."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.append((node.lineno, node.module.split(".")[0]))
+    return out
+
+
+def test_runtime_imports_are_stdlib_only():
+    # pyproject.toml declares no runtime dependencies, so src/ may import
+    # only the standard library and the package itself
+    sources = {p: p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))}
+    imported = {(p, line, module) for p, source in sources.items()
+                for line, module in absolute_imports(source)}
+    assert {module for _p, _line, module in imported} >= {"itertools", "re"}
+    found = [f"{p.relative_to(ROOT)}:{line}: {module}" for p, line, module in sorted(imported)
+             if module not in sys.stdlib_module_names and module != "tracebracket"]
+    assert found == []
 
 
 def definitions(source: str):

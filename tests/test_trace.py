@@ -20,7 +20,7 @@ from tracebracket.rings import ModElement, ModRing
 from tracebracket.search import search_brackets
 from tracebracket.trace import (MultiComponentCrossingError, NotRIReducibleError,
                                 TraceDiagram, all_moves,
-                                circles_trace_deleted, diagrammatic_adequacy,
+                                diagrammatic_adequacy,
                                 diagrammatic_passthrough, evaluate_by_parity,
                                 evaluate_open, evaluate_recursive,
                                 evaluate_recursive_parity, from_colored_diagram,
@@ -306,7 +306,7 @@ def test_crossingless_values(bq1, br_gen):
     nodes[ids[0]] = dataclasses.replace(nodes[ids[0]], sign=+1)
     nodes[ids[1]] = dataclasses.replace(nodes[ids[1]], sign=-1)
     td2 = TraceDiagram(nodes, td.free_circles)
-    k = circles_trace_deleted(td2)
+    k = td2.free_circles + len(td2.curves)
     assert td2.crossings() == []
     assert evaluate_recursive(td2, br_gen) == br_gen.delta ** k
 
@@ -317,7 +317,7 @@ def test_worked_trace_example(bq1, bq2, br_gen, br_z7):
     for bq, beta in ((bq1, br_gen), (bq2, br_z7)):
         col = enumerate_colorings(trefoil_pos(), bq)[0]
         td = replace_with_trace(from_colored_diagram(trefoil_pos(), bq, col), 0, "B")
-        assert circles_trace_deleted(td) == 1
+        assert len(td.curves) == 1
         assert [magnetic_parity(td, c) for c in td.crossings()] == ["odd", "odd"]
         assert ri_reducible(td)
         phi = evaluate_by_parity(td, beta)
@@ -371,8 +371,9 @@ def test_kink_diagram_is_reducible(bq1):
     assert ri_reducible(from_colored_diagram(nested, bq1, (0,) * 6))
 
 
-def test_parity_stop_recursion_matches(bq1, bq2, bq3, br_gen, br_z7, br_z5):
-    cases = [(bq1, br_gen), (bq2, br_z7), (bq3, br_z5[0]), (bq3, br_z5[3])]
+def test_parity_stop_recursion_matches(bq1, bq2, bq3, br_gen, br_z7, br_z5, br_z7_bq3):
+    # br_z5 has delta = 0, so its closed values are all 0; br_z7_bq3 has delta = 1
+    cases = [(bq1, br_gen), (bq2, br_z7), (bq3, br_z5[0]), (bq3, br_z5[3]), (bq3, br_z7_bq3)]
     for bq, beta in cases:
         for d in fixture_diagrams():
             for col in enumerate_colorings(d, bq):
@@ -427,7 +428,7 @@ def test_parity_total_reversals_even(bq1, bq2, br_gen):
     for extra_kind in ("A", "B"):
         td2 = replace_with_trace(td, 1, extra_kind)
         counts = reversals_per_component(td2)
-        assert len(counts) == circles_trace_deleted(td2)
+        assert len(counts) == len(td2.curves)
         assert sum(counts) == 2 * sum(1 for i in td2.traces() if td2.nodes[i].kind == "b")
         assert all(n % 2 == 0 for n in counts)
         for cid in td2.crossings():
@@ -516,18 +517,20 @@ def reference_leaves(td, first_crossing=False):
 
 def test_parity_stop_is_applied(monkeypatch, bq2, bq3, br_z7, br_z5, braid_closure):
     # the values agree whether or not the recursion stops early, so count
-    # the diagrams it hands to the parity evaluator
+    # the leaves, where the recursion reads a diagram's parities to weigh it
     import tracebracket.trace as trace_module
     leaves = []
+    parities = trace_module._parities
 
-    def counting(td, beta):
-        leaves.append(td)
-        return evaluate_by_parity(td, beta)
+    def counting(curves):
+        leaves.append(parities(curves))
+        return leaves[-1]
 
-    monkeypatch.setattr(trace_module, "evaluate_by_parity", counting)
     td, _ = parse_trace_diagram(fixture_text("trace_phi.tdg"), bq2)
+    expected = parities(td.curves)
+    monkeypatch.setattr(trace_module, "_parities", counting)
     evaluate_recursive_parity(td, br_z7)
-    assert leaves == [td]
+    assert leaves == [expected]
 
     # seeded closures that are not kink-reducible, so the root is expanded
     rng = random.Random(2029)
@@ -556,6 +559,50 @@ def test_parity_stop_is_applied(monkeypatch, bq2, bq3, br_z7, br_z5, braid_closu
     assert stopped_early and fewer_than_first_crossing
 
 
+def test_patched_walks_equal_rebuilt_diagrams(monkeypatch, bq2, bq3, br_z7, br_z7_bq3,
+                                              braid_closure):
+    # the recursion walks each diagram it visits on its parent's kind list
+    # and leave array with the expanded node patched; each walk must give
+    # what the diagram that replace_with_trace builds along the same path
+    # gives, and what the reference walks give
+    import tracebracket.trace as trace_module
+    walk, walks = trace_module._walk, []
+
+    def recording(ids, kinds, links, leave):
+        curves = walk(ids, kinds, links, leave)
+        walks.append((kinds, curves))
+        return curves
+
+    rng = random.Random(3301)
+    visited = 0
+    for bq, beta in ((bq2, br_z7), (bq3, br_z7_bq3)):
+        for _ in range(20):
+            strands = rng.randint(2, 3)
+            word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(9)]
+            d = braid_closure(word, strands)
+            td = from_colored_diagram(d, bq, rng.choice(enumerate_colorings(d, bq)))
+            for cid in rng.sample(td.crossings(), rng.randint(1, 3)):
+                td = replace_with_trace(td, cid, rng.choice("AB"))
+            td.curves       # the root's walk, before the recorder is in place
+            walks.clear()
+            monkeypatch.setattr(trace_module, "_walk", recording)
+            assert evaluate_recursive_parity(td, beta) == evaluate_recursive(td, beta)
+            monkeypatch.setattr(trace_module, "_walk", walk)
+            for kinds, curves in walks:
+                smoothed = {cid: kind for cid, kind in zip(td.nodes, kinds)
+                            if kind != td.nodes[cid].kind}
+                rebuilt = td
+                for cid in sorted(smoothed):
+                    rebuilt = replace_with_trace(rebuilt, cid, smoothed[cid].upper())
+                assert curves == rebuilt.curves
+                assert len(curves) == reference_circles(rebuilt)
+                assert trace_module._kink_leftover(curves) == reference_kink_leftover(rebuilt)
+                assert trace_module._parities(curves) == {
+                    cid: reference_parity(rebuilt, cid) for cid in rebuilt.crossings()}
+            visited += len(walks)
+    assert visited >= 200
+
+
 def reference_circles(td):
     """Trace-deleted circles by joining path ends."""
     mate = {}
@@ -577,9 +624,6 @@ def test_curve_walk_matches_reference_walks(bq1, bq2, bq3, a312, braid_closure):
             td = from_colored_diagram(d, bq, rng.choice(enumerate_colorings(d, bq)))
             for cid in rng.sample(td.crossings(), rng.randint(0, len(td.crossings()))):
                 td = replace_with_trace(td, cid, rng.choice("AB"))
-            # the walk over links shared with the unsmoothed diagram equals a
-            # walk over links built afresh
-            assert td.curves == TraceDiagram(dict(td.nodes), td.free_circles).curves
             expected = [reference_parity(td, cid) for cid in td.crossings()]
             assert [magnetic_parity(td, cid) for cid in td.crossings()] == expected
             reducible = reference_ri_reducible(td)
@@ -589,7 +633,7 @@ def test_curve_walk_matches_reference_walks(bq1, bq2, bq3, a312, braid_closure):
             # reducibility) is kink reducibility alone
             reference_applicable = "multi" not in expected and reducible
             assert reference_applicable == reducible
-            assert circles_trace_deleted(td) == reference_circles(td)
+            assert td.free_circles + len(td.curves) == reference_circles(td)
             parities += expected
             verdicts.add(reducible)
             checked += 1
@@ -599,13 +643,15 @@ def test_curve_walk_matches_reference_walks(bq1, bq2, bq3, a312, braid_closure):
 
 
 def test_recursion_matches_state_sum_and_reference_kink_removal(bq1, bq2, bq3, br_gen, br_z7,
-                                                                br_z5, braid_closure):
+                                                                br_z5, br_z7_bq3, braid_closure):
     # seeded closures of 2- to 4-strand braids with random A/B traces: the
     # crossings that kink removal leaves are the reference's, and the
     # parity-stop recursion that expands them gives the full state sum
+    # (on bq3 also with br_z7_bq3, as br_z5's delta = 0 makes every closed
+    # value 0)
     rng = random.Random(4111)
     blocked = 0
-    for bq, brackets in ((bq1, [br_gen]), (bq2, [br_z7]), (bq3, br_z5)):
+    for bq, brackets in ((bq1, [br_gen]), (bq2, [br_z7]), (bq3, br_z5 + [br_z7_bq3])):
         for _ in range(300):
             strands = rng.randint(2, 4)
             word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
@@ -650,7 +696,7 @@ def reference_move_check(bq, beta, move_id):
     for seeds in itertools.product(range(bq.n), repeat=3):
         seed_map = {"Sin": seeds[0], "Uin": seeds[1], "Vin": seeds[2]}
         td_b = _tangle_trace_diagram(move.before, bq, seed_map, move.kind)
-        if move.monochromatic_only:
+        if move.family == "through":
             x, y = td_b.nodes[0].pair
             if x != y:
                 continue
@@ -702,7 +748,7 @@ def test_compiled_identities_are_pinned(request, name):
 
 
 def family_moves(family):
-    return [m.move_id for m in all_moves() if m.move_id.split("_")[0] == family]
+    return [m.move_id for m in all_moves() if m.family == family]
 
 
 def assert_families_are_their_moves(cases):
@@ -867,7 +913,13 @@ def test_move_catalog_counts():
     families = [family_moves(family) for family in ("over", "under", "through")]
     assert list(map(len, families)) == [8, 8, 8]
     assert sorted(sum(families, [])) == sorted(m.move_id for m in moves)
-    assert [m.monochromatic_only for m in moves] == [m.move_id in families[2] for m in moves]
+    # the pass-through family is the moves whose strand S crosses an input
+    # and an output edge of c0 on the before side (a slide's crosses two
+    # outputs); c0's row is (sign, u_in, o_in, o_out, u_out)
+    def crossed_ends(move):
+        c0 = move.before[0][1:]
+        return {c0.index(w) < 2 for row in move.before[1:] for w in row[1:] if w in c0}
+    assert families[2] == [m.move_id for m in moves if crossed_ends(m) == {True, False}]
     for m in moves:
         assert move_by_id(m.move_id) is m
     with pytest.raises(KeyError, match="no_such_move"):
