@@ -111,6 +111,11 @@ class BiquandleBracket:
     def a(self, x: int, y: int):
         return self.A[x][y]
 
+    def delta_power(self, k: int):
+        """delta^k as a raw value, powered in the ring, which over Z_n
+        reduces it: the weight of k circles."""
+        return self.ring.raw(self.delta ** k)
+
     def b(self, x: int, y: int):
         return self.B[x][y]
 
@@ -429,8 +434,8 @@ def state_sum(d: OrientedDiagram, coloring: Sequence[int], beta: BiquandleBracke
     for a_slot, b_slot, a, c in slots:
         pair = coloring[a] * n + coloring[c]
         coefficients.append((raw[a_slot + pair], raw[b_slot + pair]))
-    delta = raw[raw_slot(n, "delta")]
-    total = run_plan(plan, coefficients, delta ** d.free_loops, delta)[frozenset()]
+    total = run_plan(plan, coefficients, beta.delta_power(d.free_loops),
+                     raw[raw_slot(n, "delta")])[frozenset()]
     # w^writhe as w or w^-1 to the power |writhe|
     return beta.ring.wrap(raw[raw_slot(n, "w", writhe)] ** abs(writhe) * total)
 

@@ -10,12 +10,15 @@ Each ring also gives a raw view of its values for the bracket conditions
 (``raw``, ``wrap``, ``same``, ``inv``, ``is_unit``): plain ints for Z_n,
 which skip building an element per operation, and the elements themselves
 for Laurent polynomials.
+
+:func:`hermite_normal_form` reduces integer row vectors to the Hermite
+basis of the lattice they span over Z.
 """
 from __future__ import annotations
 
 import re
 from math import gcd
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .biquandle import parse_int
 
@@ -339,3 +342,52 @@ def parse_laurent(ring: LaurentRing, text: str) -> LaurentElement:
         else:
             raise ValueError(f"unknown variable {var!r} in {text!r}")
     return ring.monomial(i, j, coeff)
+
+
+def hermite_normal_form(rows: Iterable[Sequence[int]]) -> List[List[int]]:
+    """The Hermite normal form of the lattice that ``rows`` span over Z:
+    its nonzero rows, in order of their pivots (first nonzero entries),
+    each pivot positive, every entry above a pivot in [0, pivot), and zero
+    below and left of it (Cohen, *A Course in Computational Algebraic
+    Number Theory*, section 2.4).  The rows are the lattice's one such
+    basis, so two sets of rows span the same lattice exactly when their
+    forms are equal.
+
+    Each row is reduced into the basis built so far: where its first
+    nonzero entry v meets the pivot p of a basis row r, the pair (r, row)
+    becomes (a*r + b*row, (p/g)*row - (v/g)*r), with a*p + b*v = g = gcd(p, v),
+    a change of basis of determinant 1 that leaves g at the pivot and
+    clears the column in the row, which goes on to the next column.  When p
+    divides v, g = p and the basis row stays as it is."""
+    pivots: Dict[int, List[int]] = {}      # pivot column -> basis row
+    for row in rows:
+        row = list(row)
+        col = next((j for j, e in enumerate(row) if e), None)
+        while col is not None:
+            r = pivots.get(col)
+            if r is None:
+                pivots[col] = row if row[col] > 0 else [-e for e in row]
+                break
+            p, v = r[col], row[col]
+            g, a, b = _extended_gcd(p, v)
+            if g != p:
+                pivots[col] = [a * x + b * y for x, y in zip(r, row)]
+            row = [(p // g) * y - (v // g) * x for x, y in zip(r, row)]
+            col = next((j for j in range(col + 1, len(row)) if row[j]), None)
+    columns = sorted(pivots)
+    basis = [pivots[col] for col in columns]
+    for j, col in enumerate(columns):
+        for upper in basis[:j]:
+            q = upper[col] // basis[j][col]
+            if q:
+                upper[:] = [x - q * y for x, y in zip(upper, basis[j])]
+    return basis
+
+
+def _extended_gcd(p: int, v: int) -> Tuple[int, int, int]:
+    """(g, a, b) with a*p + b*v = g = gcd(p, v) > 0, for p > 0."""
+    a0, b0, r0, a1, b1, r1 = 1, 0, p, 0, 1, v
+    while r1:
+        q = r0 // r1
+        a0, a1, b0, b1, r0, r1 = a1, a0 - q * a1, b1, b0 - q * b1, r1, r0 - q * r1
+    return (r0, a0, b0) if r0 > 0 else (-r0, -a0, -b0)

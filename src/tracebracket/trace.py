@@ -3,9 +3,11 @@ diagonal-pair crossing, magnetic parity and kink reducibility, the parity
 fast evaluator, and diagrammatic verification of the trace moves on fixed
 three-strand tangles, each move compiled once per biquandle into identities
 lhs = rhs in the bracket's base entries [*A, *B, delta, w] with their unit
-factors divided out, and each family of eight moves checked on the union of
-its moves' identities by the one identity evaluator,
-``bracket.failing_identity``.
+factors divided out.  Each family of eight moves is the union of its moves'
+identities, and every one of them states a unit binomial on a bracket that
+passes condition (ii), so the family verdicts check the Hermite basis of
+those binomials' exponent lattice, a few relations per family, with the one
+identity evaluator, ``bracket.failing_identity``.
 
 A trace diagram is a set of rows over edge labels, one row per node, with
 the roles of ``diagram.Crossing``: (u_in, o_in, o_out, u_out).  Nodes are
@@ -57,11 +59,12 @@ from typing import Dict, FrozenSet, Hashable, List, Sequence, Tuple
 
 from .biquandle import Biquandle, content_lines, parse_int
 from .bracket import (BiquandleBracket, Identity, coefficient_pair, crossing_coefficient_pair,
-                      failing_identity, homflypt_coefficients, raw_slot)
+                      failing_identity, homflypt_coefficients, identity_text, raw_slot)
 from .coloring import (crossing_outputs, positive_frame, propagation_schedule, run_steps,
                        validate_coloring)
 from .diagram import (SMOOTHINGS, OrientedDiagram, plan_contraction, require_valid,
                       role_joins, run_plan, switch_crossing)
+from .rings import hermite_normal_form
 
 
 class MultiComponentCrossingError(ValueError):
@@ -252,24 +255,24 @@ def _node_choices(td: TraceDiagram, n: int) -> List[list]:
     return nodes
 
 
-def _state_sum(td: TraceDiagram, n: int, values: Sequence) -> Dict[frozenset, object]:
+def _state_sum(td: TraceDiagram, n: int, values: Sequence, circles) -> Dict[frozenset, object]:
     """The state sum over every node of the trace diagram, each choice
     weighted by the product of ``values`` at its slots and the sum started
-    at delta^(free circles): ``values`` is a bracket's raw vector or symbols
-    standing for it.  Maps each final pairing of the boundary labels to its
-    unwrapped sum."""
+    at ``circles``, delta^(free circles): ``values`` is a bracket's raw
+    vector or symbols standing for it.  Maps each final pairing of the
+    boundary labels to its unwrapped sum."""
     nodes = _node_choices(td, n)
     plan = plan_contraction([[joins for _, joins in choices] for choices in nodes])
     weights = [[reduce(mul, map(values.__getitem__, slots)) for slots, _ in choices]
                for choices in nodes]
-    delta = values[raw_slot(n, "delta")]
-    return run_plan(plan, weights, delta ** td.free_circles, delta)
+    return run_plan(plan, weights, circles, values[raw_slot(n, "delta")])
 
 
 def evaluate_recursive(td: TraceDiagram, beta: BiquandleBracket):
     """The full state sum of a closed trace diagram: both smoothings of
     every crossing, each leaving a trace of its kind."""
-    return beta.ring.wrap(_state_sum(td, beta.bq.n, beta.raw)[frozenset()])
+    sums = _state_sum(td, beta.bq.n, beta.raw, beta.delta_power(td.free_circles))
+    return beta.ring.wrap(sums[frozenset()])
 
 
 def skein_identity_check(d: OrientedDiagram, bq: Biquandle, beta: BiquandleBracket,
@@ -348,23 +351,24 @@ def evaluate_by_parity(td: TraceDiagram, beta: BiquandleBracket):
 
 
 def _parity_factors(td: TraceDiagram, beta: BiquandleBracket) -> tuple:
-    """(delta, w^(-writhe), each crossing's raw (a, b) by id): what the
-    parity weights read, the same at every diagram smoothed from ``td``, as
-    a trace keeps its crossing's sign and pair."""
+    """(delta^k as a function of k, delta, w^(-writhe), each crossing's raw
+    (a, b) by id): what the parity weights read, the same at every diagram
+    smoothed from ``td``, as a trace keeps its crossing's sign and pair."""
     n, raw, writhe = beta.bq.n, beta.raw, sum(node.sign for node in td.nodes.values())
     # each crossing's (a, b), in the order of its trace kinds "a", "b"
     ab = {cid: tuple(raw[raw_slot(n, k, node.sign, node.pair)] for k in "AB")
           for cid, node in td.nodes.items() if node.kind == "x"}
     # w^(-writhe), a power of w or of w^-1 as raw values take no negative powers
-    return raw[raw_slot(n, "delta")], raw[raw_slot(n, "w", -writhe)] ** abs(writhe), ab
+    return (beta.delta_power, raw[raw_slot(n, "delta")],
+            raw[raw_slot(n, "w", -writhe)] ** abs(writhe), ab)
 
 
-def _parity_value(parities: Dict[int, str], circles: int, delta, w_factor, ab):
+def _parity_value(parities: Dict[int, str], circles: int, delta_power, delta, w_factor, ab):
     """The unwrapped value of :func:`evaluate_by_parity` on a diagram with
     these parities and trace-deleted circles, given its
     :func:`_parity_factors`: the one parity weighing, which the parity-stop
     recursion also applies at each leaf."""
-    value = delta ** circles * w_factor
+    value = delta_power(circles) * w_factor
     for cid, par in parities.items():
         a, b = ab[cid]
         value = value * (a + delta * b if par == "odd" else delta * a + b)
@@ -400,10 +404,11 @@ def _expand_to_parity_stops(root: tuple, kinds: list, leave: list, curves: list)
     diagram with these kinds, leave array and curves, smoothed from the root
     diagram given as (ids, links, free circles, then its
     :func:`_parity_factors`)."""
-    ids, links, free_circles, delta, w_factor, ab = root
+    ids, links, free_circles, delta_power, delta, w_factor, ab = root
     left = _kink_leftover(curves)
     if not left:
-        return _parity_value(_parities(curves), free_circles + len(curves), delta, w_factor, ab)
+        return _parity_value(_parities(curves), free_circles + len(curves), delta_power, delta,
+                             w_factor, ab)
     i, terms = ids.index(min(left)), []
     # the second smoothing rewrites the entries that the first one patched
     for kind, coefficient in zip("ab", ab[ids[i]]):
@@ -543,8 +548,9 @@ def evaluate_open(td: TraceDiagram, beta: BiquandleBracket) -> Dict[object, obje
     """
     ring = beta.ring
     zero = ring.zero()
+    sums = _state_sum(td, beta.bq.n, beta.raw, beta.delta_power(td.free_circles))
     values = {frozenset(frozenset(pair) for pair in pairing): ring.wrap(value)
-              for pairing, value in _state_sum(td, beta.bq.n, beta.raw).items()}
+              for pairing, value in sums.items()}
     return {pairing: value for pairing, value in values.items() if value != zero}
 
 
@@ -574,14 +580,28 @@ def evaluate_open(td: TraceDiagram, beta: BiquandleBracket) -> Dict[object, obje
 # identities are those of all its seeds, without repeats, and a bracket
 # passes the move when every identity holds.
 #
-# The verdicts check a family of eight moves at once (over, under or
-# pass-through, the first word of the move ids) on one table per biquandle:
-# the union of the moves' identities, without repeats.  The family tables
-# and single moves are checked by the one identity evaluator,
-# ``bracket.failing_identity``, on the raw vector: it sums each side over
-# the raw values (plain ints over Z_n), compares the two sums through
-# ``ring.same``, which over Z_n reduces their difference once, and stops at
-# the first identity that fails.
+# A family of eight moves (over, under or pass-through, the first word of
+# the move ids) has one table per biquandle: the union of the moves'
+# identities, without repeats.  Every identity in it is a binomial in the
+# unit entries A, B and w, or a trinomial 0 = P + q delta + R in which P/q
+# or R/q is A_p/B_p or its inverse at some pair p.  Condition (ii) gives
+# delta = -(u + 1/u) for u = A_p/B_p, so on a bracket that passes it the
+# trinomial says P R = q^2: a binomial too.  A bracket's entries are units,
+# so a binomial m = m' holds exactly when the character x -> prod x_i^(e_i)
+# of the bracket's entries kills its exponent vector e = m - m', and the
+# table holds exactly when the character kills the lattice those vectors
+# span over Z: exactly when it kills any basis of it.  So each family table
+# is compiled once per biquandle into the lattice's Hermite basis
+# (``rings.hermite_normal_form``): 0 to 14 rows on bq1, bq2, bq3 and
+# alexander(3,1,2) in place of 1 to 138 identities, each row an identity of
+# its positive exponents on the left and its negative ones on the right
+# (``_family_basis``).  An identity of any other shape raises when the basis
+# is compiled.  The family verdicts check the bases, and single moves and
+# ``bracket.passthrough_identities`` keep the tables.  Both are checked by
+# the one identity evaluator, ``bracket.failing_identity``, on the raw
+# vector: it sums each side over the raw values (plain ints over Z_n),
+# compares the two sums through ``ring.same``, which over Z_n reduces their
+# difference once, and stops at the first identity that fails.
 # ---------------------------------------------------------------------------
 
 # a monomial over factor keys: a sorted tuple of (key, exponent) pairs
@@ -661,8 +681,9 @@ def _seed_identities(bq: Biquandle, move: TraceMove,
         if x != y:
             return []
     after = _tangle_trace_diagram(move.after, bq, seed_map, move.kind)
-    b_sums, a_sums = (_state_sum(td, bq.n, _raw_symbols(bq.n)) for td in (before, after))
-    delta = raw_slot(bq.n, "delta")
+    symbols, delta = _raw_symbols(bq.n), raw_slot(bq.n, "delta")
+    b_sums, a_sums = (_state_sum(td, bq.n, symbols, symbols[delta] ** td.free_circles)
+                      for td in (before, after))
     out = []
     for pairing in b_sums.keys() | a_sums.keys():
         diff = dict(b_sums[pairing].terms) if pairing in b_sums else {}
@@ -693,6 +714,58 @@ def _family_table(under_table, over_table, family: str) -> Tuple[Identity, ...]:
         for identity in _compiled_move(under_table, over_table, move.move_id)))
 
 
+def _unit_exponents(identity: Identity, n: int) -> List[int]:
+    """The exponent vector, over the base entries [*A, *B, delta, w] of a
+    bracket on n colors, of the unit binomial that ``identity`` states on
+    every bracket that passes condition (ii): lhs / rhs of a binomial, or
+    P R / q^2 of a trinomial 0 = P + q delta + R in which P/q or R/q is
+    A_p/B_p or its inverse at some pair p.  ValueError on any other
+    identity, one that reads delta or a trinomial that matches no pair."""
+    delta = raw_slot(n, "delta")
+
+    def exponents(monomial):
+        v = [0] * (delta + 2)
+        for i in monomial:
+            v[i] += 1
+        return v
+
+    lhs, rhs = identity
+    if len(lhs) == len(rhs) == 1 and delta not in lhs[0] + rhs[0]:
+        return [a - b for a, b in zip(exponents(*lhs), exponents(*rhs))]
+    terms = lhs + rhs
+    with_delta = [m for m in terms if delta in m]
+    if not (lhs and rhs) and len(terms) == 3 and [m.count(delta) for m in with_delta] == [1]:
+        q = exponents(with_delta[0])
+        q[delta] = 0
+        P, R = (exponents(m) for m in terms if delta not in m)
+        if any(_is_pair_ratio([a - b for a, b in zip(u, q)], n) for u in (P, R)):
+            return [a + b - 2 * c for a, b, c in zip(P, R, q)]
+    raise ValueError(f"not a unit binomial under condition (ii): {identity_text(n, identity)}")
+
+
+def _is_pair_ratio(v: List[int], n: int) -> bool:
+    """Whether the exponent vector v is A_p/B_p or B_p/A_p for some pair p,
+    the entries of a bracket on n colors at which condition (ii) gives
+    delta = -(A_p/B_p + B_p/A_p)."""
+    support = [i for i, e in enumerate(v) if e]
+    return (len(support) == 2 and support[1] == support[0] + n * n < 2 * n * n
+            and abs(v[support[0]]) == 1 and v[support[1]] == -v[support[0]])
+
+
+@lru_cache(maxsize=16)      # every family on five biquandles
+def _family_basis(under_table, over_table, family: str) -> Tuple[Identity, ...]:
+    """The family table of :func:`_family_table` as the Hermite basis of
+    its unit binomials (see :func:`_unit_exponents`), each row an identity
+    of its positive exponents on the left and its negative ones on the
+    right: on any bracket that passes condition (ii), the basis holds
+    exactly when the table does."""
+    n = len(under_table)
+    rows = hermite_normal_form(_unit_exponents(identity, n)
+                               for identity in _family_table(under_table, over_table, family))
+    return tuple(tuple((tuple(i for i, e in enumerate(row) for _ in range(sign * e)),)
+                       for sign in (1, -1)) for row in rows)
+
+
 def trace_move_fixture_check(bq: Biquandle, beta: BiquandleBracket, move_id: str) -> bool:
     """True iff [before] == [after] boundary-resolved, for all color seeds.
 
@@ -705,7 +778,7 @@ def trace_move_fixture_check(bq: Biquandle, beta: BiquandleBracket, move_id: str
 
 
 def _family_holds(bq: Biquandle, beta: BiquandleBracket, family: str) -> bool:
-    return failing_identity(_family_table(bq.under_table, bq.over_table, family),
+    return failing_identity(_family_basis(bq.under_table, bq.over_table, family),
                             beta.raw, beta.ring) is None
 
 

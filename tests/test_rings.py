@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tracebracket.rings import (LaurentRing, ModRing, NotAUnitError,
-                                RingMismatchError, parse_laurent)
+                                RingMismatchError, hermite_normal_form, parse_laurent)
 
 m7 = ModRing(7)
 m3 = ModRing(3)
@@ -134,3 +136,58 @@ def test_laurent_raw_values_are_elements():
     assert L.raw(a) is a and L.wrap(a) is a
     assert L.same(L.inv(a) * a, L.one()) and not L.same(a, -a)
     assert L.is_unit(a) and not L.is_unit(L.constant(2))
+
+
+def test_hermite_normal_form_worked_examples():
+    # 2 and 3 in one column give their gcd; the entry above a pivot is
+    # reduced into [0, pivot); zero and repeated rows drop out
+    assert hermite_normal_form([[2, 5], [3, 1]]) == [[1, 9], [0, 13]]
+    assert hermite_normal_form([[0, 0, 0], [1, 2, 3], [2, 4, 6]]) == [[1, 2, 3]]
+    assert hermite_normal_form([[1, 7], [0, 3]]) == [[1, 1], [0, 3]]
+    # a lattice of index 2 is not the whole plane, as it is over Q
+    assert hermite_normal_form([[1, 1], [1, -1]]) == [[1, 1], [0, 2]]
+    assert hermite_normal_form([[-4, 0], [0, -6]]) == [[4, 0], [0, 6]]
+    assert hermite_normal_form([]) == []
+
+
+def _rational_rank(rows):
+    rows, rank = [[Fraction(e) for e in row] for row in rows], 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is not None:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            for i in range(rank + 1, len(rows)):
+                f = rows[i][col] / rows[rank][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+            rank += 1
+    return rank
+
+
+ROWS = st.integers(1, 5).flatmap(
+    lambda k: st.lists(st.lists(st.integers(-4, 4), min_size=k, max_size=k), max_size=7))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(rows=ROWS, data=st.data())
+def test_hermite_normal_form_is_the_lattices_one_reduced_basis(rows, data):
+    basis = hermite_normal_form(rows)
+    # echelon with positive pivots, each entry above a pivot in [0, pivot)
+    pivots = [next(j for j, e in enumerate(row) if e) for row in basis]
+    assert pivots == sorted(set(pivots))
+    for i, (row, col) in enumerate(zip(basis, pivots)):
+        assert row[col] > 0 and all(0 <= upper[col] < row[col] for upper in basis[:i])
+    # as many rows as the rank, and the same lattice: every row is an
+    # integer combination of the basis, and the basis of the union is itself
+    assert len(basis) == _rational_rank(rows)
+    assert hermite_normal_form(rows + basis) == basis == hermite_normal_form(basis)
+    # a unimodular change of the rows (reorder, add a multiple of one to
+    # another, negate) keeps the form
+    if len(rows) >= 2:
+        changed = data.draw(st.permutations(rows))
+        k = data.draw(st.integers(-3, 3))
+        changed[0] = [a + k * b for a, b in zip(changed[0], changed[1])]
+        changed[1] = [-b for b in changed[1]]
+        assert hermite_normal_form(changed) == basis
+    # doubling a row changes the lattice unless another row makes up for it
+    if rows and any(rows[0]) and _rational_rank(rows[1:]) < _rational_rank(rows):
+        assert hermite_normal_form([[2 * e for e in rows[0]]] + rows[1:]) != basis

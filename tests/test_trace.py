@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -9,14 +10,15 @@ from hypothesis import strategies as st
 
 from tracebracket import fixture_text
 from tracebracket.biquandle import trivial_biquandle
-from tracebracket.bracket import (_crossings_plan, classify_adequacy,
-                                  constant_bracket, crossing_coefficient_pair,
-                                  make_bracket, parse_bracket, raw_slot, state_sum)
+from tracebracket.bracket import (_crossings_plan, _triple_table, bracket_invariant,
+                                  classify_adequacy, constant_bracket,
+                                  crossing_coefficient_pair, failing_identity, identity_text,
+                                  make_bracket, pair_delta, parse_bracket, raw_slot, state_sum)
 from tracebracket.coloring import enumerate_colorings
 from tracebracket.diagram import (OrientedDiagram, diagram, hopf_pos, join_ends,
                                   switch_crossing, trefoil_pos, trefoil_rii, unknot0,
                                   unknot_kink, writhe_counts)
-from tracebracket.rings import ModElement, ModRing
+from tracebracket.rings import ModElement, ModRing, hermite_normal_form
 from tracebracket.search import search_brackets
 from tracebracket.trace import (MultiComponentCrossingError, NotRIReducibleError,
                                 TraceDiagram, all_moves,
@@ -27,7 +29,8 @@ from tracebracket.trace import (MultiComponentCrossingError, NotRIReducibleError
                                 magnetic_parity, move_by_id, parse_trace_diagram,
                                 parity_applicable, replace_with_trace, ri_reducible,
                                 trace_move_fixture_check, _cancel_units, _compiled_move,
-                                _family_table, _seed_identities, _tangle_trace_diagram)
+                                _family_basis, _family_table, _seed_identities,
+                                _tangle_trace_diagram, _unit_exponents)
 
 
 def fixture_diagrams():
@@ -777,6 +780,207 @@ def test_family_verdicts_on_searched(request, spec, n):
     bq = request.getfixturevalue(spec)
     cases = [(bq, beta) for beta, _cls in search_brackets(bq, n)]
     assert len(assert_families_are_their_moves(cases)) > 1
+
+
+# each family's Hermite basis on the shipped biquandles, as identity_text
+# renders it: the relations the over, under and pass-through verdicts check
+GOLDEN_BASES = {
+    "bq1": {"over": [], "under": [], "through": ["A[1,1]^2 B[1,1]^2 = w^4"]},
+    "bq2": {
+        "over": ["A[1,1] B[1,2] = A[2,2] B[2,1]", "A[1,2] B[2,2] = A[2,2] B[1,2]",
+                 "A[2,1] B[2,2] = A[2,2] B[2,1]", "B[1,1] B[1,2] = B[2,1] B[2,2]"],
+        "under": ["A[1,1] B[2,1] = A[2,2] B[1,2]", "A[1,2] B[2,2] = A[2,2] B[1,2]",
+                  "A[2,1] B[2,2] = A[2,2] B[2,1]", "B[1,1] B[2,1] = B[1,2] B[2,2]"],
+        "through": ["A[1,1] A[2,2] B[1,1] B[2,2] = w^4", "A[1,2] A[2,1] B[1,2] B[2,1] = w^4",
+                    "A[2,1]^2 B[1,2]^2 = w^4", "A[2,2]^2 B[1,1]^2 = w^4"],
+    },
+    "bq3": {
+        "over": ["A[1,1] B[3,3] = A[3,3] B[3,1]", "A[1,2] = A[3,2]", "A[1,3] = A[3,3]",
+                 "A[2,1] B[3,3]^2 = A[3,3] B[2,3] B[3,1]", "A[2,2] B[3,2] = A[3,2] B[2,2]",
+                 "A[2,3] B[3,3] = A[3,3] B[2,3]", "A[3,1] B[3,3] = A[3,3] B[3,1]",
+                 "B[1,1] = B[3,1]", "B[1,2] = B[3,2]", "B[1,3] = B[3,3]",
+                 "B[2,1] B[3,3] = B[2,3] B[3,1]"],
+        "under": ["A[1,1] B[3,3] = A[3,3] B[1,3]", "A[1,2] B[3,3] = A[3,3] B[3,2]",
+                  "A[1,3] B[3,3] = A[3,3] B[1,3]", "A[2,1] = A[2,3]",
+                  "A[2,2] B[2,3] = A[2,3] B[2,2]", "A[3,1] = A[3,3]",
+                  "A[3,2] B[3,3] = A[3,3] B[3,2]", "B[1,1] = B[1,3]", "B[1,2] = B[3,2]",
+                  "B[2,1] = B[2,3]", "B[3,1] = B[3,3]"],
+        "through": ["A[1,1] A[3,3] B[1,1] B[3,3] = w^4", "A[1,2] A[3,2] B[1,2] B[3,2] = w^4",
+                    "A[1,3] A[3,1] B[1,3] B[3,1] = w^4", "A[2,1] A[2,3] B[2,1] B[2,3] = w^4",
+                    "A[2,2]^2 B[2,2]^2 = w^4", "A[2,3]^2 B[2,1]^2 = w^4",
+                    "A[3,1]^2 B[1,3]^2 = w^4", "A[3,2]^2 B[3,2]^2 = w^4",
+                    "A[3,3]^2 B[1,1]^2 = w^4", "B[1,2]^2 = B[3,2]^2"],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BASES))
+def test_family_bases_are_pinned(request, name):
+    bq = request.getfixturevalue(name)
+    for family, golden in GOLDEN_BASES[name].items():
+        basis = _family_basis(bq.under_table, bq.over_table, family)
+        assert [identity_text(bq.n, identity) for identity in basis] == golden, family
+
+
+def random_unit_values(rng, ring, n):
+    """[*A, *B, delta, w] of random unit tables on n colors that pass
+    condition (ii), with any unit w: A[p] from a palette of one, two or all
+    units, so that some tables pass each family, and B[p] = A[p] t_p with
+    t_p a root of 1 + delta t + t^2, the roots that (ii) allows."""
+    m = ring.modulus
+    units = [u for u in range(1, m) if ring.is_unit(u)]
+    palette = rng.sample(units, rng.choice((1, 2, len(units))))
+    delta = pair_delta(ring, rng.choice(units), rng.choice(units)) % m
+    roots = [t for t in units if (1 + delta * t + t * t) % m == 0]
+    A = [rng.choice(palette) for _ in range(n * n)]
+    B = [a * rng.choice(roots) % m for a in A]
+    return [*A, *B, delta, rng.choice(units)]
+
+
+@pytest.mark.parametrize("spec", ["bq2", "bq3", "a312"])
+def test_basis_verdicts_equal_table_verdicts_on_random_units(request, spec):
+    # searched brackets pass condition (iii), which hides any basis error
+    # that (iii) makes up for; these tables need only pass (ii).  Z8 is
+    # composite, and every unit squares to 1 there, so a basis that differs
+    # from the table's lattice by torsion shows
+    bq = request.getfixturevalue(spec)
+    rng = random.Random(f"basis-{spec}")
+    seen = {family: set() for family in ("over", "under", "through")}
+    for m in (5, 7, 8):
+        ring = ModRing(m)
+        for _ in range(150):
+            values = random_unit_values(rng, ring, bq.n)
+            for family, verdicts in seen.items():
+                table = _family_table(bq.under_table, bq.over_table, family)
+                basis = _family_basis(bq.under_table, bq.over_table, family)
+                verdict = failing_identity(table, values, ring) is None
+                assert (failing_identity(basis, values, ring) is None) == verdict, (family, values)
+                verdicts.add(verdict)
+    assert all(verdicts == {True, False} for verdicts in seen.values())
+
+
+def test_basis_compile_refuses_other_shapes(bq2, bq3, monkeypatch):
+    import tracebracket.trace as trace_module
+    # a trinomial of bq3's tables: on base entries A 0..8, B 9..17, delta 18,
+    # 0 = A[1,1] A[1,3] + A[1,3] B[1,1] delta + B[1,1] B[1,3] is
+    # A[1,1] B[1,3] = A[1,3] B[1,1] under condition (ii)
+    trinomial = ((), ((0, 2), (2, 9, 18), (9, 11)))
+    assert trinomial in _family_table(bq3.under_table, bq3.over_table, "over")
+    assert (_unit_exponents(trinomial, 3)
+            == [1, 0, -1, 0, 0, 0, 0, 0, 0, -1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0])
+    # on two colors the base entries are A 0..3, B 4..7, delta 8 and w 9
+    # A[1,1] = B[1,1]
+    assert _unit_exponents((((0,),), ((4,),)), 2) == [1, 0, 0, 0, -1, 0, 0, 0, 0, 0]
+    # (ii) itself at (1,1), A^2 + A B delta + B^2 = 0, says nothing more
+    assert not any(_unit_exponents(((), ((0, 0), (0, 4, 8), (4, 4))), 2))
+    # q = A[1,2] B[1,2] with P/q = A[1,2]/B[1,2]: P R = q^2 says A[2,2] = B[1,2]
+    assert (_unit_exponents(((), ((1, 1), (1, 5, 8), (3, 5))), 2)
+            == [0, 0, 0, 1, 0, -1, 0, 0, 0, 0])
+    bad = [
+        ((), ((0,), (0, 8), (1,))),                 # P/q = 1, R/q = A[1,2]/A[1,1]
+        ((), ((0, 1), (1, 5, 8), (2, 5))),          # P/q = A[1,1]/B[1,2], R/q = A[2,1]/A[1,2]
+        ((), ((0, 0), (0, 4, 8, 8), (4, 4))),       # delta^2
+        ((), ((0, 0), (0, 4), (4, 4))),             # no delta
+        (((0, 0),), ((0, 4, 8), (4, 4))),           # terms on both sides
+        (((0, 8),), ((4, 8),)),                     # a binomial that reads delta
+        (((0,),), ((1,), (2,), (3,))),              # four terms
+        ((), ((0, 0), (0, 4, 8), (4, 4), (9,))),
+    ]
+    for identity in bad:
+        with pytest.raises(ValueError, match="not a unit binomial under condition"):
+            _unit_exponents(identity, 2)
+    # a table is compiled or refused whole, naming the identity at fault
+    for table in ([(((0,),), ((4,),)), ((), ((0, 0), (0, 4, 8), (4, 4)))],
+                  [(((0,),), ((4,),)), bad[0]]):
+        monkeypatch.setattr(trace_module, "_family_table", lambda under, over, family: table)
+        compile_basis = lambda: _family_basis.__wrapped__(bq2.under_table, bq2.over_table, "x")
+        if table[1] in bad:
+            with pytest.raises(ValueError, match=r"= A\[1,1\] \+ A\[1,1\] delta \+ A\[1,2\]$"):
+                compile_basis()
+        else:
+            assert compile_basis() == ((((0,),), ((4,),)),)
+
+
+def _quotient_index(sub, lattice):
+    """The order of the torsion of lattice / sub, both Hermite bases and
+    sub inside lattice: the index of sub in the part of lattice that sub
+    spans over Q.  Each row of sub is written in lattice's basis, by its
+    pivots, and the order is the gcd of those coordinates' maximal minors,
+    the product of the pivots of their transpose's Hermite form."""
+    coordinates = []
+    for v in sub:
+        x = []
+        for row in lattice:
+            col = next(j for j, e in enumerate(row) if e)
+            q, r = divmod(v[col], row[col])
+            assert r == 0
+            x.append(q)
+            v = [a - q * b for a, b in zip(v, row)]
+        assert not any(v)
+        coordinates.append(x)
+    pivots = [next(e for e in row if e) for row in hermite_normal_form(zip(*coordinates))]
+    return math.prod(pivots)
+
+
+def test_quotient_index_worked_examples():
+    assert _quotient_index([[2, 0]], [[1, 0]]) == 2
+    assert _quotient_index([[1, 0]], [[1, 0], [0, 1]]) == 1
+    assert _quotient_index([[2, 0], [0, 3]], [[1, 0], [0, 1]]) == 6
+    assert _quotient_index([[2, 2]], [[1, 0], [0, 1]]) == 2
+    assert _quotient_index([], [[1, 0]]) == 1
+
+
+# per biquandle, the rank of condition (iii)'s binomials and, per family,
+# (how many independent relations the family adds to them, the index of
+# (iii)'s lattice in the part of (iii) plus the family that (iii) spans
+# over Q); an index of 1 means a family relation that (iii) implies up to a
+# power is implied by (iii) itself
+BEYOND_III = {
+    "bq1": (0, {"over": (0, 1), "under": (0, 1), "through": (1, 1)}),
+    "bq2": (3, {"over": (2, 2), "under": (2, 2), "through": (2, 2)}),
+    "bq3": (9, {"over": (3, 1), "under": (3, 1), "through": (4, 1)}),
+    "a312": (14, {"over": (2, 3), "under": (1, 9), "through": (1, 9)}),
+    "trivial3": (0, {"over": (6, 1), "under": (6, 1), "through": (9, 1)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BEYOND_III))
+def test_family_relations_beyond_condition_iii(request, name):
+    bq = trivial_biquandle(3) if name == "trivial3" else request.getfixturevalue(name)
+    rank, families = BEYOND_III[name]
+    iii = hermite_normal_form(_unit_exponents(identity, bq.n)
+                              for _tag, _triple, identity in _triple_table(bq)
+                              if len(identity[0]) == len(identity[1]) == 1)
+    assert len(iii) == rank
+    for family, (added, index) in families.items():
+        basis = [_unit_exponents(identity, bq.n)
+                 for identity in _family_basis(bq.under_table, bq.over_table, family)]
+        both = hermite_normal_form(iii + basis)
+        assert (len(both) - rank, _quotient_index(iii, both)) == (added, index), family
+
+
+def test_free_circles_are_powered_in_the_ring(bq1, monkeypatch):
+    # delta^k over Z_7 for k free circles, with delta = 6: every raw value
+    # wrapped stays small, where an unreduced int power would have some 26
+    # million bits
+    ring = ModRing(7)
+    beta = constant_bracket(ring, ring.element(1), ring.element(3))
+    assert beta.raw_delta == 6
+    wrapped, wrap = [], ModRing.wrap
+    monkeypatch.setattr(ModRing, "wrap", lambda self, v: wrapped.append(v) or wrap(self, v))
+    k = 10 ** 7
+    kink = diagram([(1, 1, 2, 1, 2)], k)
+    td = from_colored_diagram(kink, bq1, (0, 0))
+    want = ring.element(pow(6, k + 1, 7))          # the kink's own circle too
+    assert evaluate_recursive(td, beta) == want
+    assert evaluate_by_parity(td, beta) == want
+    assert evaluate_recursive_parity(td, beta) == want
+    assert evaluate_open(td, beta) == {frozenset(): want}
+    assert evaluate_recursive(TraceDiagram({}, k), beta) == ring.element(pow(6, k, 7))
+    # the closed state sum reads a coloring of every free loop, so fewer
+    small = diagram([(1, 1, 2, 1, 2)], 10 ** 6)
+    assert bracket_invariant(small, bq1, beta).multiset == {ring.element(pow(6, 10 ** 6 + 1, 7)): 1}
+    assert len(wrapped) > 5 and max(map(abs, wrapped)) < 2 ** 64
 
 
 def test_move_checks_build_no_ring_element(bq2, monkeypatch):
