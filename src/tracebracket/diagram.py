@@ -244,16 +244,20 @@ def run_plan(plan: ContractionPlan, coefficients: Sequence[Sequence[object]], on
              ) -> Dict[FrozenSet[Tuple[Hashable, Hashable]], object]:
     """The numeric half: sum ``coefficients[node][choice]`` along the plan's
     transitions, multiplying by ``delta`` once per closed circle.  Values
-    need only ``*``, ``+`` and ``**``.  Returns the summed value of each
-    final pairing."""
+    need only ``*``, ``+`` and ``**``; each power of ``delta`` is made once
+    per call.  Returns the summed value of each final pairing."""
     values = [one]
+    powers: Dict[int, object] = {}
     for i, moves, width in zip(plan.order, plan.steps, plan.widths):
         coeffs = coefficients[i]
         merged: List[object] = [None] * width
         for src, choice, dst, loops in moves:
             term = values[src] * coeffs[choice]
             if loops:
-                term = term * delta ** loops
+                power = powers.get(loops)
+                if power is None:
+                    power = powers[loops] = delta ** loops
+                term = term * power
             sofar = merged[dst]
             merged[dst] = term if sofar is None else sofar + term
         values = merged

@@ -3,13 +3,18 @@
 Two rings are supported: the integers mod n (n >= 2), and integer Laurent
 polynomials in two variables (conventionally ``A`` and ``B``).  Elements are
 immutable and hashable, so they can be shared freely and used as multiset
-keys.  All arithmetic is exact; Laurent polynomials are kept in a canonical
-sparse form with no zero coefficients.
+keys.  All arithmetic is exact; Laurent polynomials are kept as a sparse
+dict with no zero coefficients, compared and hashed as that dict.
 
 Each ring also gives a raw view of its values for the bracket conditions
 (``raw``, ``wrap``, ``same``, ``inv``, ``is_unit``): plain ints for Z_n,
 which skip building an element per operation, and the elements themselves
-for Laurent polynomials.
+for Laurent polynomials, the one ring whose raw values are not ints.  A
+Laurent operation pays for its terms and no more.  A product with a
+one-term operand (every bracket coefficient, w and their inverses are
++-A^i B^j) shifts the other operand's exponents, and a power of a one-term
+element is closed form; neither can cancel a term.  Only sums, differences,
+the general product and the public constructor drop cancelled terms.
 
 :func:`hermite_normal_form` reduces integer row vectors to the Hermite
 basis of the lattice they span over Z.
@@ -202,41 +207,58 @@ class LaurentRing:
 
 
 class LaurentElement:
-    """A sparse Laurent polynomial; ``terms`` maps (i, j) to a nonzero int."""
+    """A sparse Laurent polynomial; ``terms`` maps (i, j) to a nonzero int.
+    Only the operations that can cancel a term drop zero coefficients (see
+    the module docstring)."""
 
-    __slots__ = ("ring", "terms", "_key")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: LaurentRing, terms: Dict[Monomial, int]):
         self.ring = ring
-        cleaned = {m: c for m, c in terms.items() if c != 0}
-        self.terms = cleaned
-        self._key = tuple(sorted(cleaned.items()))
+        self.terms = {m: c for m, c in terms.items() if c != 0}
+
+    def _like(self, terms: Dict[Monomial, int]) -> "LaurentElement":
+        """An element taking ``terms`` as they are, uncopied and unchecked."""
+        e = object.__new__(LaurentElement)
+        e.ring, e.terms = self.ring, terms
+        return e
 
     def _check(self, other: "LaurentElement") -> None:
-        if not isinstance(other, LaurentElement) or other.ring != self.ring:
+        # every LaurentRing is the same ring
+        if type(other) is not LaurentElement:
             raise RingMismatchError(f"cannot combine {self!r} with {other!r}")
 
     def __add__(self, other: "LaurentElement") -> "LaurentElement":
         self._check(other)
-        out = dict(self.terms)
+        out = self.terms.copy()
         for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return LaurentElement(self.ring, out)
+            c += out.get(m, 0)
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+        return self._like(out)
 
     def __sub__(self, other: "LaurentElement") -> "LaurentElement":
         return self + (-other)
 
     def __neg__(self) -> "LaurentElement":
-        return LaurentElement(self.ring, {m: -c for m, c in self.terms.items()})
+        return self._like({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "LaurentElement") -> "LaurentElement":
         self._check(other)
+        p, q = self.terms, other.terms
+        if len(p) == 1:
+            p, q = q, p
+        if len(q) == 1:
+            ((i, j), c), = q.items()
+            return self._like({(x + i, y + j): k * c for (x, y), k in p.items()})
         out: Dict[Monomial, int] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
+        for (i1, j1), c1 in p.items():
+            for (i2, j2), c2 in q.items():
                 m = (i1 + i2, j1 + j2)
                 out[m] = out.get(m, 0) + c1 * c2
-        return LaurentElement(self.ring, out)
+        return self._like({m: c for m, c in out.items() if c})
 
     def is_unit(self) -> bool:
         if len(self.terms) != 1:
@@ -248,9 +270,12 @@ class LaurentElement:
         if not self.is_unit():
             raise NotAUnitError(f"{self} is not a unit (must be +/- a monomial)")
         ((i, j), coeff), = self.terms.items()
-        return LaurentElement(self.ring, {(-i, -j): coeff})
+        return self._like({(-i, -j): coeff})
 
     def __pow__(self, k: int) -> "LaurentElement":
+        if len(self.terms) == 1 and (k >= 0 or self.is_unit()):
+            ((i, j), c), = self.terms.items()
+            return self._like({(i * k, j * k): c ** abs(k)})
         if k < 0:
             return self.inverse() ** (-k)
         result = self.ring.one()
@@ -263,11 +288,10 @@ class LaurentElement:
         return result
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, LaurentElement) and other.ring == self.ring
-                and other._key == self._key)
+        return type(other) is LaurentElement and other.terms == self.terms
 
     def __hash__(self) -> int:
-        return hash((self.ring, self._key))
+        return hash(frozenset(self.terms.items()))
 
     def _format_monomial(self, m: Monomial, coeff: int) -> str:
         i, j = m

@@ -180,9 +180,28 @@ def kauffman_with_writhe(d):
     return total
 
 
-def test_generic_bracket_equals_kauffman_oracle(bq1, br_gen):
-    for d in (unknot0(), unknot_kink(1), unknot_kink(-1), hopf_pos(),
-              trefoil_pos(), trefoil_rii()):
+def random_knot_closures(rng, braid_closure):
+    """Seeded closures of random 2- and 3-braid words of 5 to 13 crossings
+    whose permutation moves every strand: on at most 3 strands, exactly the
+    words whose closure is a knot.  That takes an odd length on 2 strands
+    and, for a 3-cycle, an even one on 3."""
+    out = []
+    for strands, length in ((2, 5), (2, 9), (2, 13), (3, 8), (3, 10), (3, 12)):
+        while True:
+            word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)]
+            perm = list(range(strands))
+            for g in word:
+                k = abs(g) - 1
+                perm[k], perm[k + 1] = perm[k + 1], perm[k]
+            if all(p != k for k, p in enumerate(perm)):
+                out.append(braid_closure(word, strands))
+                break
+    return out
+
+
+def test_generic_bracket_equals_kauffman_oracle(bq1, br_gen, braid_closure):
+    for d in [unknot0(), unknot_kink(1), unknot_kink(-1), hopf_pos(), trefoil_pos(),
+              trefoil_rii()] + random_knot_closures(random.Random(33), braid_closure):
         col = enumerate_colorings(d, bq1)[0]
         assert state_sum(d, col, br_gen).terms == kauffman_with_writhe(d)
 

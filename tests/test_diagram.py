@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import prod
 
 import pytest
 
@@ -220,6 +221,35 @@ def test_plan_widths_and_final_pairings():
     assert run_plan(plan_contraction([[((1, 2),)]]), [[5]], 1, 10) == {
         frozenset({(1, 2), (2, 1)}): 5}
     assert run_plan(plan_contraction([]), [], 1, 10) == {frozenset(): 1}
+
+
+def test_run_plan_raises_delta_once_per_loop_count():
+    # each delta^k is made once per call, however many transitions close k
+    # circles, and the sums are those of the state-by-state expansion
+    powers = []
+
+    class Delta(int):
+        def __pow__(self, k):
+            powers.append(k)
+            return int(self) ** k
+
+    rng = random.Random(34)
+    saved = 0
+    for n_crossings in (3, 5, 7, 9):
+        for _ in range(4):
+            d = random_valid_diagram(rng, n_crossings)
+            plan = crossings_plan(d)
+            coefficients = [[rng.randint(-9, 9) for _ in SMOOTHINGS] for _ in d.crossings]
+            closing = [loops for moves in plan.steps for *_, loops in moves if loops]
+            for _ in range(2):      # nothing carries over from one call to the next
+                powers.clear()
+                total = run_plan(plan, coefficients, 1, Delta(3))[frozenset()]
+                assert sorted(powers) == sorted(set(closing))
+            saved += len(closing) - len(powers)
+            assert total == sum(prod(coefficients[i][k] for i, k in enumerate(state))
+                                * 3 ** count_state_loops(d, ["AB"[k] for k in state])
+                                for state in itertools.product(range(2), repeat=n_crossings))
+    assert saved > 0
 
 
 def test_greedy_peak_frontier_on_shuffled_closures(braid_closure):

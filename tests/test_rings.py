@@ -191,3 +191,81 @@ def test_hermite_normal_form_is_the_lattices_one_reduced_basis(rows, data):
     # doubling a row changes the lattice unless another row makes up for it
     if rows and any(rows[0]) and _rational_rank(rows[1:]) < _rational_rank(rows):
         assert hermite_normal_form([[2 * e for e in rows[0]]] + rows[1:]) != basis
+
+
+def _reference_product(p, q):
+    """The product of two term dicts by the double loop, cancelled terms
+    dropped."""
+    out = {}
+    for (i1, j1), c1 in p.items():
+        for (i2, j2), c2 in q.items():
+            m = (i1 + i2, j1 + j2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+monomials = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+one_terms = st.builds(lambda m, c: L.monomial(*m, c), monomials,
+                      st.integers(-3, 3).filter(bool))
+
+
+@given(one_terms, laurent_elems)
+def test_laurent_one_term_products_and_powers_match_the_double_loop(m, e):
+    # a one-term operand shifts exponents, on either side
+    assert (m * e).terms == _reference_product(m.terms, e.terms) == (e * m).terms
+    power = {(0, 0): 1}
+    for k in range(7):
+        assert (m ** k).terms == power
+        power = _reference_product(power, m.terms)
+    if m.is_unit():
+        (i, j), c = next(iter(m.terms.items()))
+        power = {(0, 0): 1}
+        for k in range(7):
+            # int coefficients: (-1) ** -k would be a float equal to them
+            assert (m ** -k).terms == power
+            assert all(type(v) is int for v in (m ** -k).terms.values())
+            power = _reference_product(power, {(-i, -j): c})
+    else:
+        for k in range(1, 7):
+            with pytest.raises(NotAUnitError):
+                m ** -k
+
+
+@given(laurent_elems, laurent_elems, laurent_elems)
+def test_laurent_equal_elements_compare_and_hash_equal(a, b, c):
+    # the same element by different operation orders, and from its terms in
+    # another insertion order
+    pairs = [((a + b) * c, c * b + a * c), (a - b + b, a), (a * b - c, -(c - b * a)),
+             (a, L.element(dict(reversed(list(a.terms.items())))))]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)
+
+
+@given(laurent_elems, laurent_elems, st.integers(0, 3))
+def test_laurent_no_zero_coefficient_is_stored(a, b, k):
+    A, B = L.gen_a(), L.gen_b()
+    results = [(A + B) + (-A), (A + B) * (A - B), A * B - B * A, a + b, a - b, a * b,
+               -a, a ** k, (a + b) * (a - b), a - a, (a - b) + (b - a)]
+    if a.is_unit():
+        results.append(a.inverse())
+    for x in results:
+        assert 0 not in x.terms.values()
+    assert ((A + B) + (-A)).terms == {(0, 1): 1}
+
+
+def test_laurent_element_copies_its_terms():
+    d = {(1, 0): 2, (0, -1): 0}
+    e = L.element(d)
+    d[(1, 0)] = 5
+    d[(3, 3)] = 1
+    assert e.terms == {(1, 0): 2}
+
+
+@given(laurent_elems, mod_elems)
+def test_laurent_and_mod_operands_do_not_mix(a, m):
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        with pytest.raises(RingMismatchError):
+            op(a, m)
+        with pytest.raises(RingMismatchError):
+            op(m, a)
+    assert a != m and m != a
